@@ -16,7 +16,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import Alphabet, AlphabetMismatchError, Word, format_word, generator
+from .words import (
+    Alphabet,
+    AlphabetMismatchError,
+    Word,
+    _append_runs,
+    _power_runs,
+    format_word,
+    generator,
+)
 
 
 class NotInverseError(ValueError):
@@ -65,26 +73,7 @@ class Endomorphism:
         out: list[tuple[int, int]] = []
         image_runs = self._image_runs
         for gen, exp in w.runs:
-            block = image_runs[gen if exp > 0 else -gen]
-            if len(block) == 1:
-                # single-run image: the whole power collapses to one run
-                bg, be = block[0]
-                merged_exp = be * abs(exp)
-                if out and out[-1][0] == bg:
-                    merged_exp += out[-1][1]
-                    out.pop()
-                if merged_exp:
-                    out.append((bg, merged_exp))
-                continue
-            for _ in range(abs(exp)):
-                for bg, be in block:
-                    if out and out[-1][0] == bg:
-                        merged = out[-1][1] + be
-                        out.pop()
-                        if merged:
-                            out.append((bg, merged))
-                    else:
-                        out.append((bg, be))
+            _append_runs(out, _power_runs(image_runs[gen if exp > 0 else -gen], abs(exp)))
         return Word(self.alphabet, tuple(out))
 
     def __eq__(self, other) -> bool:

@@ -15,10 +15,10 @@ Limits of elements and of rational boundary points agree (the orbit of
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
-
-import numpy as np
 
 from .automorphisms import AutoPair, Endomorphism, power
 from .words import (
@@ -54,7 +54,10 @@ class IterationConfig:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -154,6 +157,13 @@ class Rational:
     def text(self) -> str:
         return self.point.text()
 
+    def to_json(self) -> dict:
+        return {
+            "type": "rational",
+            "head": format_word(self.point.head),
+            "period": format_word(self.point.period),
+        }
+
 
 @dataclass(frozen=True)
 class PrefixApprox:
@@ -168,6 +178,13 @@ class PrefixApprox:
 
     def text(self) -> str:
         return format_word(self.prefix.prefix(12)) + " …"
+
+    def to_json(self) -> dict:
+        return {
+            "type": "prefix",
+            "prefix": format_word(self.prefix),
+            "certified_length": self.certified_length,
+        }
 
 
 LimitPoint = Union[Rational, PrefixApprox]
@@ -188,21 +205,9 @@ class Boundary:
     certified_length: int
 
     def to_json(self) -> dict:
-        if isinstance(self.point, Rational):
-            point = {
-                "type": "rational",
-                "head": format_word(self.point.point.head),
-                "period": format_word(self.point.point.period),
-            }
-        else:
-            point = {
-                "type": "prefix",
-                "prefix": format_word(self.point.prefix),
-                "certified_length": self.point.certified_length,
-            }
         return {
             "kind": "boundary",
-            "point": point,
+            "point": self.point.to_json(),
             "iterations": self.iterations_used,
             "certified_length": self.certified_length,
         }
@@ -364,13 +369,9 @@ class ParabolicReport:
             },
             "certification": self.certification,
             "reason": self.reason,
-            "forward": _limit_json(self.forward),
-            "backward": _limit_json(self.backward),
+            "forward": self.forward.to_json(),
+            "backward": self.backward.to_json(),
         }
-
-
-def _limit_json(result: LimitResult) -> dict:
-    return result.to_json()
 
 
 def _certified_prefix(result: Boundary, n: int) -> Word:
@@ -497,12 +498,12 @@ def growth_classify(
     if not lengths or lengths[-1] == 0:
         return GrowthClass("bounded", samples=len(lengths))
     tail_start = len(lengths) // 2
-    ps = np.arange(1, len(lengths) + 1, dtype=float)[tail_start:]
-    ls = np.array(lengths, dtype=float)[tail_start:]
-    if ls.max() == ls.min():
+    ps = range(tail_start + 1, len(lengths) + 1)
+    ls = lengths[tail_start:]
+    if max(ls) == min(ls):
         return GrowthClass("bounded", samples=len(lengths))
-    logl = np.log(ls)
-    poly_fit, poly_res = _linear_fit(np.log(ps), logl)
+    logl = [math.log(x) for x in ls]
+    poly_fit, poly_res = _linear_fit([math.log(p) for p in ps], logl)
     exp_fit, exp_res = _linear_fit(ps, logl)
     residuals = {"polynomial": poly_res, "exponential": exp_res}
     if poly_res <= exp_res:
@@ -514,10 +515,10 @@ def growth_classify(
     )
 
 
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    return float(slope), float(np.sum((y - fitted) ** 2))
+def _linear_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
+    """Least-squares line through ``(x, y)``: slope and residual sum of squares."""
+    slope, intercept = statistics.linear_regression(x, y)
+    return slope, sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
 
 
 # ---------------------------------------------------------------------------

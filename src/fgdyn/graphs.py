@@ -64,6 +64,7 @@ def isogloss(
     x: LimitPoint | RationalPoint,
     y: LimitPoint | RationalPoint,
     search_bound: int = 8,
+    cfg: IterationConfig = DEFAULT_CONFIG,
 ) -> bool:
     """Whether some element of H translates ``y`` onto ``x``.
 
@@ -71,7 +72,8 @@ def isogloss(
     up to cyclic rotation (the head absorbs the phase shift) and a
     coset-power query finds the translating element.  Comparisons that
     involve a prefix approximation fall back to a bounded search over H
-    and are heuristic.
+    and are heuristic; there a rational point is cut to its first
+    ``cfg.target_prefix + search_bound + 4`` letters.
     """
     x = _as_point(x)
     y = _as_point(y)
@@ -87,8 +89,8 @@ def isogloss(
             k = coset_power_membership(H, head, y.period, y.head.inverse())
             return k is not None
         return False
-    wx, nx = _point_prefix(x, search_bound)
-    wy, ny = _point_prefix(y, search_bound)
+    wx, nx = _point_prefix(x, search_bound, cfg)
+    wy, ny = _point_prefix(y, search_bound, cfg)
     floor = max(1, min(nx, ny) - search_bound)
     wy_first = None if wy.is_identity() else wy.first_letter()
     for h in _elements(H, search_bound):
@@ -119,9 +121,9 @@ def _as_point(p):
     return p
 
 
-def _point_prefix(p, search_bound: int) -> tuple[Word, int]:
+def _point_prefix(p, search_bound: int, cfg: IterationConfig) -> tuple[Word, int]:
     if isinstance(p, RationalPoint):
-        n = DEFAULT_CONFIG.target_prefix + search_bound + 4
+        n = cfg.target_prefix + search_bound + 4
         return prefix_of(p, n), n
     return p.prefix, p.certified_length
 
@@ -211,7 +213,7 @@ def build_graph(
 
     def classify(point: LimitPoint) -> int:
         for i, cls in enumerate(classes):
-            if isogloss(H, cls.representative, point, search_bound):
+            if isogloss(H, cls.representative, point, search_bound, cfg):
                 cls.members.append(point)
                 if isinstance(point, PrefixApprox) or isinstance(
                     cls.representative, PrefixApprox
@@ -283,23 +285,10 @@ def emit_dot(graph: DynamicsGraph) -> str:
 def graph_to_json(graph: DynamicsGraph) -> dict:
     vertices = []
     for cls in graph.vertices:
-        rep = cls.representative
-        if isinstance(rep, Rational):
-            desc = {
-                "type": "rational",
-                "head": format_word(rep.point.head),
-                "period": format_word(rep.point.period),
-            }
-        else:
-            desc = {
-                "type": "prefix",
-                "prefix": format_word(rep.prefix),
-                "certified_length": rep.certified_length,
-            }
         vertices.append(
             {
                 "text": cls.text(),
-                "point": desc,
+                "point": cls.representative.to_json(),
                 "members": len(cls.members),
                 "approximate": cls.approximate,
             }

@@ -14,7 +14,7 @@ to build and compare.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Letter = int  # signed generator index; +i / -i, never 0
 
@@ -86,17 +86,47 @@ def standard_alphabet(rank: int) -> Alphabet:
     return Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"[:rank]))
 
 
-def _push_run(runs: list[tuple[int, int]], gen: int, exp: int) -> None:
-    # Stack push with merging/cancellation; keeps the run invariant.
-    if exp == 0:
-        return
-    if runs and runs[-1][0] == gen:
-        merged = runs[-1][1] + exp
-        runs.pop()
-        if merged != 0:
-            runs.append((gen, merged))
-    else:
-        runs.append((gen, exp))
+Runs = Sequence[tuple[int, int]]
+
+
+def _append_runs(out: list[tuple[int, int]], runs: Runs) -> None:
+    """Append the reduced ``runs`` to the reduced run list ``out``.
+
+    Both sides are reduced, so letters cancel or merge only at the
+    junction: once one run survives there, the rest is appended whole.
+    This is the only place where runs merge or cancel.
+    """
+    i = 0
+    while out and i < len(runs):
+        gen, exp = runs[i]
+        last_gen, last_exp = out[-1]
+        if last_gen != gen:
+            break
+        i += 1
+        merged = last_exp + exp
+        if merged:
+            out[-1] = (gen, merged)
+            break
+        out.pop()
+    out.extend(runs[i:] if i else runs)
+
+
+def _power_runs(runs: Runs, k: int) -> Runs:
+    """The runs of the ``k``-th power (``k >= 0``) of a reduced block."""
+    if k == 1:
+        return runs
+    if not k or not runs:
+        return ()
+    if len(runs) == 1:
+        ((gen, exp),) = runs
+        return ((gen, exp * k),)
+    if runs[0][0] != runs[-1][0]:
+        # no junction can cancel or merge
+        return runs * k
+    out = list(runs)
+    for _ in range(k - 1):
+        _append_runs(out, runs)
+    return out
 
 
 class Word:
@@ -124,7 +154,7 @@ class Word:
             gen = abs(letter)
             if letter == 0 or gen > alphabet.rank:
                 raise AlphabetMismatchError(f"letter {letter} out of range")
-            _push_run(runs, gen, 1 if letter > 0 else -1)
+            _append_runs(runs, ((gen, 1 if letter > 0 else -1),))
         return cls(alphabet, tuple(runs))
 
     @classmethod
@@ -134,7 +164,8 @@ class Word:
         for gen, exp in runs:
             if not 1 <= gen <= alphabet.rank:
                 raise AlphabetMismatchError(f"generator {gen} out of range")
-            _push_run(out, gen, exp)
+            if exp:
+                _append_runs(out, ((gen, exp),))
         return cls(alphabet, tuple(out))
 
     def __len__(self) -> int:
@@ -187,17 +218,8 @@ class Word:
         return concat(self, other)
 
     def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Word(self.alphabet)
-        base = self
-        while n:
-            if n & 1:
-                result = concat(result, base)
-            n >>= 1
-            if n:
-                base = concat(base, base)
-        return result
+        base = self if n >= 0 else self.inverse()
+        return Word(self.alphabet, tuple(_power_runs(base.runs, abs(n))))
 
     def __eq__(self, other) -> bool:
         return (
@@ -247,8 +269,7 @@ def concat(u: Word, v: Word) -> Word:
     if not v.runs:
         return u
     runs = list(u.runs)
-    for gen, exp in v.runs:
-        _push_run(runs, gen, exp)
+    _append_runs(runs, v.runs)
     return Word(u.alphabet, tuple(runs))
 
 
@@ -339,7 +360,9 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
                 raise WordSyntaxError(f"malformed exponent in {token!r}") from None
         else:
             exp = 1
-        _push_run(runs, alphabet.index(name), exp)
+        gen = alphabet.index(name)
+        if exp:
+            _append_runs(runs, ((gen, exp),))
     return Word(alphabet, tuple(runs))
 
 

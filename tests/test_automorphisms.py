@@ -23,10 +23,24 @@ from fgdyn.automorphisms import (
     squarefree_part,
     verify_pair,
 )
-from fgdyn.words import identity, parse_word, reduce, standard_alphabet
+from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
 
 F2 = standard_alphabet(2)
+F3 = standard_alphabet(3)
 F4 = standard_alphabet(4)
+
+WORDS3 = st.lists(st.integers(-3, 3).filter(bool), max_size=5).map(lambda xs: reduce(F3, xs))
+# the image shapes that take different paths when a power of an image is built
+IMAGES3 = st.one_of(
+    WORDS3,
+    st.builds(lambda g, e: Word.from_runs(F3, [(g, e)]), st.integers(1, 3), st.integers(-3, 3)),
+    st.builds(lambda u, v: u * v * u, WORDS3, WORDS3),  # e.g. a b a
+    st.builds(lambda u, v: u * v * u.inverse(), WORDS3, WORDS3),  # e.g. a b a^-1
+    st.just(identity(F3)),
+)
+RUN_WORDS3 = st.lists(st.tuples(st.integers(1, 3), st.integers(-50, 50)), max_size=6).map(
+    lambda runs: Word.from_runs(F3, runs)
+)
 
 
 def endo(alphabet, *images):
@@ -84,6 +98,14 @@ class TestApply:
             g = random_word(rng, F4)
             assert pair.apply_inverse(pair.apply(g)) == g
             assert pair.apply(pair.apply_inverse(g)) == g
+
+    @given(st.lists(IMAGES3, min_size=3, max_size=3), RUN_WORDS3)
+    def test_matches_letter_level_reference(self, images, w):
+        def image(letter):
+            return images[letter - 1] if letter > 0 else images[-letter - 1].inverse()
+
+        expected = reduce(F3, [x for l in w.letters() for x in image(l).letters()])
+        assert Endomorphism(F3, images).apply(w) == expected
 
 
 class TestVerifyPair:

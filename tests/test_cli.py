@@ -245,8 +245,13 @@ class TestConfigEnvVar:
         # explicit flag overrides the file
         assert main(["omega", "phi_k:k=1", "b", "--max-iter", "300"]) == 0
 
-    def test_bad_config_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", '{"min_repeats": 1.5}', '{"max_iterations": true}'],
+        ids=["not-json", "float", "bool"],
+    )
+    def test_bad_config_file(self, tmp_path, monkeypatch, text):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text("{not json", encoding="utf-8")
+        cfg_path.write_text(text, encoding="utf-8")
         monkeypatch.setenv("FGDYN_CONFIG", str(cfg_path))
         assert main(["omega", "phi_k:k=1", "b"]) == 3

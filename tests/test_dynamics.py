@@ -142,6 +142,12 @@ class TestIterate:
         assert exc.value.iteration < 50
         assert exc.value.length > 1000
 
+    def test_config_rejects_non_integers(self):
+        # bool is an int subclass; True would silently mean one iteration
+        for bad in ({"min_repeats": 1.5}, {"max_iterations": True}):
+            with pytest.raises(ValueError):
+                IterationConfig(**bad)
+
 
 class TestRecognizeRational:
     def test_eventually_periodic(self):

@@ -3,7 +3,14 @@ import itertools
 import pytest
 
 from fgdyn.automorphisms import Endomorphism, identity_pair, inner, verify_pair
-from fgdyn.dynamics import PrefixApprox, Rational, rational_point, translate
+from fgdyn.dynamics import (
+    IterationConfig,
+    PrefixApprox,
+    Rational,
+    omega_limit,
+    rational_point,
+    translate,
+)
 from fgdyn.graphs import (
     GraphTemplate,
     build_graph,
@@ -136,6 +143,15 @@ class TestIsogloss:
         assert isogloss(H, x, y)
         assert not isogloss(H, x, z)
 
+    def test_rational_prefix_length_follows_config(self):
+        # a^inf and a^300 b ... agree on 300 letters: enough for the default
+        # 200-letter target, not for a 400-letter one
+        H = build_core_graph(F2, [])
+        x = rational_point(identity(F2), parse_word(F2, "a"))
+        y = PrefixApprox(parse_word(F2, "a^300 b^100"), 400)
+        assert isogloss(H, x, y)
+        assert not isogloss(H, x, y, cfg=IterationConfig(target_prefix=400))
+
 
 class TestVerifyFixedGenerators:
     def test_phi_fixed_set(self):
@@ -263,6 +279,17 @@ class TestLoopsAndOutputs:
         assert js["completeness"] == "sample-based under-approximation"
         approx = [v for v in js["vertices"] if v["point"]["type"] == "prefix"]
         assert len(approx) == 2  # the two irrational classes
+
+    def test_vertex_point_matches_limit_json(self):
+        phi = make_phi(1)
+        graph = build_graph(phi, fix_words(), seeds=[w4("b d^-1"), w4("d")])
+        js = graph_to_json(graph)
+        limits = [omega_limit(phi, w4("b d^-1")), omega_limit(phi, w4("d"))]
+        assert [type(limit.point) for limit in limits] == [Rational, PrefixApprox]
+        reps = [cls.representative for cls in graph.vertices]
+        for limit in limits:
+            vertex = js["vertices"][reps.index(limit.point)]
+            assert vertex["point"] == limit.to_json()["point"]
 
 
 class TestTemplates:

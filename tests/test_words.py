@@ -303,7 +303,7 @@ class TestPrefixAndPower:
         assert w.prefix(100) == w
         assert w.prefix(0).is_identity()
 
-    @given(letters_strategy(2, max_size=6), st.integers(-5, 5))
+    @given(letters_strategy(2, max_size=6), st.integers(-20, 20))
     def test_power_matches_repeated_product(self, xs, m):
         u = reduce(F2, xs)
         expected = identity(F2)
