@@ -12,6 +12,7 @@ full dynamics graph and is flagged as such.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,7 +32,6 @@ from .subgroups import (
     StallingsGraph,
     build_core_graph,
     coset_power_membership,
-    enumerate_elements,
 )
 from .words import Alphabet, Word, common_prefix_length, format_word
 
@@ -71,10 +71,13 @@ def isogloss(
     Rational against rational is decided exactly: the periods must agree
     up to cyclic rotation (the head absorbs the phase shift) and a
     coset-power query finds the translating element.  Comparisons that
-    involve a prefix approximation fall back to a bounded search over H
-    and are heuristic; there a rational point is cut to its first
+    involve a prefix approximation fall back to a search over the elements
+    of H of length at most ``search_bound``, read off H's automaton, and
+    are heuristic; there a rational point is cut to its first
     ``cfg.target_prefix + search_bound + 4`` letters.
     """
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     x = _as_point(x)
     y = _as_point(y)
     if isinstance(x, RationalPoint) and isinstance(y, RationalPoint):
@@ -92,27 +95,70 @@ def isogloss(
     wx, nx = _point_prefix(x, search_bound, cfg)
     wy, ny = _point_prefix(y, search_bound, cfg)
     floor = max(1, min(nx, ny) - search_bound)
-    wy_first = None if wy.is_identity() else wy.first_letter()
-    for h in _elements(H, search_bound):
-        if not h.is_identity() and h.last_letter() != -(wy_first or 0):
-            # no cancellation at the junction, so h itself must prefix wx
-            if common_prefix_length(wx, h) != min(len(h), len(wx)):
-                continue
-        t = h * wy
-        overlap = min(len(wx), len(t))
-        if overlap >= floor and common_prefix_length(wx, t) == overlap:
-            return True
+    return _prefix_translate(H, wx, wy, floor, search_bound)
+
+
+def _prefix_translate(H: StallingsGraph, wx: Word, wy: Word, floor: int, bound: int) -> bool:
+    """Whether some ``h`` in H with ``|h| <= bound`` makes ``[h wy]`` agree
+    with ``wx`` over ``min(|wx|, |[h wy]|) >= floor`` letters.
+
+    Split ``h = wx[:i] . wy[:j]^-1`` where ``j`` letters of ``wy`` cancel.
+    Then ``h`` is in H iff ``wx[:i]`` and ``wy[:j]`` read to the same state
+    from the base, and ``[h wy] = wx[:i] wy[j:]``, so only the split points
+    with ``i + j <= bound`` need checking.  An ``h`` that runs past the end
+    of a short ``wx`` is ``wx s wy[:j]^-1`` for a walk ``s`` in H from the
+    state ``wx`` reaches.
+    """
+    lx = list(itertools.islice(wx.letters(), bound))
+    ly = list(itertools.islice(wy.letters(), bound + 1))
+    sx = _path_states(H, lx)
+    sy = _path_states(H, ly[:bound])
+    nwx, nwy = len(wx), len(wy)
+    for j, state in enumerate(sy):
+        for i in range(min(len(sx), bound - j + 1)):
+            if sx[i] != state:
+                continue  # h is not in H
+            if i and j and lx[i - 1] == ly[j - 1]:
+                continue  # h is not reduced; the pair (i - 1, j - 1) spells it
+            if i and j < nwy and lx[i - 1] == -ly[j]:
+                continue  # h cancels more than j letters of wy
+            overlap = min(nwx, i + nwy - j)
+            if overlap >= floor and common_prefix_length(wx.drop(i), wy.drop(j)) >= overlap - i:
+                return True
+    if nwx >= bound or len(sx) <= nwx or nwx < floor:
+        return False  # no h runs past wx, or wx itself is too short a match
+    # h = wx s wy[:j]^-1 makes [h wy] start with all of wx: search the walks s
+    # breadth-first, keeping one entry per (state, last letter)
+    letters = [x for g in range(1, H.alphabet.rank + 1) for x in (g, -g)]
+    frontier = {(sx[nwx], lx[-1] if lx else 0)}
+    for length in range(1, bound - nwx + 1):
+        frontier = {
+            (t, x)
+            for state, last in frontier
+            for x in letters
+            if x != -last and (t := H.step(state, x)) is not None
+        }
+        for state, last in frontier:
+            for j in range(min(len(sy), bound - nwx - length + 1)):
+                if (
+                    sy[j] == state
+                    and (j == 0 or last != ly[j - 1])
+                    and (j == nwy or last != -ly[j])
+                ):
+                    return True
     return False
 
 
-_element_cache: dict = {}
-
-
-def _elements(H: StallingsGraph, bound: int) -> list[Word]:
-    key = (H, bound)
-    if key not in _element_cache:
-        _element_cache[key] = enumerate_elements(H, bound)
-    return _element_cache[key]
+def _path_states(H: StallingsGraph, letters: list[int]) -> list[int]:
+    """States reached from the base after each prefix of ``letters``, up to
+    the point where the path leaves H's graph."""
+    states = [0]
+    for x in letters:
+        t = H.step(states[-1], x)
+        if t is None:
+            break
+        states.append(t)
+    return states
 
 
 def _as_point(p):
@@ -200,6 +246,8 @@ def build_graph(
     ``phi`` carry no dynamics and are skipped; seeds whose limits fail to
     certify are reported in the diagnostics.
     """
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     bad = first_unfixed_generator(phi, fix_generators)
     if bad is not None:
         raise ValueError(f"claimed fixed generator is not fixed: {format_word(bad)}")
@@ -265,11 +313,13 @@ def _dot_quote(text: str) -> str:
 
 
 def emit_dot(graph: DynamicsGraph) -> str:
-    """Deterministic DOT rendering; node names are canonical point texts."""
-    names = [cls.text() for cls in graph.vertices]
+    """Deterministic DOT rendering; node names are canonical point texts,
+    with `` #<vertex index>`` appended to texts that two classes share."""
+    texts = [cls.text() for cls in graph.vertices]
+    counts = Counter(texts)
+    names = [text if counts[text] == 1 else f"{text} #{i}" for i, text in enumerate(texts)]
     lines = ["digraph dynamics {", "  rankdir=LR;", "  node [shape=ellipse];"]
-    for name in sorted(names):
-        idx = names.index(name)
+    for name, idx in sorted(zip(names, range(len(names)))):
         style = " [style=dashed]" if isinstance(graph.vertices[idx].representative, PrefixApprox) else ""
         lines.append(f"  {_dot_quote(name)}{style};")
     rendered = sorted(

@@ -206,22 +206,40 @@ def coset_power_membership(
 ) -> Optional[int]:
     """Smallest |k| (positive preferred on ties) with ``[p c^k q]`` in H.
 
-    The scan range is complete: once |k| exceeds the cancellation depth
-    of p and q into the power block, the reduced word is a fixed head and
-    tail around a growing c-block, and the state reached after the head
-    plus i periods is a deterministic orbit in a finite state set -- it
-    cycles or dies within 2 * n_states steps.  So any solution has a
-    representative within the scanned window.
+    Past the cancellation depth of p and q into the power block, the
+    reduced word is a fixed head, a growing c-block and a fixed tail with
+    no cancellation between them (c is cyclically reduced).  The state
+    after the head and m more periods is then an orbit of the deterministic
+    map "read c" on H's states, which dies or repeats within ``n_states``
+    steps; stepping it that far, for +k and -k in lockstep, decides every
+    larger |k|.
     """
     if c.is_identity():
         raise ValueError("power block must be nonempty")
     if c.first_letter() == -c.last_letter() and len(c) > 1:
         raise ValueError("power block must be cyclically reduced")
-    bound = (len(p) + len(q)) // len(c) + 2 * graph.n_states + 4
-    for j in range(bound + 1):
+    # p cancels fewer than depth_p periods, q fewer than depth_q
+    depth_p = len(p) // len(c) + 1
+    depth_q = len(q) // len(c) + 1
+    for j in range(depth_p + depth_q):
         for k in ((j,) if j == 0 else (j, -j)):
             if contains(graph, p * c**k * q):
                 return k
+    # |k| = depth + m: [p c^k q] = head . block^m . tail, block = c or c^-1
+    depth = depth_p + depth_q
+    blocks = (c, c.inverse())
+    tails = [block**depth_q * q for block in blocks]
+    states = [graph.read(p * block**depth_p) for block in blocks]
+    for m in range(graph.n_states):
+        if states == [None, None]:
+            break
+        for sign, state, tail in zip((1, -1), states, tails):
+            if state is not None and graph.read(tail, state) == 0:
+                return sign * (depth + m)
+        states = [
+            None if state is None else graph.read(block, state)
+            for block, state in zip(blocks, states)
+        ]
     return None
 
 

@@ -94,7 +94,8 @@ def _append_runs(out: list[tuple[int, int]], runs: Runs) -> None:
 
     Both sides are reduced, so letters cancel or merge only at the
     junction: once one run survives there, the rest is appended whole.
-    This is the only place where runs merge or cancel.
+    Apart from the junction inside a power block (see :func:`_power_runs`),
+    this is the only place where runs merge or cancel.
     """
     i = 0
     while out and i < len(runs):
@@ -123,10 +124,14 @@ def _power_runs(runs: Runs, k: int) -> Runs:
     if runs[0][0] != runs[-1][0]:
         # no junction can cancel or merge
         return runs * k
-    out = list(runs)
-    for _ in range(k - 1):
-        _append_runs(out, runs)
-    return out
+    # runs = (g, e0) M (g, en): only the two g-runs meet at a junction.
+    # The end runs are reused, not rebuilt: iterates hold millions of them.
+    first, middle, last = runs[0], tuple(runs[1:-1]), runs[-1]
+    gen, merged = first[0], first[1] + last[1]
+    if merged:
+        return (first,) + (middle + ((gen, merged),)) * (k - 1) + middle + (last,)
+    # a conjugate (g, e0) M (g, e0)^-1: its power conjugates M^k
+    return (first,) + _power_runs(middle, k) + (last,)
 
 
 class Word:
@@ -207,6 +212,19 @@ class Word:
             if n == 0:
                 break
         return Word(self.alphabet, tuple(out))
+
+    def drop(self, n: int) -> "Word":
+        """The word without its first ``n`` letters."""
+        runs = self.runs
+        k = 0
+        while n > 0 and k < len(runs):
+            gen, exp = runs[k]
+            if abs(exp) > n:
+                cut = (gen, exp - n if exp > 0 else exp + n)
+                return Word(self.alphabet, (cut,) + runs[k + 1 :])
+            n -= abs(exp)
+            k += 1
+        return Word(self.alphabet, runs[k:]) if k else self
 
     def inverse(self) -> "Word":
         return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.runs)))

@@ -31,11 +31,16 @@ F4 = standard_alphabet(4)
 
 WORDS3 = st.lists(st.integers(-3, 3).filter(bool), max_size=5).map(lambda xs: reduce(F3, xs))
 # the image shapes that take different paths when a power of an image is built
+ONE_RUN3 = st.builds(lambda g, e: Word.from_runs(F3, [(g, e)]), st.integers(1, 3), st.integers(-3, 3))
 IMAGES3 = st.one_of(
     WORDS3,
-    st.builds(lambda g, e: Word.from_runs(F3, [(g, e)]), st.integers(1, 3), st.integers(-3, 3)),
+    ONE_RUN3,
     st.builds(lambda u, v: u * v * u, WORDS3, WORDS3),  # e.g. a b a
     st.builds(lambda u, v: u * v * u.inverse(), WORDS3, WORDS3),  # e.g. a b a^-1
+    # e.g. c b a^2 b^-1 c^-1: a conjugate nested in a conjugate
+    st.builds(
+        lambda u, v, x: u * v * x * v.inverse() * u.inverse(), WORDS3, WORDS3, ONE_RUN3
+    ),
     st.just(identity(F3)),
 )
 RUN_WORDS3 = st.lists(st.tuples(st.integers(1, 3), st.integers(-50, 50)), max_size=6).map(
@@ -81,6 +86,10 @@ class TestApply:
 
     def test_identity_word(self):
         assert phi1().apply(identity(F4)).is_identity()
+
+    def test_huge_power_of_conjugated_image(self):
+        got = inner(parse_word(F2, "b")).apply(parse_word(F2, "a^1000000000"))
+        assert got == parse_word(F2, "b a^1000000000 b^-1")
 
     @given(
         st.lists(st.integers(-4, 4).filter(bool), max_size=10),

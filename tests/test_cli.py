@@ -86,6 +86,10 @@ class TestExitCodes:
         assert main(["parabolic", "zeta:k=1", "a"]) == 3
         assert main(["omega", "phi_k:k=1", "q q q"]) == 3
 
+    def test_negative_search_bound(self, capsys):
+        assert main(["graph", "phi_k:k=1", "--bound", "-1"]) == 3
+        assert "search bound" in capsys.readouterr().err
+
     def test_inconclusive_on_overflow(self, capsys):
         # the budget bites before a 200-letter prefix can certify
         assert main(["omega", "beta:rank=6,theta=trace3", "e", "--max-len", "100", "--max-iter", "50"]) == 2

@@ -1,18 +1,25 @@
 import itertools
+import random
 
 import pytest
 
 from fgdyn.automorphisms import Endomorphism, identity_pair, inner, verify_pair
 from fgdyn.dynamics import (
+    DEFAULT_CONFIG,
     IterationConfig,
     PrefixApprox,
     Rational,
+    RationalPoint,
     omega_limit,
+    prefix_of,
     rational_point,
     translate,
 )
 from fgdyn.graphs import (
+    DynamicsGraph,
+    Edge,
     GraphTemplate,
+    IsoglossyClass,
     build_graph,
     default_seeds,
     emit_dot,
@@ -21,10 +28,11 @@ from fgdyn.graphs import (
     isogloss,
     verify_fixed_generators,
 )
-from fgdyn.subgroups import build_core_graph
-from fgdyn.words import identity, parse_word, standard_alphabet
+from fgdyn.subgroups import build_core_graph, enumerate_elements
+from fgdyn.words import Word, common_prefix_length, identity, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
+F3 = standard_alphabet(3)
 F4 = standard_alphabet(4)
 
 
@@ -153,6 +161,95 @@ class TestIsogloss:
         assert not isogloss(H, x, y, cfg=IterationConfig(target_prefix=400))
 
 
+def random_reduced(rng, n):
+    letters = []
+    while len(letters) < n:
+        x = rng.choice((1, -1, 2, -2, 3, -3))
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return Word.from_letters(F3, letters)
+
+
+def isogloss_by_enumeration(elements, x, y, search_bound):
+    """Reference for prefix comparisons: try every element of H's ball."""
+
+    def prefix(p):
+        p = p.point if isinstance(p, Rational) else p
+        if isinstance(p, RationalPoint):
+            n = DEFAULT_CONFIG.target_prefix + search_bound + 4
+            return prefix_of(p, n), n
+        return p.prefix, p.certified_length
+
+    (wx, nx), (wy, ny) = prefix(x), prefix(y)
+    floor = max(1, min(nx, ny) - search_bound)
+    for h in elements:
+        t = h * wy
+        overlap = min(len(wx), len(t))
+        if overlap >= floor and common_prefix_length(wx, t) == overlap:
+            return True
+    return False
+
+
+class TestIsoglossSearch:
+    def test_matches_ball_enumeration(self):
+        rng = random.Random(4)
+        cases = hits = 0
+        for _ in range(25):
+            gens = [random_reduced(rng, rng.randint(2, 5)) for _ in range(rng.randint(0, 3))]
+            H = build_core_graph(F3, gens)
+            for bound in range(9):
+                elements = enumerate_elements(H, bound)
+                base = random_reduced(rng, rng.randint(0, 20))
+                period = random_reduced(rng, rng.randint(1, 3))
+                ray = rational_point(base, period)
+
+                def prefix_point():
+                    kind = rng.random()
+                    if kind < 0.2:  # no longer than the bound
+                        w = random_reduced(rng, rng.randint(0, bound))
+                        return PrefixApprox(w, rng.randint(0, len(w)))
+                    start = base if kind < 0.6 else prefix_of(ray, len(base) + rng.randint(0, 40))
+                    w = rng.choice(elements) * start * random_reduced(rng, rng.choice((0, 0, 4)))
+                    return PrefixApprox(w, rng.randint(max(0, len(w) - 10), len(w)))
+
+                for _ in range(6):
+                    x = prefix_point()
+                    y = rng.choice([prefix_point(), Rational(ray), translate(rng.choice(elements), ray)])
+                    if rng.random() < 0.5:
+                        x, y = y, x
+                    expected = isogloss_by_enumeration(elements, x, y, bound)
+                    assert isogloss(H, x, y, bound) == expected, (gens, bound, x, y)
+                    cases += 1
+                    hits += expected
+        assert hits >= 0.2 * cases, (hits, cases)
+
+    @pytest.mark.parametrize(
+        "gens, x, y, bound, expected",
+        [
+            # h = a cancels a^-1, the next letter b does not extend x = a
+            (["a"], "a", "a^-1 b", 1, False),
+            (["a"], "a", "a^-1 b", 2, True),  # h = a^2
+            # h = a b runs past x = a and cancels b^-1 a^-1
+            (["a b"], "a", "b^-1 a^-1 c", 3, False),
+            (["a b"], "a", "c", 1, False),  # a b is longer than the bound
+            (["a b"], "a", "c", 2, True),
+            (["a b"], "a", "b^-1 c", 3, True),  # a b . b^-1 c = a c
+        ],
+    )
+    def test_short_prefix_cases(self, gens, x, y, bound, expected):
+        H = build_core_graph(F3, [parse_word(F3, g) for g in gens])
+        x, y = (PrefixApprox(parse_word(F3, t), len(parse_word(F3, t))) for t in (x, y))
+        assert isogloss_by_enumeration(enumerate_elements(H, bound), x, y, bound) == expected
+        assert isogloss(H, x, y, bound) == expected
+
+    def test_negative_bound_rejected(self):
+        x = rational_point(identity(F4), w4("a"))
+        with pytest.raises(ValueError):
+            isogloss(fix_graph(), x, x, search_bound=-1)
+        with pytest.raises(ValueError):
+            build_graph(make_phi(1), fix_words(), search_bound=-1)
+
+
 class TestVerifyFixedGenerators:
     def test_phi_fixed_set(self):
         assert verify_fixed_generators(make_phi(1), fix_words())
@@ -269,6 +366,21 @@ class TestLoopsAndOutputs:
         assert dot.count(" -> ") == 7
         assert '"b (a^-1)^∞" -> "b (a^-1)^∞"' in dot
         assert "b d^-1" in dot
+
+    def test_dot_keeps_classes_with_equal_text_apart(self):
+        # both prefixes start with the same 12 letters, so both texts are "a^12 …"
+        first = PrefixApprox(w4("a^12 b"), 13)
+        second = PrefixApprox(w4("a^12 c"), 13)
+        assert first.text() == second.text() == "a^12 …"
+        graph = DynamicsGraph(
+            F4,
+            [IsoglossyClass(first, [first]), IsoglossyClass(second, [second])],
+            [Edge(0, 1, (w4("d"),))],
+        )
+        lines = emit_dot(graph).splitlines()
+        assert '  "a^12 … #0" [style=dashed];' in lines
+        assert '  "a^12 … #1" [style=dashed];' in lines
+        assert '  "a^12 … #0" -> "a^12 … #1" [label="d"];' in lines
 
     def test_json_dump(self):
         graph = build_graph(make_phi(1), fix_words())

@@ -26,6 +26,32 @@ def fix_phi_graph():
     return build_core_graph(F4, words(F4, "a", "b a b^-1", "c a c^-1"))
 
 
+def random_reduced(rng, n):
+    letters = []
+    while len(letters) < n:
+        x = rng.choice((1, -1, 2, -2, 3, -3))
+        if not letters or x != -letters[-1]:
+            letters.append(x)
+    return Word.from_letters(F3, letters)
+
+
+def random_cyclic(rng, n):
+    while True:
+        w = random_reduced(rng, n)
+        if len(w) == 1 or w.first_letter() != -w.last_letter():
+            return w
+
+
+def coset_power_by_words(graph, p, c, q):
+    """Reference: build ``[p c^k q]`` for every |k| up to a complete bound."""
+    bound = (len(p) + len(q)) // len(c) + 2 * graph.n_states + 4
+    for j in range(bound + 1):
+        for k in ((j,) if j == 0 else (j, -j)):
+            if contains(graph, p * c**k * q):
+                return k
+    return None
+
+
 class TestBuildCoreGraph:
     def test_two_generator_fold(self):
         graph = build_core_graph(F4, words(F4, "a", "b a b^-1"))
@@ -175,6 +201,42 @@ class TestCosetPowerMembership:
             k = coset_power_membership(graph, p, c, q)
             if k is not None:
                 assert contains(graph, p * c**k * q)
+
+    def test_matches_word_building_reference(self):
+        rng = random.Random(2024)
+        found = {"hit": 0, "miss": 0, "beyond_depth": 0}
+        for _ in range(150):
+            c = random_cyclic(rng, rng.randint(1, 3))
+            x = random_reduced(rng, rng.randint(0, 3))
+            z = random_reduced(rng, rng.randint(1, 2))
+            m = rng.randint(3, 12)
+            gens = [random_reduced(rng, rng.randint(2, 7)) for _ in range(rng.randint(0, 2))]
+            if rng.random() < 0.8:
+                # x c^k z is in <x c^m x^-1, x c^j z> for k = j mod m
+                gens += [x * c**m * x.inverse(), x * c ** rng.randint(0, m) * z]
+            graph = build_core_graph(F3, gens)
+            for _ in range(4):
+                p = x * random_reduced(rng, rng.choice((0, 0, 1, 2)))
+                q = z if rng.random() < 0.5 else random_reduced(rng, rng.randint(0, 3))
+                k = coset_power_membership(graph, p, c, q)
+                assert k == coset_power_by_words(graph, p, c, q), (gens, p, c, q)
+                found["miss" if k is None else "hit"] += 1
+                depth = len(p) // len(c) + len(q) // len(c) + 2
+                found["beyond_depth"] += k is not None and abs(k) >= depth
+        assert min(found.values()) >= 20, found
+
+    def test_orbit_on_large_graph(self):
+        # x a^k d is in <x a^1500 x^-1, x a^750 d> iff k = 750 mod 1500, so
+        # +750 ties with -750; no x a^k d^-1 is, so that miss steps the
+        # a-orbit all the way round
+        x = parse_word(F4, "c b")
+        graph = build_core_graph(
+            F4, [x * parse_word(F4, "a^1500") * x.inverse(), x * parse_word(F4, "a^750 d")]
+        )
+        assert graph.n_states >= 1500
+        a = parse_word(F4, "a")
+        assert coset_power_membership(graph, x, a, parse_word(F4, "d")) == 750
+        assert coset_power_membership(graph, x, a, parse_word(F4, "d^-1")) is None
 
     def test_unreduced_power_block_rejected(self):
         graph = fix_phi_graph()

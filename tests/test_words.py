@@ -303,6 +303,23 @@ class TestPrefixAndPower:
         assert w.prefix(100) == w
         assert w.prefix(0).is_identity()
 
+    def test_drop_splits_runs(self):
+        w = parse_word(F4, "a^5 b^2")
+        assert format_word(w.drop(3)) == "a^2 b^2"
+        assert format_word(w.drop(5)) == "b^2"
+        assert w.drop(0) == w
+        assert w.drop(100).is_identity()
+
+    @given(letters_strategy(2, max_size=12), st.integers(0, 14))
+    def test_drop_matches_letters(self, xs, n):
+        u = reduce(F2, xs)
+        assert list(u.drop(n).letters()) == list(u.letters())[n:]
+
+    def test_huge_power_of_conjugate(self):
+        u = parse_word(F2, "b a b^-1")
+        assert u**10**9 == parse_word(F2, "b a^1000000000 b^-1")
+        assert u**-(10**9) == parse_word(F2, "b a^-1000000000 b^-1")
+
     @given(letters_strategy(2, max_size=6), st.integers(-20, 20))
     def test_power_matches_repeated_product(self, xs, m):
         u = reduce(F2, xs)
