@@ -190,12 +190,21 @@ def conjugate(phi: AutoPair, psi: AutoPair) -> AutoPair:
 
 
 def power(phi: AutoPair, p: int) -> AutoPair:
-    """p-fold composition; negative p composes the inverse."""
+    """p-fold composition; negative p composes the inverse.
+
+    Square-and-multiply: the powers of ``phi`` commute, so composing the
+    squares ``phi^(2^i)`` picked by the bits of ``p`` gives the same pair
+    in O(log p) compositions.
+    """
     if p < 0:
         return power(phi.inverse(), -p)
     result = identity_pair(phi.alphabet)
-    for _ in range(p):
-        result = compose_pairs(phi, result)
+    while p:
+        if p & 1:
+            result = compose_pairs(phi, result)
+        p >>= 1
+        if p:
+            phi = compose_pairs(phi, phi)
     return result
 
 

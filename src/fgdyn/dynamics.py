@@ -90,6 +90,9 @@ class RationalPoint:
     def __str__(self) -> str:
         return self.text()
 
+    def to_json(self) -> dict:
+        return {"head": format_word(self.head), "period": format_word(self.period)}
+
 
 def rational_point(head: Word, period: Word) -> RationalPoint:
     """Canonicalize ``head . period^infinity``."""
@@ -158,11 +161,7 @@ class Rational:
         return self.point.text()
 
     def to_json(self) -> dict:
-        return {
-            "type": "rational",
-            "head": format_word(self.point.head),
-            "period": format_word(self.point.period),
-        }
+        return {"type": "rational", **self.point.to_json()}
 
 
 @dataclass(frozen=True)
@@ -237,13 +236,25 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 
 
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
-    """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse."""
+    """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
+
+    An automorphism permutes words, so the orbit of ``g`` is periodic
+    exactly when it comes back to ``g``: at the first return, after ``s``
+    steps, only ``(|p| - s) mod s`` more steps are needed.  Every word of
+    a periodic orbit appears before that return, so the overflow check
+    raises at the same step as iterating all ``|p|`` steps would.
+    """
     e = phi.forward if p >= 0 else phi.backward
     current = g
-    for step in range(1, abs(p) + 1):
+    steps = abs(p)
+    step = 0
+    while step < steps:
+        step += 1
         current = e.apply(current)
         if len(current) > cfg.max_word_length:
             raise GrowthOverflowError(step, len(current), cfg.max_word_length)
+        if current == g:
+            steps = step + (steps - step) % step
     return current
 
 
@@ -361,12 +372,7 @@ class ParabolicReport:
         return {
             "seed": format_word(self.seed),
             "verdict": self.verdict,
-            "point": None
-            if self.point is None
-            else {
-                "head": format_word(self.point.head),
-                "period": format_word(self.point.period),
-            },
+            "point": None if self.point is None else self.point.to_json(),
             "certification": self.certification,
             "reason": self.reason,
             "forward": self.forward.to_json(),

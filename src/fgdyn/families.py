@@ -139,7 +139,7 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
                 return w, candidate.runs[0][1]
         nxt = []
         for w in frontier:
-            for letter in (1, -1, 2, -2):
+            for letter in F2.signed_letters:
                 if not w.is_identity() and letter == -w.last_letter():
                     continue
                 extended = Word.from_letters(F2, list(w.letters()) + [letter])

@@ -40,7 +40,7 @@ COMPLETENESS_FLAG = "sample-based under-approximation"
 
 def verify_fixed_generators(phi: AutoPair, gens: Sequence[Word]) -> bool:
     """True iff every generator is fixed by the forward map."""
-    return all(phi.apply(g) == g for g in gens)
+    return first_unfixed_generator(phi, gens) is None
 
 
 def first_unfixed_generator(phi: AutoPair, gens: Sequence[Word]) -> Optional[Word]:
@@ -129,13 +129,12 @@ def _prefix_translate(H: StallingsGraph, wx: Word, wy: Word, floor: int, bound: 
         return False  # no h runs past wx, or wx itself is too short a match
     # h = wx s wy[:j]^-1 makes [h wy] start with all of wx: search the walks s
     # breadth-first, keeping one entry per (state, last letter)
-    letters = [x for g in range(1, H.alphabet.rank + 1) for x in (g, -g)]
     frontier = {(sx[nwx], lx[-1] if lx else 0)}
     for length in range(1, bound - nwx + 1):
         frontier = {
             (t, x)
             for state, last in frontier
-            for x in letters
+            for x in H.alphabet.signed_letters
             if x != -last and (t := H.step(state, x)) is not None
         }
         for state, last in frontier:
@@ -220,10 +219,7 @@ class DynamicsGraph:
 
 def default_seeds(alphabet: Alphabet) -> list[Word]:
     """All reduced words of length at most 2, in deterministic order."""
-    letters = sorted(
-        (x for g in range(1, alphabet.rank + 1) for x in (g, -g)),
-        key=lambda x: (abs(x), 0 if x > 0 else 1),
-    )
+    letters = alphabet.signed_letters
     seeds = [Word.from_letters(alphabet, [x]) for x in letters]
     for x, y in itertools.product(letters, repeat=2):
         if y != -x:

@@ -9,15 +9,9 @@ from the base over ordered letters), so structural equality is plain
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 from .words import Alphabet, AlphabetMismatchError, Letter, Word
-
-
-def _letter_order(letter: Letter) -> tuple[int, int]:
-    # +1, -1, +2, -2, ...
-    return (abs(letter), 0 if letter > 0 else 1)
 
 
 class StallingsGraph:
@@ -46,9 +40,6 @@ class StallingsGraph:
                 return None
         return state
 
-    def degree(self, state: int) -> int:
-        return sum(1 for (s, _x) in self.transitions if s == state)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StallingsGraph)
@@ -71,9 +62,21 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
 
     Identity generators are skipped; an empty generating set yields the
     single-state graph of the trivial subgroup.
+
+    One union-find pass (Touikan 2006): ``out[s]`` maps each letter to one
+    state from the first edge on, so an edge into a taken slot queues its
+    target to merge with the state already there, and merging the smaller
+    map into the larger queues each clash it meets.  The states are then
+    numbered breadth-first from the base over ``alphabet.signed_letters``.
+
+    No trim is needed: a new state is an inner vertex of a reduced word,
+    so it starts with two distinct letters, and folding never takes a
+    letter from a state.  Every non-base state keeps degree at least 2,
+    so the folded graph is already the core graph.
     """
-    adjacency: list[dict[int, set[int]]] = [dict()]
+    out: list[dict[Letter, int]] = [{}]
     parent = [0]
+    merges: list[tuple[int, int]] = []
 
     def find(s: int) -> int:
         while parent[s] != s:
@@ -81,88 +84,50 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
             s = parent[s]
         return s
 
-    def add_state() -> int:
-        adjacency.append(dict())
-        parent.append(len(parent))
-        return len(parent) - 1
-
-    def add_edge(s: int, t: int, letter: Letter) -> None:
-        adjacency[s].setdefault(letter, set()).add(t)
-        adjacency[t].setdefault(-letter, set()).add(s)
+    def link(s: int, letter: Letter, t: int) -> None:
+        held = out[s].setdefault(letter, t)
+        if held != t:
+            merges.append((held, t))
 
     for gen in generators:
         if gen.alphabet != alphabet:
             raise AlphabetMismatchError("generator over a different alphabet")
         if gen.is_identity():
             continue
-        prev = 0
-        letters = list(gen.letters())
-        for i, letter in enumerate(letters):
-            nxt = 0 if i == len(letters) - 1 else add_state()
-            add_edge(prev, nxt, letter)
-            prev = nxt
+        # a loop at the base through len(gen) - 1 new states
+        path = [0, *range(len(parent), len(parent) + len(gen) - 1), 0]
+        parent.extend(path[1:-1])
+        out.extend({} for _ in path[1:-1])
+        for s, letter, t in zip(path, gen.letters(), path[1:]):
+            link(s, letter, t)
+            link(t, -letter, s)
 
-    # Fold: while some state has two distinct targets for one letter,
-    # merge the targets.  Reads go through find() so stale ids are fine.
-    work = list(range(len(parent)))
-    while work:
-        s = find(work.pop())
-        for letter, targets in list(adjacency[s].items()):
-            canon = {find(t) for t in targets}
-            if len(canon) > 1:
-                it = iter(sorted(canon))
-                keep = next(it)
-                for drop in it:
-                    parent[drop] = keep
-                    for lt, ts in adjacency[drop].items():
-                        adjacency[keep].setdefault(lt, set()).update(ts)
-                    adjacency[drop] = dict()
-                    work.append(keep)
-                work.append(s)
-                break
+    while merges:
+        s, t = merges.pop()
+        s, t = find(s), find(t)
+        if s == t:
+            continue
+        if len(out[s]) < len(out[t]):
+            s, t = t, s
+        parent[t] = s
+        for letter, u in out[t].items():
+            link(s, letter, u)
 
-    # Determinized transition map over surviving states.
-    trans: dict[tuple[int, Letter], int] = {}
-    alive = sorted({find(s) for s in range(len(parent))})
-    for s in alive:
-        for letter, targets in adjacency[find(s)].items():
-            canon = {find(t) for t in targets}
-            assert len(canon) <= 1
-            if canon:
-                trans[(s, letter)] = canon.pop()
-
-    # Core trim: drop non-base states of degree <= 1.
     base = find(0)
-    changed = True
-    while changed:
-        changed = False
-        degrees: dict[int, int] = {}
-        for (s, _letter) in trans:
-            degrees[s] = degrees.get(s, 0) + 1
-        for s in list(degrees):
-            if s != base and degrees[s] <= 1:
-                for key in [k for k in trans if k[0] == s or trans[k] == s]:
-                    del trans[key]
-                changed = True
-
-    return _canonicalize(alphabet, base, trans)
-
-
-def _canonicalize(alphabet: Alphabet, base: int, trans: dict) -> StallingsGraph:
     order = {base: 0}
-    queue = deque([base])
-    while queue:
-        s = queue.popleft()
-        out = sorted((lt for (st, lt) in trans if st == s), key=_letter_order)
-        for letter in out:
-            t = trans[(s, letter)]
+    queue = [base]
+    transitions: dict[tuple[int, Letter], int] = {}
+    for s in queue:
+        for letter in alphabet.signed_letters:
+            t = out[s].get(letter)
+            if t is None:
+                continue
+            t = find(t)
             if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    new_trans = {
-        (order[s], letter): order[t] for (s, letter), t in trans.items() if s in order
-    }
-    return StallingsGraph(alphabet, len(order), new_trans)
+            transitions[(order[s], letter)] = order[t]
+    return StallingsGraph(alphabet, len(order), transitions)
 
 
 def contains(graph: StallingsGraph, g: Word) -> bool:
@@ -180,10 +145,7 @@ def enumerate_elements(graph: StallingsGraph, max_length: int) -> list[Word]:
     """
     found: list[Word] = [Word(graph.alphabet)]
     frontier: list[tuple[int, tuple[Letter, ...]]] = [(0, ())]
-    letters = sorted(
-        (x for g in range(1, graph.alphabet.rank + 1) for x in (g, -g)),
-        key=_letter_order,
-    )
+    letters = graph.alphabet.signed_letters
     for _ in range(max_length):
         nxt: list[tuple[int, tuple[Letter, ...]]] = []
         for state, path in frontier:

@@ -34,14 +34,19 @@ class WordSyntaxError(ValueError):
 class Alphabet:
     """An ordered basis of the free group: ``rank`` distinct symbol names.
 
+    ``signed_letters`` lists every letter in the order ``+1, -1, +2, -2,
+    ...`` that breadth-first searches and canonical numberings follow.
+
     >>> ab = Alphabet(("a", "b"))
     >>> ab.rank
     2
     >>> ab.index("b")
     2
+    >>> ab.signed_letters
+    (1, -1, 2, -2)
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "signed_letters")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -54,6 +59,7 @@ class Alphabet:
                 raise ValueError(f"invalid generator name: {name!r}")
         self.names = names
         self._index = {name: i + 1 for i, name in enumerate(names)}
+        self.signed_letters = tuple(x for g in range(1, len(names) + 1) for x in (g, -g))
 
     @property
     def rank(self) -> int:

@@ -23,6 +23,7 @@ from fgdyn.automorphisms import (
     squarefree_part,
     verify_pair,
 )
+from fgdyn.families import make_delta, stock_theta
 from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
 
 F2 = standard_alphabet(2)
@@ -221,6 +222,20 @@ class TestConjugateAndPower:
         a = parse_word(F2, "a")
         for n in range(11):
             assert power(d, n).apply(b) == b * a**n
+
+    def test_huge_power_by_squaring(self):
+        d = power(make_delta(), 10**9)
+        assert d.apply(parse_word(F2, "b")) == parse_word(F2, "b a^1000000000")
+        assert d.apply_inverse(parse_word(F2, "b")) == parse_word(F2, "b a^-1000000000")
+
+    def test_power_matches_repeated_composition(self):
+        theta = stock_theta("trace3")
+        for p in range(-8, 9):
+            step = theta if p >= 0 else theta.inverse()
+            expected = identity_pair(F2)
+            for _ in range(abs(p)):
+                expected = compose_pairs(step, expected)
+            assert power(theta, p) == expected, p
 
 
 class TestAbelianize:

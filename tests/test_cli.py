@@ -107,6 +107,10 @@ class TestCommands:
         main(["iterate", "phi_k:k=1", "b d^-1", "0"])
         assert capsys.readouterr().out.strip() == "b d^-1"
 
+    def test_iterate_periodic_orbit_returns(self, capsys):
+        assert main(["iterate", "sigma", "a", "100000000"]) == 0
+        assert capsys.readouterr().out.strip() == "a"
+
     def test_iterate_backward_table(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "--", "-3"]) == 0
         out = capsys.readouterr().out.strip()
@@ -152,6 +156,10 @@ class TestCommands:
 
     def test_twist_reduce_unresolved(self, capsys):
         assert main(["twist-reduce", "b", "1", "--bound", "3"]) == 2
+        assert json.loads(capsys.readouterr().out)["result"] == "unresolved"
+
+    def test_twist_reduce_huge_power_unresolved(self, capsys):
+        assert main(["twist-reduce", "b", "1000000000", "--bound", "3"]) == 2
         assert json.loads(capsys.readouterr().out)["result"] == "unresolved"
 
     def test_graph_from_file(self, phi1_path, tmp_path, capsys):

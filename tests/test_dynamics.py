@@ -134,6 +134,13 @@ class TestIterate:
             p, q = rng.randint(-4, 4), rng.randint(-4, 4)
             assert iterate(phi, g, p + q) == iterate(phi, iterate(phi, g, q), p)
 
+    def test_periodic_orbit_skips_whole_cycles(self):
+        a, ab = parse_word(F2, "a"), parse_word(F2, "a b")
+        assert iterate(sigma(), a, 10**8) == a
+        assert iterate(sigma(), ab, -(10**8 + 1)) == parse_word(F2, "a^-1 b^-1")
+        # a is fixed by phi_k: the orbit comes back after one step
+        assert iterate(make_phi(1), w4("a"), 10**9) == w4("a")
+
     def test_budget_overflow(self):
         theta = fib_theta()
         cfg = IterationConfig(max_word_length=1000)

@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from fgdyn.subgroups import (
+    StallingsGraph,
     build_core_graph,
     contains,
     core_graph_dot,
@@ -26,13 +28,13 @@ def fix_phi_graph():
     return build_core_graph(F4, words(F4, "a", "b a b^-1", "c a c^-1"))
 
 
-def random_reduced(rng, n):
+def random_reduced(rng, n, alphabet=F3):
     letters = []
     while len(letters) < n:
-        x = rng.choice((1, -1, 2, -2, 3, -3))
+        x = rng.choice(alphabet.signed_letters)
         if not letters or x != -letters[-1]:
             letters.append(x)
-    return Word.from_letters(F3, letters)
+    return Word.from_letters(alphabet, letters)
 
 
 def random_cyclic(rng, n):
@@ -40,6 +42,99 @@ def random_cyclic(rng, n):
         w = random_reduced(rng, n)
         if len(w) == 1 or w.first_letter() != -w.last_letter():
             return w
+
+
+def fold_by_rescan(alphabet, generators):
+    """Reference fold: sets of targets folded until deterministic, then a
+    trim that rescans every transition per removed state and a numbering
+    that scans every transition per state.  O(V*E), so small inputs only."""
+    adjacency = [dict()]
+    parent = [0]
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    def add_state():
+        adjacency.append(dict())
+        parent.append(len(parent))
+        return len(parent) - 1
+
+    for gen in generators:
+        if gen.is_identity():
+            continue
+        prev = 0
+        letters = list(gen.letters())
+        for i, letter in enumerate(letters):
+            nxt = 0 if i == len(letters) - 1 else add_state()
+            adjacency[prev].setdefault(letter, set()).add(nxt)
+            adjacency[nxt].setdefault(-letter, set()).add(prev)
+            prev = nxt
+
+    work = list(range(len(parent)))
+    while work:
+        s = find(work.pop())
+        for letter, targets in list(adjacency[s].items()):
+            canon = {find(t) for t in targets}
+            if len(canon) > 1:
+                keep, *drops = sorted(canon)
+                for drop in drops:
+                    parent[drop] = keep
+                    for lt, ts in adjacency[drop].items():
+                        adjacency[keep].setdefault(lt, set()).update(ts)
+                    adjacency[drop] = dict()
+                    work.append(keep)
+                work.append(s)
+                break
+
+    trans = {}
+    for s in sorted({find(s) for s in range(len(parent))}):
+        for letter, targets in adjacency[s].items():
+            (t,) = {find(t) for t in targets}
+            trans[(s, letter)] = t
+
+    base = find(0)
+    changed = True
+    while changed:
+        changed = False
+        degrees = Counter(s for (s, _letter) in trans)
+        for s in list(degrees):
+            if s != base and degrees[s] <= 1:
+                for key in [k for k in trans if k[0] == s or trans[k] == s]:
+                    del trans[key]
+                changed = True
+
+    order = {base: 0}
+    queue = [base]
+    for s in queue:
+        out = sorted((lt for (st, lt) in trans if st == s), key=lambda x: (abs(x), x < 0))
+        for letter in out:
+            if trans[(s, letter)] not in order:
+                order[trans[(s, letter)]] = len(order)
+                queue.append(trans[(s, letter)])
+    renumbered = {(order[s], x): order[t] for (s, x), t in trans.items() if s in order}
+    return StallingsGraph(alphabet, len(order), renumbered)
+
+
+def random_generator_sets(seed, count):
+    """Generator sets over F2, F3 and F4 that mix random words with an
+    identity generator, a redundant product of two generators, and a
+    conjugate of a power ``x u^m x^-1`` of one of them."""
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = (F2, F3, F4)[i % 3]
+        gens = [random_reduced(rng, rng.randint(1, 6), alphabet) for _ in range(rng.randint(0, 3))]
+        if gens:
+            u = rng.choice(gens)
+            x = random_reduced(rng, rng.randint(0, 3), alphabet)
+            gens.append(x * u ** rng.randint(-3, 3) * x.inverse())
+            if i % 2:
+                gens.append(rng.choice(gens) * rng.choice(gens) ** rng.choice((1, -1)))
+        if i % 4 == 0:
+            gens.append(identity(alphabet))
+        rng.shuffle(gens)
+        yield alphabet, gens
 
 
 def coset_power_by_words(graph, p, c, q):
@@ -79,6 +174,28 @@ class TestBuildCoreGraph:
         reference = build_core_graph(F4, gens)
         for perm in itertools.permutations(gens):
             assert build_core_graph(F4, list(perm)) == reference
+
+    def test_matches_fold_by_rescan(self):
+        for alphabet, gens in random_generator_sets(5, 2400):
+            assert build_core_graph(alphabet, gens) == fold_by_rescan(alphabet, gens), gens
+
+    def test_folded_graph_invariants(self):
+        for alphabet, gens in random_generator_sets(6, 600):
+            graph = build_core_graph(alphabet, gens)
+            trans = graph.transitions
+            assert all(trans.get((t, -x)) == s for (s, x), t in trans.items())
+            degree = Counter(s for s, _x in trans)
+            assert all(degree[s] >= 2 for s in range(1, graph.n_states))
+            # states are numbered in breadth-first discovery order over 1, -1, 2, -2, ...
+            discovered = [0]
+            for s in discovered:
+                for x in alphabet.signed_letters:
+                    t = trans.get((s, x))
+                    if t is not None and t not in discovered:
+                        discovered.append(t)
+            assert discovered == list(range(graph.n_states))
+            assert {s for s, _x in trans} <= set(discovered)
+            assert all(graph.read(g) == 0 for g in gens)
 
     def test_redundant_generators_collapse(self):
         # <ab, a> = <a, b>
