@@ -33,6 +33,11 @@ class AutoFile:
     seeds: Optional[tuple[Word, ...]]
 
 
+def parse_word_list(alphabet: Alphabet, text: str) -> tuple[Word, ...]:
+    """Parse semicolon-separated words; empty items are skipped."""
+    return tuple(parse_word(alphabet, part.strip()) for part in text.split(";") if part.strip())
+
+
 def parse_autofile(text: str) -> AutoFile:
     alphabet: Optional[Alphabet] = None
     forward: dict[str, Word] = {}
@@ -63,17 +68,9 @@ def parse_autofile(text: str) -> AutoFile:
                 require_alphabet().index(gen)
                 table[gen] = parse_word(require_alphabet(), image.strip())
             elif line.startswith("fix:"):
-                fix_words = tuple(
-                    parse_word(require_alphabet(), part.strip())
-                    for part in line[len("fix:") :].split(";")
-                    if part.strip()
-                )
+                fix_words = parse_word_list(require_alphabet(), line[len("fix:") :])
             elif line.startswith("seeds:"):
-                seed_words = tuple(
-                    parse_word(require_alphabet(), part.strip())
-                    for part in line[len("seeds:") :].split(";")
-                    if part.strip()
-                )
+                seed_words = parse_word_list(require_alphabet(), line[len("seeds:") :])
             else:
                 raise AutoFileError(f"unrecognized directive: {line!r}")
         except AutoFileError:

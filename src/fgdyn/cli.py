@@ -17,12 +17,11 @@ from dataclasses import replace
 from importlib import resources
 from typing import Optional, Sequence
 
-from .autofiles import AutoFileError, load_autofile
+from .autofiles import AutoFileError, load_autofile, parse_word_list
 from .automorphisms import abelianize, matrix_power
 from .dynamics import (
     DEFAULT_CONFIG,
     GrowthOverflowError,
-    INCONCLUSIVE,
     IterationConfig,
     NOT_PARABOLIC,
     NotConverged,
@@ -38,7 +37,7 @@ from .families import (
     twist_reduce,
 )
 from .graphs import build_graph, emit_dot, graph_to_json
-from .words import Word, format_word, parse_word
+from .words import format_word, parse_word
 
 CONFIG_ENV_VAR = "FGDYN_CONFIG"
 
@@ -88,12 +87,6 @@ def _add_iteration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--prefix", type=int, help="certified prefix target (letters)")
     parser.add_argument("--window", type=int, help="stability window (steps)")
     parser.add_argument("--max-len", type=int, help="word length budget (letters)")
-
-
-def _parse_word_list(text: str, alphabet) -> list[Word]:
-    return [
-        parse_word(alphabet, part.strip()) for part in text.split(";") if part.strip()
-    ]
 
 
 def cmd_iterate(args) -> int:
@@ -147,14 +140,14 @@ def cmd_graph(args) -> int:
     pair, fix, default_seeds = _resolve_auto(args.auto)
     cfg = _load_config(args)
     if args.fix is not None:
-        fix = _parse_word_list(args.fix, pair.alphabet)
+        fix = parse_word_list(pair.alphabet, args.fix)
     if not fix:
         raise AutoFileError(
             "no fixed generators known; pass --fix or add a fix: line to the file"
         )
     seeds = default_seeds
     if args.seeds is not None:
-        seeds = _parse_word_list(args.seeds, pair.alphabet)
+        seeds = parse_word_list(pair.alphabet, args.seeds)
     graph = build_graph(pair, fix, seeds=seeds, cfg=cfg, search_bound=args.bound)
     dot = emit_dot(graph)
     if args.dot == "-":
@@ -219,7 +212,7 @@ def _scenario_graph(spec: str, seed_text: Optional[str]) -> str:
     pair, fix, default_seeds = _resolve_auto(spec)
     seeds = default_seeds
     if seed_text is not None:
-        seeds = _parse_word_list(seed_text, pair.alphabet)
+        seeds = parse_word_list(pair.alphabet, seed_text)
     return emit_dot(build_graph(pair, fix, seeds=seeds))
 
 

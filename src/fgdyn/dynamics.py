@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from functools import partial
+from itertools import chain, count, islice
+from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, power
 from .words import (
@@ -32,12 +34,16 @@ from .words import (
 
 
 class GrowthOverflowError(RuntimeError):
-    """Word length exceeded the configured budget during iteration."""
+    """Word length exceeded the configured budget during iteration.
 
-    def __init__(self, iteration: int, length: int, budget: int):
+    ``word`` is the iterate that broke the budget, when it is known.
+    """
+
+    def __init__(self, iteration: int, length: int, budget: int, word: Optional[Word] = None):
         self.iteration = iteration
         self.length = length
         self.budget = budget
+        self.word = word
         super().__init__(
             f"word grew to {length} letters (budget {budget}) at iteration {iteration}"
         )
@@ -50,7 +56,6 @@ class IterationConfig:
     stability_window: int = 5
     max_word_length: int = 10**6
     min_repeats: int = 3
-    period_bound: int = 6
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -120,9 +125,7 @@ def rational_from_element(u: Word) -> RationalPoint:
     """The limit ``u^infinity`` of the powers of a nontrivial element."""
     if u.is_identity():
         raise EmptyWordError("identity has no boundary limit")
-    conj, core = cyclic_reduce(u)
-    root, _ = primitive_root(core)
-    return rational_point(conj, root)
+    return rational_point(Word(u.alphabet), u)
 
 
 def element_of(point: RationalPoint) -> Word:
@@ -235,6 +238,19 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 # ---------------------------------------------------------------------------
 
 
+def _orbit(e: Endomorphism, g: Word, budget: int) -> Iterator[Word]:
+    """The iterates ``[e^n(g)]`` for n = 1, 2, ...
+
+    Raises :class:`GrowthOverflowError` at the first iterate longer than
+    ``budget`` letters, carrying that iterate as ``word``.
+    """
+    for n in count(1):
+        g = e.apply(g)
+        if len(g) > budget:
+            raise GrowthOverflowError(n, len(g), budget, g)
+        yield g
+
+
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
@@ -244,15 +260,13 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     a periodic orbit appears before that return, so the overflow check
     raises at the same step as iterating all ``|p|`` steps would.
     """
-    e = phi.forward if p >= 0 else phi.backward
+    orbit = _orbit(phi.forward if p >= 0 else phi.backward, g, cfg.max_word_length)
     current = g
     steps = abs(p)
     step = 0
     while step < steps:
         step += 1
-        current = e.apply(current)
-        if len(current) > cfg.max_word_length:
-            raise GrowthOverflowError(step, len(current), cfg.max_word_length)
+        current = next(orbit)
         if current == g:
             steps = step + (steps - step) % step
     return current
@@ -284,54 +298,47 @@ def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> O
 def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> LimitResult:
     """Limit of the forward orbit of ``g`` in the compactification.
 
-    Fixed elements are reported as such; otherwise the orbit is followed
-    until the common prefix of consecutive iterates certifies a boundary
-    point, or budgets run out.
+    Fixed elements are reported as such, whatever their length; otherwise
+    the orbit is followed until the common prefix of consecutive iterates
+    certifies a boundary point, or budgets run out.
     """
     forward = phi.forward
-    nxt = forward.apply(g)
-    if nxt == g:
-        return FixedElement(g)
     prev = g
     prev_cp: Optional[int] = None
     streak = 0
     best_cp = 0
     best_word = g
-    iterations = 0
-    while iterations < cfg.max_iterations:
-        iterations += 1
-        if len(nxt) > cfg.max_word_length:
-            return NotConverged(
-                best_word.prefix(best_cp),
-                best_cp,
-                {
-                    "reason": "growth-overflow",
-                    "iterations": iterations,
-                    "length": len(nxt),
-                    "budget": cfg.max_word_length,
-                },
-            )
-        cp = common_prefix_length(prev, nxt)
-        streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
-        if cp >= best_cp:
-            best_cp = cp
-            best_word = nxt
-        if cp >= cfg.target_prefix and streak >= cfg.stability_window:
-            certified = nxt.prefix(cp)
-            candidate = recognize_rational(certified, cfg)
-            if candidate is not None and apply_rational(forward, candidate) == candidate:
-                point: LimitPoint = Rational(candidate)
-            else:
-                point = PrefixApprox(certified, cp)
-            return Boundary(point, iterations, cp)
-        prev_cp = cp
-        prev = nxt
-        nxt = forward.apply(prev)
-    return NotConverged(
-        best_word.prefix(best_cp),
-        best_cp,
-        {"reason": "max-iterations", "iterations": iterations},
-    )
+    orbit = zip(range(1, cfg.max_iterations + 1), _orbit(forward, g, cfg.max_word_length))
+    try:
+        for iterations, nxt in orbit:
+            if iterations == 1 and nxt == g:
+                return FixedElement(g)
+            cp = common_prefix_length(prev, nxt)
+            streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
+            if cp >= best_cp:
+                best_cp = cp
+                best_word = nxt
+            if cp >= cfg.target_prefix and streak >= cfg.stability_window:
+                certified = nxt.prefix(cp)
+                candidate = recognize_rational(certified, cfg)
+                if candidate is not None and apply_rational(forward, candidate) == candidate:
+                    point: LimitPoint = Rational(candidate)
+                else:
+                    point = PrefixApprox(certified, cp)
+                return Boundary(point, iterations, cp)
+            prev_cp = cp
+            prev = nxt
+        diagnostics = {"reason": "max-iterations", "iterations": cfg.max_iterations}
+    except GrowthOverflowError as exc:
+        if exc.iteration == 1 and exc.word == g:
+            return FixedElement(g)
+        diagnostics = {
+            "reason": "growth-overflow",
+            "iterations": exc.iteration,
+            "length": exc.length,
+            "budget": exc.budget,
+        }
+    return NotConverged(best_word.prefix(best_cp), best_cp, diagnostics)
 
 
 def omega_limit_rational(
@@ -343,10 +350,10 @@ def omega_limit_rational(
     singular point and is returned exactly; otherwise the orbit of the
     element has the same limit as the orbit of the point.
     """
-    u = element_of(point)
-    if phi.apply(u) == u:
+    result = omega_limit(phi, element_of(point), cfg)
+    if isinstance(result, FixedElement):
         return Boundary(Rational(point), 0, cfg.target_prefix)
-    return omega_limit(phi, u, cfg)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +388,10 @@ class ParabolicReport:
 
 
 def _certified_prefix(result: Boundary, n: int) -> Word:
+    """The first ``n`` letters of a limit that certifies at least ``n``."""
     if isinstance(result.point, Rational):
         return prefix_of(result.point.point, n)
-    return result.point.prefix
+    return result.point.prefix.prefix(n)
 
 
 def detect_parabolic(
@@ -400,63 +408,37 @@ def detect_parabolic(
     """
     if seed.is_identity():
         raise EmptyWordError("seed must be nontrivial")
-    if phi.apply(seed) == seed:
-        half = omega_limit(phi, seed, cfg)
-        return ParabolicReport(
-            seed, half, half, NOT_PARABOLIC, reason="seed is fixed by the automorphism"
-        )
     forward = omega_limit(phi, seed, cfg)
-    backward = omega_limit(phi.inverse(), seed, cfg)
-    if not isinstance(forward, Boundary) or not isinstance(backward, Boundary):
+    if isinstance(forward, FixedElement):
         return ParabolicReport(
-            seed,
-            forward,
-            backward,
-            INCONCLUSIVE,
-            reason="orbit limit did not certify within budgets",
+            seed, forward, forward, NOT_PARABOLIC, reason="seed is fixed by the automorphism"
         )
+    backward = omega_limit(phi.inverse(), seed, cfg)
+    report = partial(ParabolicReport, seed, forward, backward)
+    if not isinstance(forward, Boundary) or not isinstance(backward, Boundary):
+        return report(INCONCLUSIVE, reason="orbit limit did not certify within budgets")
     fp, bp = forward.point, backward.point
     if isinstance(fp, Rational) and isinstance(bp, Rational):
         if fp.point == bp.point:
-            return ParabolicReport(
-                seed, forward, backward, PARABOLIC, point=fp.point, certification="exact"
-            )
-        return ParabolicReport(
-            seed,
-            forward,
-            backward,
+            return report(PARABOLIC, point=fp.point, certification="exact")
+        return report(
             NOT_PARABOLIC,
             reason=f"forward limit {fp.text()} differs from backward limit {bp.text()}",
         )
-    length = min(
-        cfg.target_prefix,
-        forward.certified_length,
-        backward.certified_length,
-    )
-    wf = _certified_prefix(forward, length).prefix(length)
-    wb = _certified_prefix(backward, length).prefix(length)
-    if common_prefix_length(wf, wb) >= cfg.target_prefix:
-        rational = fp.point if isinstance(fp, Rational) else (
-            bp.point if isinstance(bp, Rational) else None
+    # every Boundary certifies at least target_prefix letters
+    n = cfg.target_prefix
+    if _certified_prefix(forward, n) != _certified_prefix(backward, n):
+        return report(
+            NOT_PARABOLIC, reason="certified prefixes of forward and backward limits diverge"
         )
-        if rational is not None:
-            return ParabolicReport(
-                seed, forward, backward, PARABOLIC, point=rational, certification="prefix"
-            )
-        return ParabolicReport(
-            seed,
-            forward,
-            backward,
-            INCONCLUSIVE,
-            certification="prefix",
-            reason="certified prefixes agree but neither limit is recognized rational",
-        )
-    return ParabolicReport(
-        seed,
-        forward,
-        backward,
-        NOT_PARABOLIC,
-        reason="certified prefixes of forward and backward limits diverge",
+    # at most one side is rational here
+    rational = next((p.point for p in (fp, bp) if isinstance(p, Rational)), None)
+    if rational is not None:
+        return report(PARABOLIC, point=rational, certification="prefix")
+    return report(
+        INCONCLUSIVE,
+        certification="prefix",
+        reason="certified prefixes agree but neither limit is recognized rational",
     )
 
 
@@ -495,12 +477,11 @@ def growth_classify(
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     lengths = []
-    current = g
-    for _ in range(p_max):
-        current = phi.apply(current)
-        if len(current) > cfg.max_word_length:
-            break
-        lengths.append(len(current))
+    try:
+        for w in islice(_orbit(phi.forward, g, cfg.max_word_length), p_max):
+            lengths.append(len(w))
+    except GrowthOverflowError:
+        pass
     if not lengths or lengths[-1] == 0:
         return GrowthClass("bounded", samples=len(lengths))
     tail_start = len(lengths) // 2
@@ -549,16 +530,19 @@ def verify_splitting(
 
     Checks ``|phi^p(g_i)| + |phi^p(g_i+1)| = |phi^p(g_i g_i+1)|`` for all
     ``p <= p_max``.  This certifies the splitting up to the bound only.
+    Brick images are held under ``DEFAULT_CONFIG.max_word_length``; an
+    image past it raises :class:`GrowthOverflowError`.
     """
     bricks = list(bricks)
     if len(bricks) < 2:
         raise ValueError("a splitting needs at least two bricks")
     if any(b.is_identity() for b in bricks):
         raise ValueError("bricks must be nontrivial")
-    images = bricks
-    for p in range(p_max + 1):
-        if p > 0:
-            images = [phi.apply(w) for w in images]
+    if p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    budget = DEFAULT_CONFIG.max_word_length
+    orbits = [chain([b], _orbit(phi.forward, b, budget)) for b in bricks]
+    for p, images in enumerate(islice(zip(*orbits), p_max + 1)):
         for i in range(len(images) - 1):
             u, v = images[i], images[i + 1]
             if len(u * v) != len(u) + len(v):
@@ -569,7 +553,7 @@ def verify_splitting(
 def detect_boundary_period(
     phi: AutoPair,
     seed: Word,
-    bound: Optional[int] = None,
+    bound: int = 6,
     cfg: IterationConfig = DEFAULT_CONFIG,
 ) -> Optional[int]:
     """Heuristic probe for short boundary-periodic behavior.
@@ -579,27 +563,19 @@ def detect_boundary_period(
     ``phi``-orbit of period q > 1.  Absence of a finding is not a proof
     of rotationlessness.
     """
-    if bound is None:
-        bound = cfg.period_bound
     for q in range(2, bound + 1):
         result = omega_limit(power(phi, q), seed, cfg)
-        orbit_period = None
         if isinstance(result, FixedElement):
-            w = result.word
-            current = w
-            for r in range(1, bound + 1):
-                current = phi.apply(current)
-                if current == w:
-                    orbit_period = r
-                    break
+            start, step = result.word, phi.apply
         elif isinstance(result, Boundary) and isinstance(result.point, Rational):
-            x = result.point.point
-            current = x
-            for r in range(1, bound + 1):
-                current = apply_rational(phi.forward, current)
-                if current == x:
-                    orbit_period = r
-                    break
-        if orbit_period is not None and orbit_period > 1:
-            return orbit_period
+            start, step = result.point.point, partial(apply_rational, phi.forward)
+        else:
+            continue
+        current = start
+        for r in range(1, bound + 1):
+            current = step(current)
+            if current == start:
+                if r > 1:
+                    return r
+                break
     return None

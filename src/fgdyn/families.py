@@ -127,6 +127,8 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
     """
     if n == 0:
         raise ValueError("n must be nonzero")
+    if search_bound < 0:
+        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
     delta_n = power(make_delta(), n)
     frontier = [identity(F2)]
     seen = {frontier[0]}
@@ -255,7 +257,8 @@ def family(name: str, **params) -> FamilyInstance:
             name,
             {"rank": rank, "theta": theta_name},
             pair,
-            _words(alphabet, "a", "b a b^-1", "c a c^-1"),
+            _words(alphabet, "a", "b a b^-1", "c a c^-1")
+            + tuple(Word.from_letters(alphabet, [g]) for g in range(7, rank + 1)),
             None,
             parse_word(alphabet, "b d^-1"),
         )

@@ -20,6 +20,7 @@ from .automorphisms import AutoPair
 from .dynamics import (
     Boundary,
     DEFAULT_CONFIG,
+    FixedElement,
     IterationConfig,
     LimitPoint,
     PrefixApprox,
@@ -50,15 +51,6 @@ def first_unfixed_generator(phi: AutoPair, gens: Sequence[Word]) -> Optional[Wor
     return None
 
 
-def _rotations(w: Word) -> list[tuple[int, Word]]:
-    letters = list(w.letters())
-    out = []
-    for i in range(len(letters)):
-        rotated = letters[i:] + letters[:i]
-        out.append((i, Word.from_letters(w.alphabet, rotated)))
-    return out
-
-
 def isogloss(
     H: StallingsGraph,
     x: LimitPoint | RationalPoint,
@@ -83,14 +75,12 @@ def isogloss(
     if isinstance(x, RationalPoint) and isinstance(y, RationalPoint):
         if len(x.period) != len(y.period):
             return False
-        for i, rotated in _rotations(y.period):
-            if rotated != x.period:
-                continue
-            # X = head_x . rotated^inf = (head_x . tail of y-period) . y-period^inf
-            tail = Word.from_letters(y.period.alphabet, list(y.period.letters())[i:])
-            head = x.head * tail
-            k = coset_power_membership(H, head, y.period, y.head.inverse())
-            return k is not None
+        for i in range(len(y.period)):
+            tail = y.period.drop(i)
+            if tail * y.period.prefix(i) == x.period:
+                # X = head_x . (tail . y-period[:i])^inf = (head_x . tail) . y-period^inf
+                k = coset_power_membership(H, x.head * tail, y.period, y.head.inverse())
+                return k is not None
         return False
     wx, nx = _point_prefix(x, search_bound, cfg)
     wy, ny = _point_prefix(y, search_bound, cfg)
@@ -268,10 +258,10 @@ def build_graph(
         return len(classes) - 1
 
     for seed in seeds:
-        if phi.apply(seed) == seed:
+        forward = omega_limit(phi, seed, cfg)
+        if isinstance(forward, FixedElement):
             skipped_fixed.append(format_word(seed))
             continue
-        forward = omega_limit(phi, seed, cfg)
         backward = omega_limit(phi.inverse(), seed, cfg)
         if not isinstance(forward, Boundary) or not isinstance(backward, Boundary):
             unresolved.append(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fgdyn.autofiles import AutoFileError, parse_autofile
+from fgdyn.autofiles import AutoFileError, parse_autofile, parse_word_list
 from fgdyn.cli import main
 from fgdyn.words import parse_word, standard_alphabet
 
@@ -67,6 +67,12 @@ class TestAutoFile:
         with pytest.raises(AutoFileError):
             parse_autofile("map a -> a\n")
 
+    def test_word_list(self):
+        words = parse_word_list(F4, " a ; b d^-1;; ")
+        assert words == (parse_word(F4, "a"), parse_word(F4, "b d^-1"))
+        with pytest.raises(ValueError):
+            parse_word_list(F4, "a; e")
+
 
 class TestExitCodes:
     def test_parabolic_positive(self, capsys):
@@ -88,6 +94,8 @@ class TestExitCodes:
 
     def test_negative_search_bound(self, capsys):
         assert main(["graph", "phi_k:k=1", "--bound", "-1"]) == 3
+        assert "search bound" in capsys.readouterr().err
+        assert main(["twist-reduce", "b", "1", "--bound", "-3"]) == 3
         assert "search bound" in capsys.readouterr().err
 
     def test_inconclusive_on_overflow(self, capsys):
@@ -259,8 +267,8 @@ class TestConfigEnvVar:
 
     @pytest.mark.parametrize(
         "text",
-        ["{not json", '{"min_repeats": 1.5}', '{"max_iterations": true}'],
-        ids=["not-json", "float", "bool"],
+        ["{not json", '{"min_repeats": 1.5}', '{"max_iterations": true}', '{"period_bound": 6}'],
+        ids=["not-json", "float", "bool", "removed-field"],
     )
     def test_bad_config_file(self, tmp_path, monkeypatch, text):
         cfg_path = tmp_path / "cfg.json"

@@ -149,6 +149,13 @@ class TestIterate:
         assert exc.value.iteration < 50
         assert exc.value.length > 1000
 
+    def test_fixed_seed_longer_than_budget_overflows_at_once(self):
+        # iterate stays exact: the first iterate is checked like any other
+        cfg = IterationConfig(max_word_length=1)
+        with pytest.raises(GrowthOverflowError) as exc:
+            iterate(make_phi(1), w4("a^5"), 3, cfg)
+        assert (exc.value.iteration, exc.value.length, exc.value.budget) == (1, 5, 1)
+
     def test_config_rejects_non_integers(self):
         # bool is an int subclass; True would silently mean one iteration
         for bad in ({"min_repeats": 1.5}, {"max_iterations": True}):
@@ -221,6 +228,12 @@ class TestOmegaLimit:
         res = omega_limit(sigma(), parse_word(F2, "b"), cfg)
         assert isinstance(res, NotConverged)
         assert res.diagnostics["reason"] == "max-iterations"
+        assert res.diagnostics["iterations"] == cfg.max_iterations
+
+    def test_fixed_test_precedes_budget(self):
+        # a fixed seed is reported as fixed even when it breaks the budget
+        cfg = IterationConfig(max_word_length=1)
+        assert omega_limit(make_phi(1), w4("a^5"), cfg) == FixedElement(w4("a^5"))
 
     def test_growth_overflow_diagnostics(self):
         cfg = IterationConfig(max_word_length=500)
@@ -290,6 +303,13 @@ class TestDetectParabolic:
         assert report.verdict == NOT_PARABOLIC
         assert "fixed" in report.reason
 
+    def test_fixed_seed_longer_than_budget(self):
+        cfg = IterationConfig(max_word_length=1)
+        report = detect_parabolic(make_phi(1), w4("a^5"), cfg)
+        assert report.verdict == NOT_PARABOLIC
+        assert report.reason == "seed is fixed by the automorphism"
+        assert report.forward == report.backward == FixedElement(w4("a^5"))
+
     def test_attracting_repulsing_seed(self):
         report = detect_parabolic(make_phi(1), w4("d"))
         assert report.verdict == NOT_PARABOLIC
@@ -345,6 +365,13 @@ class TestGrowth:
         with pytest.raises(ValueError):
             growth_classify(make_phi(1), w4("d"), 4)
 
+    def test_overflow_ends_sampling(self):
+        # |theta^p(a)| = 3, 8, 21, 55, 144, 377, 987, 2584: step 8 breaks 1000
+        cfg = IterationConfig(max_word_length=1000)
+        cls = growth_classify(fib_theta(), parse_word(F2, "a"), 20, cfg)
+        assert cls.samples == 7
+        assert cls.kind == "exponential"
+
 
 class TestVerifySplitting:
     def test_image_splitting(self):
@@ -379,6 +406,16 @@ class TestVerifySplitting:
             verify_splitting(make_phi(1), [w4("b")], 5)
         with pytest.raises(ValueError):
             verify_splitting(make_phi(1), [w4("b"), identity(F4)], 5)
+        with pytest.raises(ValueError):
+            verify_splitting(make_phi(1), [w4("b"), w4("d")], -1)
+
+    def test_length_budget(self):
+        # |theta^15(a)| = 2,178,309 letters breaks the default budget
+        bricks = [parse_word(F2, "a"), parse_word(F2, "b")]
+        with pytest.raises(GrowthOverflowError) as exc:
+            verify_splitting(fib_theta(), bricks, 15)
+        assert exc.value.iteration == 15
+        assert exc.value.length == 2178309
 
 
 def _point_prefix(result, n):

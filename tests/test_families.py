@@ -34,7 +34,8 @@ from fgdyn.families import (
     twist_reduce,
 )
 from fgdyn.graphs import build_graph, verify_fixed_generators
-from fgdyn.words import parse_word, standard_alphabet
+from fgdyn.subgroups import build_core_graph, contains
+from fgdyn.words import Word, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
 F4 = standard_alphabet(4)
@@ -119,6 +120,16 @@ class TestBetaFamily:
         with pytest.raises(ValueError):
             make_beta(5, stock_theta("trace3"))
 
+    def test_catalog_lists_the_fixed_tail(self):
+        six = family("beta", rank=6)
+        assert [str(w) for w in six.fixed_generators] == ["a", "b a b^-1", "c a c^-1"]
+        for rank in (7, 8):
+            fam = family("beta", rank=rank)
+            assert verify_fixed_generators(fam.pair, fam.fixed_generators)
+            H = build_core_graph(fam.pair.alphabet, list(fam.fixed_generators))
+            for g in range(7, rank + 1):
+                assert contains(H, Word.from_letters(fam.pair.alphabet, [g])), (rank, g)
+
 
 class TestStockThetas:
     def test_names(self):
@@ -198,6 +209,10 @@ class TestTwistReduce:
 
     def test_unresolved_within_bound(self):
         assert twist_reduce(parse_word(F2, "b"), 1, search_bound=3) is None
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            twist_reduce(parse_word(F2, "b"), 1, search_bound=-3)
 
     def test_witness_is_sound(self):
         delta_n = power(make_delta(), 2)
