@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .words import (
     Alphabet,
@@ -42,10 +42,14 @@ class NotHyperbolicError(ValueError):
     """Dilatation data requested for a matrix with trace <= 2."""
 
 
+class UnboundedCancellationError(ValueError):
+    """The endomorphism cancels arbitrarily many letters between images."""
+
+
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = ("alphabet", "images", "_image_runs")
+    __slots__ = ("alphabet", "images", "_image_runs", "_cancellation_bound")
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -61,19 +65,39 @@ class Endomorphism:
         for g, img in enumerate(images, start=1):
             self._image_runs[g] = img.runs
             self._image_runs[-g] = img.inverse().runs
+        self._cancellation_bound = None  # filled in by cancellation_bound()
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":
         return cls(alphabet, [generator(alphabet, g) for g in range(1, alphabet.rank + 1)])
 
-    def apply(self, w: Word) -> Word:
-        """The reduced image ``[e(w)]``."""
+    def apply(self, w: Word, limit: Optional[int] = None) -> Word:
+        """The reduced image ``[e(w)]``.
+
+        With a ``limit``, runs of ``w`` are read only until the image holds
+        at least ``limit`` letters: the result is then ``[e(u)]`` for the
+        prefix ``u`` of ``w`` read so far.
+        """
         if w.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
         out: list[tuple[int, int]] = []
         image_runs = self._image_runs
+        # an upper bound on the image length, made exact whenever it
+        # reaches the limit
+        length = 0
         for gen, exp in w.runs:
-            _append_runs(out, _power_runs(image_runs[gen if exp > 0 else -gen], abs(exp)))
+            if exp > 0:
+                key, k = gen, exp
+            else:
+                key, k = -gen, -exp
+            runs = image_runs[key]
+            _append_runs(out, runs if k == 1 else _power_runs(runs, k))
+            if limit is not None:
+                length += k * len(self.images[gen - 1])
+                if length >= limit:
+                    length = sum(abs(e) for _, e in out)
+                    if length >= limit:
+                        return Word._make(self.alphabet, tuple(out), length)
         return Word(self.alphabet, tuple(out))
 
     def __eq__(self, other) -> bool:
@@ -103,6 +127,172 @@ def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     if e1.alphabet != e2.alphabet:
         raise AlphabetMismatchError("endomorphisms over different alphabets")
     return Endomorphism(e1.alphabet, [e1.apply(img) for img in e2.images])
+
+
+def cancellation_bound(e: Endomorphism) -> int:
+    """The exact bounded-cancellation constant C of ``e``.
+
+    C is the most letters that cancel between ``[e(u)]`` and ``[e(v)]``
+    over all nonempty ``u``, ``v`` with ``uv`` reduced; it is finite for
+    an automorphism (Cooper 1987, J. Algebra 111).  So when ``p`` is a
+    prefix of a reduced word ``w``, the first ``|[e(p)]| - C`` letters of
+    ``[e(p)]`` are a prefix of ``[e(w)]``.
+
+    The letters cancelled between ``[e(u)]`` and ``[e(v)]`` are the common
+    prefix of ``[e(u^-1)]`` and ``[e(v)]``, and ``u^-1`` and ``v`` start
+    with different letters.  So C is the longest word that is a prefix of
+    a reduced image of the cone ``l F`` and of the cone ``l' F`` for some
+    letters ``l != l'``.  The images of a cone are a rational subset of F
+    (Benois 1969, C. R. Acad. Sci. Paris 269): reading the generator
+    images along the cone automaton, with an empty move added across
+    every path that reads a word equal to 1, reads exactly the reduced
+    images as reduced words; their prefixes are the reduced words that end
+    in a state from which a reduced continuation reaches an image.  C is
+    then the longest path in the product of two such automata started at
+    two different cones.  A reachable cycle in that product would make C
+    infinite: that raises :class:`UnboundedCancellationError`.
+
+    Computed on first use and kept on ``e``.
+
+    >>> from .words import standard_alphabet, parse_word
+    >>> F2 = standard_alphabet(2)
+    >>> cancellation_bound(Endomorphism(F2, [parse_word(F2, "a"), parse_word(F2, "b a")]))
+    1
+    """
+    if e._cancellation_bound is None:
+        e._cancellation_bound = _longest_common_cone_prefix(e)
+    return e._cancellation_bound
+
+
+def _longest_common_cone_prefix(e: Endomorphism) -> int:
+    letters = e.alphabet.signed_letters
+    n = len(letters)
+    # states: 0..n-1 start the cone of a letter, n..2n-1 are the cone
+    # states (named by the last letter of the cone word), the rest are
+    # inner states of the image paths, one path per letter shared by
+    # every state that may read it
+    start = {x: i for i, x in enumerate(letters)}
+    cone = {x: n + i for i, x in enumerate(letters)}
+    moves: list[dict[int, set[int]]] = [{} for _ in range(2 * n)]
+    todo: list[tuple[int, int]] = []  # empty moves still to record
+    for x in letters:
+        image = list(Word(e.alphabet, e._image_runs[x]).letters())
+        sources = [start[x]] + [cone[y] for y in letters if y != -x]
+        if not image:
+            todo += [(s, cone[x]) for s in sources]
+            continue
+        path = list(range(len(moves), len(moves) + len(image) - 1)) + [cone[x]]
+        moves += [{} for _ in image[1:]]
+        for s in sources:
+            moves[s].setdefault(image[0], set()).add(path[0])
+        for a, p, q in zip(image[1:], path, path[1:]):
+            moves[p].setdefault(a, set()).add(q)
+    states = range(len(moves))
+
+    # Benois saturation: p reaches t by empty moves when some path from p
+    # to t reads a word equal to 1.  A new empty reach r ~> s closes every
+    # x -a-> r ~> s -a^-1-> y into x ~> y.
+    reach = [{p} for p in states]
+    back = [{p} for p in states]
+    incoming: list[list[tuple[int, int]]] = [[] for _ in states]
+    for x in states:
+        for a, targets in moves[x].items():
+            for r in targets:
+                incoming[r].append((x, a))
+
+    def close(r: int, s: int) -> None:
+        for x, a in incoming[r]:
+            todo.extend((x, y) for y in moves[s].get(-a, ()) if y not in reach[x])
+
+    for r in states:
+        close(r, r)
+    while todo:
+        p, t = todo.pop()
+        if t in reach[p]:
+            continue
+        new = [(r, s) for r in back[p] for s in reach[t] if s not in reach[r]]
+        for r, s in new:
+            reach[r].add(s)
+            back[s].add(r)
+        for r, s in new:
+            close(r, s)
+
+    # one letter read after any empty moves
+    step: list[dict[int, set[int]]] = []
+    accepting = []
+    for p in states:
+        out: dict[int, set[int]] = {}
+        for q in reach[p]:
+            for a, targets in moves[q].items():
+                out.setdefault(a, set()).update(targets)
+        step.append(out)
+        accepting.append(any(n <= q < 2 * n for q in reach[p]))
+
+    # (t, a), state t reached by reading a, is live when a reduced
+    # continuation, not starting with a^-1, reaches a cone state
+    live_letters: list[set[int]] = [set() for _ in states]
+
+    def live(t: int, a: int) -> bool:
+        firsts = live_letters[t]
+        return accepting[t] or len(firsts) > 1 or (len(firsts) == 1 and -a not in firsts)
+
+    feeders: list[list[tuple[int, int]]] = [[] for _ in states]
+    for p in states:
+        for a, targets in step[p].items():
+            for t in targets:
+                feeders[t].append((p, a))
+    grown = [t for t in states if accepting[t]]
+    while grown:
+        t = grown.pop()
+        for p, a in feeders[t]:
+            if a not in live_letters[p] and live(t, a):
+                live_letters[p].add(a)
+                if len(live_letters[p]) <= 2 and not accepting[p]:
+                    grown.append(p)
+
+    def successors(node: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+        p, q, last = node
+        found = []
+        for a, targets in step[p].items():
+            others = step[q].get(a)
+            if a == -last or not others:
+                continue
+            ts = [t for t in targets if live(t, a)]
+            us = [u for u in others if live(u, a)]
+            found += [(min(t, u), max(t, u), a) for t in ts for u in us]
+        return found
+
+    # longest path by depth-first search; a node met again while still
+    # open closes a cycle
+    depth: dict[tuple[int, int, int], int] = {}
+    best = 0
+    for i, x in enumerate(letters):
+        for y in letters[i + 1 :]:
+            root = (start[x], start[y], 0)
+            depth[root] = -1
+            stack = [(root, iter(successors(root)), 0)]
+            while stack:
+                node, rest, deepest = stack[-1]
+                nxt = next(rest, None)
+                if nxt is None:
+                    stack.pop()
+                    depth[node] = deepest
+                    if stack:
+                        parent, prest, pdeep = stack[-1]
+                        stack[-1] = (parent, prest, max(pdeep, deepest + 1))
+                    continue
+                seen = depth.get(nxt)
+                if seen is None:
+                    depth[nxt] = -1
+                    stack.append((nxt, iter(successors(nxt)), 0))
+                elif seen < 0:
+                    raise UnboundedCancellationError(
+                        f"cancellation between images is unbounded under {e!r}"
+                    )
+                else:
+                    stack[-1] = (node, rest, max(deepest, seen + 1))
+            best = max(best, depth[root])
+    return best
 
 
 class AutoPair:

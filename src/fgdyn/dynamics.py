@@ -19,10 +19,10 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, islice
+from itertools import chain, count, cycle, islice
 from typing import Iterator, Optional, Sequence, Union
 
-from .automorphisms import AutoPair, Endomorphism, power
+from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
 from .words import (
     EmptyWordError,
     Word,
@@ -251,6 +251,42 @@ def _orbit(e: Endomorphism, g: Word, budget: int) -> Iterator[Word]:
         yield g
 
 
+def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word]:
+    """A prefix of each iterate ``[e^n(g)]``, for n = 1, 2, ...
+
+    Iterates come whole from :func:`_orbit` up to the first one longer
+    than ``cap = target_prefix + C * max_iterations`` letters, with C the
+    :func:`cancellation_bound` of ``e`` (computed once an iterate is
+    longer than ``target_prefix``).  From there only a held prefix P of
+    the iterate W is stepped: the first ``|[e(P)]| - C`` letters of
+    ``[e(P)]`` are a prefix of ``[e(W)]``, and at most ``cap`` of them
+    are kept, so the image is read only until it has ``cap + C``
+    letters.  A prefix that gains one letter a step and loses C keeps at
+    least ``target_prefix`` letters for ``max_iterations`` steps.
+
+    An iterate equal to ``g`` after n > 1 steps makes the orbit periodic;
+    its n words are then replayed without stepping further.
+    """
+    budget = cfg.max_word_length
+    c = None
+    cap = cfg.target_prefix  # raised by C * max_iterations once C is known
+    for n, w in enumerate(_orbit(e, g, budget), 1):
+        yield w
+        if w.runs == g.runs and n > 1:
+            yield from cycle(chain(islice(_orbit(e, g, budget), n - 1), [g]))
+        if len(w) > cap:
+            if c is None:
+                c = cancellation_bound(e)
+                cap += c * cfg.max_iterations
+            if len(w) > cap:
+                break
+    held = w.prefix(cap)
+    while True:
+        image = e.apply(held, limit=cap + c)
+        held = image.prefix(min(cap, len(image) - c))
+        yield held
+
+
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
@@ -300,7 +336,12 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
 
     Fixed elements are reported as such, whatever their length; otherwise
     the orbit is followed until the common prefix of consecutive iterates
-    certifies a boundary point, or budgets run out.
+    certifies a boundary point, or budgets run out.  Long iterates are
+    held as certified prefixes (see :func:`_held_orbit`); a common prefix
+    shorter than both held words is the exact common prefix of the
+    iterates, so results equal those of whole-word iteration as long as
+    the certifying prefixes stay below the held lengths.  Only the whole
+    iterates are checked against ``max_word_length``.
     """
     forward = phi.forward
     prev = g
@@ -308,7 +349,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     streak = 0
     best_cp = 0
     best_word = g
-    orbit = zip(range(1, cfg.max_iterations + 1), _orbit(forward, g, cfg.max_word_length))
+    orbit = zip(range(1, cfg.max_iterations + 1), _held_orbit(forward, g, cfg))
     try:
         for iterations, nxt in orbit:
             if iterations == 1 and nxt == g:

@@ -14,6 +14,7 @@ to build and compare.
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Letter = int  # signed generator index; +i / -i, never 0
@@ -140,6 +141,23 @@ def _power_runs(runs: Runs, k: int) -> Runs:
     return (first,) + _power_runs(middle, k) + (last,)
 
 
+def _conjugator_length(runs: Runs) -> int:
+    """``|w|`` for the reduced block ``w c w^-1`` with ``c`` cyclically
+    reduced, so that its ``k``-th power has ``2|w| + k|c|`` letters for
+    ``k >= 1``."""
+    t, i, j = 0, 0, len(runs) - 1
+    while i < j:
+        (g, e), (h, f) = runs[i], runs[j]
+        if g != h or (e > 0) == (f > 0):
+            break
+        t += min(abs(e), abs(f))
+        if e != -f:
+            break
+        i += 1
+        j -= 1
+    return t
+
+
 class Word:
     """A freely reduced word; the empty word is the group identity."""
 
@@ -153,6 +171,16 @@ class Word:
         self._hash = None
 
     @classmethod
+    def _make(cls, alphabet: Alphabet, runs: tuple[tuple[int, int], ...], length: int) -> "Word":
+        # Trusted constructor for runs whose letter count is already known.
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.runs = runs
+        w._length = length
+        w._hash = None
+        return w
+
+    @classmethod
     def from_letters(cls, alphabet: Alphabet, letters: Iterable[Letter]) -> "Word":
         """Build the reduced word equal to the given letter sequence.
 
@@ -161,11 +189,12 @@ class Word:
         'a^2'
         """
         runs: list[tuple[int, int]] = []
-        for letter in letters:
+        for letter, group in groupby(letters):
             gen = abs(letter)
             if letter == 0 or gen > alphabet.rank:
                 raise AlphabetMismatchError(f"letter {letter} out of range")
-            _append_runs(runs, ((gen, 1 if letter > 0 else -1),))
+            k = sum(1 for _ in group)
+            _append_runs(runs, ((gen, k if letter > 0 else -k),))
         return cls(alphabet, tuple(runs))
 
     @classmethod
@@ -211,29 +240,35 @@ class Word:
         if n <= 0:
             return Word(self.alphabet)
         out = []
+        rest = n
         for gen, exp in self.runs:
-            take = min(abs(exp), n)
+            take = min(abs(exp), rest)
             out.append((gen, take if exp > 0 else -take))
-            n -= take
-            if n == 0:
+            rest -= take
+            if rest == 0:
                 break
-        return Word(self.alphabet, tuple(out))
+        return Word._make(self.alphabet, tuple(out), n)
 
     def drop(self, n: int) -> "Word":
         """The word without its first ``n`` letters."""
+        if n <= 0:
+            return self
+        if n >= self._length:
+            return Word(self.alphabet)
         runs = self.runs
         k = 0
-        while n > 0 and k < len(runs):
-            gen, exp = runs[k]
-            if abs(exp) > n:
-                cut = (gen, exp - n if exp > 0 else exp + n)
-                return Word(self.alphabet, (cut,) + runs[k + 1 :])
-            n -= abs(exp)
+        rest = n
+        while abs(runs[k][1]) <= rest:
+            rest -= abs(runs[k][1])
             k += 1
-        return Word(self.alphabet, runs[k:]) if k else self
+        gen, exp = runs[k]
+        cut = (gen, exp - rest if exp > 0 else exp + rest)
+        return Word._make(self.alphabet, (cut,) + runs[k + 1 :], self._length - n)
 
     def inverse(self) -> "Word":
-        return Word(self.alphabet, tuple((g, -e) for g, e in reversed(self.runs)))
+        return Word._make(
+            self.alphabet, tuple((g, -e) for g, e in reversed(self.runs)), self._length
+        )
 
     def __invert__(self) -> "Word":
         return self.inverse()
@@ -243,7 +278,10 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        return Word(self.alphabet, tuple(_power_runs(base.runs, abs(n))))
+        k = abs(n)
+        t = _conjugator_length(base.runs)
+        length = 2 * t + k * (self._length - 2 * t) if k else 0
+        return Word._make(self.alphabet, tuple(_power_runs(base.runs, k)), length)
 
     def __eq__(self, other) -> bool:
         return (
@@ -319,14 +357,8 @@ def cyclic_reduce(u: Word) -> CyclicDecomposition:
     """
     if u.is_identity():
         raise EmptyWordError("identity word has no cyclic core")
-    ls = list(u.letters())
-    i, j = 0, len(ls) - 1
-    while i < j and ls[i] == -ls[j]:
-        i += 1
-        j -= 1
-    conj = Word.from_letters(u.alphabet, ls[:i])
-    core = Word.from_letters(u.alphabet, ls[i : j + 1])
-    return CyclicDecomposition(conj, core)
+    t = _conjugator_length(u.runs)
+    return CyclicDecomposition(u.prefix(t), u.drop(t).prefix(len(u) - 2 * t))
 
 
 def primitive_root(u: Word) -> tuple[Word, int]:

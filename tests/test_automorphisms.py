@@ -9,7 +9,9 @@ from fgdyn.automorphisms import (
     IntMatrix,
     NotHyperbolicError,
     NotInverseError,
+    UnboundedCancellationError,
     abelianize,
+    cancellation_bound,
     compose,
     compose_pairs,
     conjugate,
@@ -23,7 +25,7 @@ from fgdyn.automorphisms import (
     squarefree_part,
     verify_pair,
 )
-from fgdyn.families import make_delta, stock_theta
+from fgdyn.families import family, make_delta, stock_theta
 from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
 
 F2 = standard_alphabet(2)
@@ -116,6 +118,122 @@ class TestApply:
 
         expected = reduce(F3, [x for l in w.letters() for x in image(l).letters()])
         assert Endomorphism(F3, images).apply(w) == expected
+
+    @given(st.lists(IMAGES3, min_size=3, max_size=3), RUN_WORDS3, st.integers(0, 60))
+    def test_limit_reads_a_prefix_of_runs(self, images, w, limit):
+        e = Endomorphism(F3, images)
+        got = e.apply(w, limit=limit)
+        # reading stops after the first run that brings the image to the limit
+        heads = (e.apply(Word(F3, w.runs[:i])) for i in range(1, len(w.runs) + 1))
+        assert got == next((h for h in heads if len(h) >= limit), e.apply(w))
+        assert len(got) == sum(abs(x) for _, x in got.runs)
+
+
+def _max_cancellation(e, max_len):
+    """Most letters cancelled between [e(u)] and [e(v)] over nonempty u, v
+    of at most ``max_len`` letters with uv reduced, by listing them: the
+    longest common prefix of [e(x)], [e(y)] with x, y starting differently.
+    Sorted images put the best pair next to each other."""
+    alphabet = e.alphabet
+    images = []
+    frontier = [[x] for x in alphabet.signed_letters]
+    for _ in range(max_len):
+        images += [(tuple(e.apply(reduce(alphabet, xs)).letters()), xs[0]) for xs in frontier]
+        frontier = [xs + [y] for xs in frontier for y in alphabet.signed_letters if y != -xs[-1]]
+    images.sort()
+    best = 0
+    for (u, x), (v, y) in zip(images, images[1:]):
+        if x != y:
+            best = max(best, next((i for i, (p, q) in enumerate(zip(u, v)) if p != q), min(len(u), len(v))))
+    return best
+
+
+def _lipschitz_bound(e, inverse):
+    """A proven bound L_e * floor(L_e * L_inv / 2) + floor(L_e / 2), with L
+    the longest generator image (a tree argument)."""
+    le = max(len(img) for img in e.images)
+    li = max(len(img) for img in inverse.images)
+    return le * (le * li // 2) + le // 2
+
+
+def _random_pair(rng, alphabet, moves):
+    """A product of random elementary Nielsen moves x_i -> x_i x_j^(+-1)
+    or x_j^(+-1) x_i, with its inverse."""
+    pair = identity_pair(alphabet)
+    gens = [Word.from_letters(alphabet, [g]) for g in range(1, alphabet.rank + 1)]
+    for _ in range(moves):
+        i, j = rng.sample(range(alphabet.rank), 2)
+        x = gens[j] ** rng.choice((1, -1))
+        fwd, bwd = list(gens), list(gens)
+        if rng.random() < 0.5:
+            fwd[i], bwd[i] = gens[i] * x, gens[i] * x.inverse()
+        else:
+            fwd[i], bwd[i] = x * gens[i], x.inverse() * gens[i]
+        pair = compose_pairs(verify_pair(Endomorphism(alphabet, fwd), Endomorphism(alphabet, bwd)), pair)
+    return pair
+
+
+class TestCancellationBound:
+    # exhaustive maxima over short words (forward, backward) and the
+    # word length they were measured at
+    MEASURED = {
+        ("beta", (("rank", 6),)): (3, 3, 5),
+        ("phi_k", (("k", 1),)): (3, 3, 7),
+        ("phi_k", (("k", 3),)): (5, 5, 6),
+    }
+
+    @pytest.mark.parametrize("name, params", list(MEASURED))
+    def test_between_measured_maxima_and_lipschitz_bound(self, name, params):
+        pair = family(name, **dict(params)).pair
+        forward_max, backward_max, _ = self.MEASURED[(name, params)]
+        for e, inv, measured in ((pair.forward, pair.backward, forward_max), (pair.backward, pair.forward, backward_max)):
+            c = cancellation_bound(e)
+            assert measured <= c <= _lipschitz_bound(e, inv)
+            assert _max_cancellation(e, 3) <= c
+            # the maxima are attained, so C is exact here; a looser sound
+            # bound would hold longer prefixes and lose the speed-up
+            assert c == measured
+
+    def test_random_small_pairs(self):
+        rng = random.Random(11)
+        for _ in range(12):
+            alphabet = rng.choice((F2, F3))
+            pair = _random_pair(rng, alphabet, rng.randint(1, 4))
+            for e, inv in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
+                c = cancellation_bound(e)
+                assert _max_cancellation(e, 5 if alphabet is F2 else 3) <= c <= _lipschitz_bound(e, inv)
+
+    def test_certifies_a_prefix_of_the_image(self):
+        # the first |[e(p)]| - C letters of [e(p)] start [e(w)] for every prefix p of w
+        rng = random.Random(2)
+        pair = family("beta", rank=6).pair
+        for e in (pair.forward, pair.backward):
+            c = cancellation_bound(e)
+            for _ in range(40):
+                w = random_word(rng, pair.alphabet, 12)
+                image = e.apply(w)
+                for n in range(len(w) + 1):
+                    head = e.apply(w.prefix(n))
+                    assert head.prefix(len(head) - c) == image.prefix(len(head) - c)
+
+    def test_computed_once_and_kept(self):
+        e = endo(F2, "a", "b a")
+        assert e._cancellation_bound is None  # not at construction
+        assert cancellation_bound(e) == 1
+        assert e._cancellation_bound == 1
+        assert cancellation_bound(Endomorphism.identity(F2)) == 0
+        assert cancellation_bound(endo(F2, "a^-1", "b^-1")) == 0
+
+    def test_inner(self):
+        e = inner(parse_word(F2, "a b")).forward
+        assert cancellation_bound(e) == _max_cancellation(e, 5) == 3
+
+    @pytest.mark.parametrize("images", [("b", "b"), ("", "b")])
+    def test_unbounded_cancellation_raises(self, images):
+        # a -> b, b -> b: [e(a^k)] = b^k cancels all of [e(b^-k)] = b^-k;
+        # a -> 1: [e(a b^k)] and [e(a^-1 b^k)] are both b^k
+        with pytest.raises(UnboundedCancellationError):
+            cancellation_bound(endo(F2, *images))
 
 
 class TestVerifyPair:

@@ -134,6 +134,13 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["point"]["period"] == "a^-1"
 
+    def test_omega_mixed_seed_certifies(self, capsys):
+        # whole iterates overflow the budget at step 15, on 2,178,325
+        # letters; the held prefix certifies the limit
+        assert main(["omega", "beta:rank=6", "b e"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["point"] == {"type": "rational", "head": "b", "period": "a"}
+
     def test_omega_prefix_approx(self, capsys):
         assert main(["omega", "phi_k:k=2", "d"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,9 +1,19 @@
 import random
+from itertools import islice
 
 import pytest
 
-from fgdyn.automorphisms import Endomorphism, identity_pair, inner, power, verify_pair
+from fgdyn import dynamics
+from fgdyn.automorphisms import (
+    Endomorphism,
+    cancellation_bound,
+    identity_pair,
+    inner,
+    power,
+    verify_pair,
+)
 from fgdyn.dynamics import (
+    DEFAULT_CONFIG,
     Boundary,
     FixedElement,
     GrowthOverflowError,
@@ -28,6 +38,8 @@ from fgdyn.dynamics import (
     translate,
     verify_splitting,
 )
+from fgdyn.families import family
+from fgdyn.graphs import default_seeds
 from fgdyn.words import (
     common_prefix_length,
     identity,
@@ -458,3 +470,107 @@ class TestInnerNorthSouth:
                 bwd = omega_limit(pair.inverse(), g)
                 assert isinstance(fwd, Boundary) and fwd.point.point == plus, (text, str(g))
                 assert isinstance(bwd, Boundary) and bwd.point.point == minus, (text, str(g))
+
+
+def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
+    """``omega_limit`` stepping whole iterates every step: the reference
+    the held-prefix engine must agree with."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_held_orbit", lambda e, w, c: dynamics._orbit(e, w, c.max_word_length))
+        return omega_limit(phi, g, cfg)
+
+
+def catalog_seeds():
+    for name, params in (
+        ("phi_k", {"k": 1}),
+        ("alpha_k", {"k": 1}),
+        ("beta", {"rank": 6}),
+        ("twist", {"n": 2, "k": 1}),
+        ("delta", {"n": 1}),
+        ("sigma", {}),
+        ("inner", {"u": "a b"}),
+        ("identity", {}),
+    ):
+        fam = family(name, **params)
+        yield f"{name}:{params}", fam.pair, fam.default_seeds or default_seeds(fam.pair.alphabet)
+
+
+class TestHeldPrefixEngine:
+    def test_agrees_with_whole_words_where_they_converge(self, monkeypatch):
+        # a 20k-letter budget stops whole-word iteration early where it
+        # cannot converge (the mixed beta seeds); held prefixes never
+        # reach it, so wherever whole words converge the two must agree
+        cfg = IterationConfig(max_word_length=20_000)
+        compared = 0
+        for label, pair, seeds in catalog_seeds():
+            for seed in seeds:
+                for phi in (pair, pair.inverse()):
+                    whole = whole_word_omega(monkeypatch, phi, seed, cfg)
+                    if isinstance(whole, Boundary):
+                        compared += 1
+                        assert omega_limit(phi, seed, cfg) == whole, (label, str(seed))
+        assert compared > 500
+
+    def test_held_words_are_prefixes_within_cap(self):
+        e = family("beta", rank=6).pair.forward
+        seed = parse_word(e.alphabet, "b e")
+        cfg = IterationConfig(target_prefix=20, max_iterations=10)
+        cap = cfg.target_prefix + cancellation_bound(e) * cfg.max_iterations
+        exact = islice(dynamics._orbit(e, seed, 10**7), 14)
+        held = dynamics._held_orbit(e, seed, cfg)
+        outgrown = False
+        for w, h in zip(exact, held):
+            assert w.prefix(len(h)) == h
+            assert len(h) <= cap or not outgrown
+            outgrown = outgrown or len(w) > cap
+        assert outgrown
+
+    def test_mixed_seed_certifies(self):
+        pair = family("beta", rank=6).pair
+        res = omega_limit(pair, parse_word(pair.alphabet, "b e"))
+        assert isinstance(res, Boundary)
+        assert res.point.point == rational_point(
+            parse_word(pair.alphabet, "b"), parse_word(pair.alphabet, "a")
+        )
+
+    def test_budget_below_cap_still_overflows(self):
+        # whole iterates are checked against max_word_length; with a budget
+        # under cap = 200 + 3 * 300 letters the exact phase overflows first
+        pair = family("beta", rank=6).pair
+        res = omega_limit(pair, parse_word(pair.alphabet, "b e"), IterationConfig(max_word_length=1000))
+        assert isinstance(res, NotConverged)
+        assert res.diagnostics["reason"] == "growth-overflow"
+
+
+def order_three():
+    # a -> b -> a^-1 b^-1 -> a
+    return verify_pair(endo(F2, "b", "a^-1 b^-1"), endo(F2, "a^-1 b^-1", "a"))
+
+
+class TestPeriodicOrbits:
+    def test_stops_stepping_at_the_first_return(self, monkeypatch):
+        phi = sigma()
+        calls = []
+        original = Endomorphism.apply
+
+        def counting(self, w, limit=None):
+            calls.append(w)
+            return original(self, w, limit)
+
+        monkeypatch.setattr(Endomorphism, "apply", counting)
+        res = omega_limit(phi, parse_word(F2, "b"))
+        assert isinstance(res, NotConverged)
+        assert res.diagnostics == {"reason": "max-iterations", "iterations": 300}
+        # b^-1, then b again; the period's one other word is stepped once more
+        assert len(calls) == 3
+
+    def test_same_result_as_stepping_every_iteration(self, monkeypatch):
+        rng = random.Random(8)
+        rotation = verify_pair(endo(F2, "b", "a^-1"), endo(F2, "b^-1", "a"))
+        for phi in (sigma(), order_three(), rotation):
+            for _ in range(15):
+                g = reduce(F2, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, 9))])
+                for n in (1, 2, 3, 7, 40, 300):
+                    cfg = IterationConfig(max_iterations=n)
+                    got = omega_limit(phi, g, cfg)
+                    assert got.to_json() == whole_word_omega(monkeypatch, phi, g, cfg).to_json()

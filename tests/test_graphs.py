@@ -15,6 +15,7 @@ from fgdyn.dynamics import (
     rational_point,
     translate,
 )
+from fgdyn.families import family
 from fgdyn.graphs import (
     DynamicsGraph,
     Edge,
@@ -345,6 +346,21 @@ class TestLoopsAndOutputs:
         vertex, labels = found
         assert vertex.representative.point == rational_point(w4("b"), w4("a^-1"))
         assert w4("b d^-1") in labels
+
+    def test_beta_graph_resolves_every_seed(self):
+        # the mixed seeds (a letter of b-d, then one of e-f) outgrow the
+        # word budget long before their prefix b a^p certifies; held
+        # prefixes certify them, so every seed resolves
+        fam = family("beta", rank=6)
+        graph = build_graph(fam.pair, fam.fixed_generators)
+        assert graph.diagnostics["seeds"] == 144
+        assert "unresolved" not in graph.diagnostics
+        vertex, labels = has_parabolic_loop(graph)
+        alphabet = fam.pair.alphabet
+        assert vertex.representative.point == rational_point(
+            parse_word(alphabet, "b"), parse_word(alphabet, "a^-1")
+        )
+        assert parse_word(alphabet, "b d^-1") in labels
 
     def test_no_loop_in_north_south(self):
         pair = inner(parse_word(F2, "a"))

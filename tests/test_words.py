@@ -330,6 +330,30 @@ class TestPrefixAndPower:
         assert u**m == expected
 
 
+RUN_WORDS = st.lists(st.tuples(st.integers(1, 2), st.integers(-4, 4)), max_size=8).map(
+    lambda runs: Word.from_runs(F2, runs)
+)
+
+
+def letter_count(w):
+    return sum(abs(e) for _, e in w.runs)
+
+
+class TestKnownLength:
+    """Operations that build a word of known length skip the letter sum."""
+
+    @given(RUN_WORDS, st.integers(-2, 30))
+    def test_prefix_and_drop(self, w, n):
+        for got in (w.prefix(n), w.drop(n)):
+            assert len(got) == letter_count(got)
+        assert w.prefix(n) * w.drop(n) == w
+
+    @given(RUN_WORDS, RUN_WORDS, st.integers(-4, 4))
+    def test_inverse_concat_power(self, u, v, k):
+        for got in (u.inverse(), u * v, u * u.inverse().prefix(k), u**k, (u * v * u.inverse()) ** k):
+            assert len(got) == letter_count(got)
+
+
 def test_words_random_law_battery():
     # 10^4 random words: reduction well-defined, concat/invert laws hold
     rng = random.Random(7)
