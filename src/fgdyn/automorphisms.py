@@ -20,8 +20,8 @@ from .words import (
     Alphabet,
     AlphabetMismatchError,
     Word,
-    _append_runs,
-    _power_runs,
+    _block,
+    _block_product,
     format_word,
     generator,
 )
@@ -49,7 +49,7 @@ class UnboundedCancellationError(ValueError):
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = ("alphabet", "images", "_image_runs", "_cancellation_bound")
+    __slots__ = ("alphabet", "images", "_image_runs", "_image_blocks", "_cancellation_bound")
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -60,11 +60,15 @@ class Endomorphism:
                 raise AlphabetMismatchError("image over a different alphabet")
         self.alphabet = alphabet
         self.images = images
-        # runs of the image of +g and -g, keyed by signed letter
+        # runs of the image of +g and -g, keyed by signed letter, and the
+        # same images as blocks of _block_product
         self._image_runs = {}
         for g, img in enumerate(images, start=1):
             self._image_runs[g] = img.runs
             self._image_runs[-g] = img.inverse().runs
+        self._image_blocks = {
+            x: _block(runs, len(images[abs(x) - 1])) for x, runs in self._image_runs.items()
+        }
         self._cancellation_bound = None  # filled in by cancellation_bound()
 
     @classmethod
@@ -80,25 +84,8 @@ class Endomorphism:
         """
         if w.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
-        out: list[tuple[int, int]] = []
-        image_runs = self._image_runs
-        # an upper bound on the image length, made exact whenever it
-        # reaches the limit
-        length = 0
-        for gen, exp in w.runs:
-            if exp > 0:
-                key, k = gen, exp
-            else:
-                key, k = -gen, -exp
-            runs = image_runs[key]
-            _append_runs(out, runs if k == 1 else _power_runs(runs, k))
-            if limit is not None:
-                length += k * len(self.images[gen - 1])
-                if length >= limit:
-                    length = sum(abs(e) for _, e in out)
-                    if length >= limit:
-                        return Word._make(self.alphabet, tuple(out), length)
-        return Word(self.alphabet, tuple(out))
+        out, length = _block_product(w.runs, self._image_blocks, limit)
+        return Word._make(self.alphabet, tuple(out), length)
 
     def __eq__(self, other) -> bool:
         return (

@@ -26,6 +26,8 @@ from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
 from .words import (
     EmptyWordError,
     Word,
+    _block,
+    _block_product,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -243,12 +245,67 @@ def _orbit(e: Endomorphism, g: Word, budget: int) -> Iterator[Word]:
 
     Raises :class:`GrowthOverflowError` at the first iterate longer than
     ``budget`` letters, carrying that iterate as ``word``.
+
+    A step either applies ``e`` to the previous iterate, reading every run
+    of it, or assembles ``[e^n(g)]`` as the product over the runs of ``g``
+    of the letter iterates ``[e^n(x)]`` (see :func:`_letter_orbits`).  An
+    assembly step reads the runs of ``g`` and the image runs of the signed
+    letters reachable from ``g``; a step assembles when the previous
+    iterate has more runs than that.  The letter iterates are built from
+    the first assembled step on, and dropped for good once one of them is
+    longer than ``budget``.  Both ways give the same reduced word.
     """
+    w = g
+    assembly_runs = None  # the runs an assembly step reads, once w outgrows g
+    letter_orbit = None  # the letter iterates, stepped on demand
+    taken = 0  # the step of the letter iterates last taken
     for n in count(1):
-        g = e.apply(g)
-        if len(g) > budget:
-            raise GrowthOverflowError(n, len(g), budget, g)
-        yield g
+        blocks = None
+        if len(w.runs) > len(g.runs):
+            if assembly_runs is None:
+                letters = _reachable_letters(e, g)
+                assembly_runs = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
+                letter_orbit = _letter_orbits(e, letters, budget)
+            if len(w.runs) > assembly_runs:
+                # step the letter iterates past the steps applied since
+                # they were last taken; None once they are dropped
+                blocks = next(islice(letter_orbit, n - taken - 1, None), None)
+                taken = n
+        if blocks is None:
+            w = e.apply(w)
+        else:
+            runs, length = _block_product(g.runs, blocks)
+            w = Word._make(g.alphabet, tuple(runs), length)
+        if len(w) > budget:
+            raise GrowthOverflowError(n, len(w), budget, w)
+        yield w
+
+
+def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
+    """The signed letters of ``g`` and, in turn, of the images of those."""
+    letters: set[int] = set()
+    todo = {gen if exp > 0 else -gen for gen, exp in g.runs}
+    while todo:
+        letters |= todo
+        todo = {gen if exp > 0 else -gen for x in todo for gen, exp in e._image_runs[x]}
+        todo -= letters
+    return letters
+
+
+def _letter_orbits(e: Endomorphism, letters: set[int], budget: int) -> Iterator[dict]:
+    """The iterates ``[e^n(x)]`` of the ``letters`` x for n = 1, 2, ..., as
+    blocks of :func:`_block_product`; every letter of an image of one of
+    the letters must be one of them.
+
+    ``[e^n(x)] = [e^(n-1)(e(x))]`` is the product of the blocks
+    ``[e^(n-1)(y)]`` over the runs of ``e(x)``.  Ends at the first step
+    where one of the iterates is longer than ``budget`` letters.
+    """
+    blocks = {x: e._image_blocks[x] for x in letters}
+    while all(length <= budget for _, length, _ in blocks.values()):
+        yield blocks
+        products = {x: _block_product(e._image_runs[x], blocks) for x in letters}
+        blocks = {x: _block(tuple(runs), length) for x, (runs, length) in products.items()}
 
 
 def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word]:
@@ -289,6 +346,11 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
 
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
+
+    The iterates come from :func:`_orbit`: once one has more runs than
+    the seed and the images of its letters together, the next is built
+    from the iterates of the seed's letters instead of by applying the
+    map to every run of the previous one.
 
     An automorphism permutes words, so the orbit of ``g`` is periodic
     exactly when it comes back to ``g``: at the first return, after ``s``
@@ -571,8 +633,11 @@ def verify_splitting(
 
     Checks ``|phi^p(g_i)| + |phi^p(g_i+1)| = |phi^p(g_i g_i+1)|`` for all
     ``p <= p_max``.  This certifies the splitting up to the bound only.
-    Brick images are held under ``DEFAULT_CONFIG.max_word_length``; an
-    image past it raises :class:`GrowthOverflowError`.
+    The images of nontrivial bricks are nontrivial, so the test is that
+    the last letter of one image is not the inverse of the first letter
+    of the next.  Brick images are held under
+    ``DEFAULT_CONFIG.max_word_length``; an image past it raises
+    :class:`GrowthOverflowError`.
     """
     bricks = list(bricks)
     if len(bricks) < 2:
@@ -585,8 +650,7 @@ def verify_splitting(
     orbits = [chain([b], _orbit(phi.forward, b, budget)) for b in bricks]
     for p, images in enumerate(islice(zip(*orbits), p_max + 1)):
         for i in range(len(images) - 1):
-            u, v = images[i], images[i + 1]
-            if len(u * v) != len(u) + len(v):
+            if images[i].last_letter() == -images[i + 1].first_letter():
                 return SplittingCertificate(False, p_max, (p, i + 1))
     return SplittingCertificate(True, p_max)
 

@@ -15,7 +15,7 @@ to build and compare.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Letter = int  # signed generator index; +i / -i, never 0
 
@@ -47,7 +47,7 @@ class Alphabet:
     (1, -1, 2, -2)
     """
 
-    __slots__ = ("names", "_index", "signed_letters")
+    __slots__ = ("names", "_index", "signed_letters", "_letter_blocks")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -61,6 +61,11 @@ class Alphabet:
         self.names = names
         self._index = {name: i + 1 for i, name in enumerate(names)}
         self.signed_letters = tuple(x for g in range(1, len(names) + 1) for x in (g, -g))
+        # each letter as a block of _block_product: a product of runs over
+        # these blocks is the free reduction of the runs
+        self._letter_blocks = {
+            x: (((abs(x), 1 if x > 0 else -1),), 1, 0) for x in self.signed_letters
+        }
 
     @property
     def rank(self) -> int:
@@ -96,29 +101,6 @@ def standard_alphabet(rank: int) -> Alphabet:
 Runs = Sequence[tuple[int, int]]
 
 
-def _append_runs(out: list[tuple[int, int]], runs: Runs) -> None:
-    """Append the reduced ``runs`` to the reduced run list ``out``.
-
-    Both sides are reduced, so letters cancel or merge only at the
-    junction: once one run survives there, the rest is appended whole.
-    Apart from the junction inside a power block (see :func:`_power_runs`),
-    this is the only place where runs merge or cancel.
-    """
-    i = 0
-    while out and i < len(runs):
-        gen, exp = runs[i]
-        last_gen, last_exp = out[-1]
-        if last_gen != gen:
-            break
-        i += 1
-        merged = last_exp + exp
-        if merged:
-            out[-1] = (gen, merged)
-            break
-        out.pop()
-    out.extend(runs[i:] if i else runs)
-
-
 def _power_runs(runs: Runs, k: int) -> Runs:
     """The runs of the ``k``-th power (``k >= 0``) of a reduced block."""
     if k == 1:
@@ -139,6 +121,80 @@ def _power_runs(runs: Runs, k: int) -> Runs:
         return (first,) + (middle + ((gen, merged),)) * (k - 1) + middle + (last,)
     # a conjugate (g, e0) M (g, e0)^-1: its power conjugates M^k
     return (first,) + _power_runs(middle, k) + (last,)
+
+
+def _block_product(
+    pattern: Runs, blocks: dict, limit: Optional[int] = None
+) -> tuple[list[tuple[int, int]], int]:
+    """The runs and length of the reduced product ``[prod block(y)^k]``
+    over the runs ``(y, k)`` of ``pattern``.
+
+    ``blocks[x]`` is ``(runs, length, t)`` for the reduced block of the
+    signed letter ``x``, with ``t`` its :func:`_conjugator_length` (see
+    :func:`_block`); a run ``(g, -k)`` reads the block of ``-g``.  With a
+    ``limit``, runs of ``pattern`` are read only until the product holds
+    at least ``limit`` letters: the result is then the product over the
+    runs read so far.
+
+    Each block is reduced, so letters cancel or merge only at the
+    junction with the product so far: once one run survives there, the
+    rest of the block is appended whole.  Apart from the junction inside
+    a power block (see :func:`_power_runs`), this is the only place where
+    runs merge or cancel.  The length is kept exact from the letters that
+    cancel at each junction.
+    """
+    out: list[tuple[int, int]] = []
+    length = 0
+    powers: dict = {}  # the power blocks built so far, by pattern run
+    for run in pattern:
+        gen, exp = run
+        if exp == 1:
+            runs, n, _ = blocks[gen]
+        elif exp == -1:
+            runs, n, _ = blocks[-gen]
+        elif run in powers:
+            runs, n = powers[run]
+        else:
+            runs, n, t = blocks[gen] if exp > 0 else blocks[-gen]
+            k = exp if exp > 0 else -exp
+            if len(runs) == 1:
+                ((g, e),) = runs
+                runs = ((g, e * k),)
+                n *= k
+            else:
+                # the power of w c w^-1 (c cyclically reduced) cancels 2|w|
+                # letters at each of its k - 1 inner junctions
+                runs, n = powers[run] = (_power_runs(runs, k), k * n - 2 * (k - 1) * t)
+        # the junction: n becomes the letters the block adds to out
+        i = 0
+        while out and i < len(runs):
+            gen, exp = runs[i]
+            last_gen, last_exp = out[-1]
+            if last_gen != gen:
+                break
+            i += 1
+            merged = last_exp + exp
+            if merged:
+                out[-1] = (gen, merged)
+                if (last_exp ^ exp) < 0:
+                    # opposite signs: the run whose sign merged lacks cancels
+                    if (merged ^ exp) < 0:
+                        n -= 2 * exp if exp > 0 else -2 * exp
+                    else:
+                        n -= 2 * last_exp if last_exp > 0 else -2 * last_exp
+                break
+            out.pop()
+            n -= 2 * exp if exp > 0 else -2 * exp
+        out.extend(runs[i:] if i else runs)
+        length += n
+        if limit is not None and length >= limit:
+            break
+    return out, length
+
+
+def _block(runs: Runs, length: int) -> tuple[Runs, int, int]:
+    """The ``blocks`` entry of :func:`_block_product` for a reduced block."""
+    return runs, length, _conjugator_length(runs)
 
 
 def _conjugator_length(runs: Runs) -> int:
@@ -194,19 +250,25 @@ class Word:
             if letter == 0 or gen > alphabet.rank:
                 raise AlphabetMismatchError(f"letter {letter} out of range")
             k = sum(1 for _ in group)
-            _append_runs(runs, ((gen, k if letter > 0 else -k),))
-        return cls(alphabet, tuple(runs))
+            runs.append((gen, k if letter > 0 else -k))
+        return cls._reduced(alphabet, runs)
 
     @classmethod
     def from_runs(cls, alphabet: Alphabet, runs: Iterable[tuple[int, int]]) -> "Word":
         """Build a reduced word from (generator, exponent) pairs, reducing."""
-        out: list[tuple[int, int]] = []
+        kept = []
         for gen, exp in runs:
             if not 1 <= gen <= alphabet.rank:
                 raise AlphabetMismatchError(f"generator {gen} out of range")
             if exp:
-                _append_runs(out, ((gen, exp),))
-        return cls(alphabet, tuple(out))
+                kept.append((gen, exp))
+        return cls._reduced(alphabet, kept)
+
+    @classmethod
+    def _reduced(cls, alphabet: Alphabet, runs: Runs) -> "Word":
+        # the free reduction of in-range runs with nonzero exponents
+        out, length = _block_product(runs, alphabet._letter_blocks)
+        return cls._make(alphabet, tuple(out), length)
 
     def __len__(self) -> int:
         return self._length
@@ -330,9 +392,11 @@ def concat(u: Word, v: Word) -> Word:
         return v
     if not v.runs:
         return u
-    runs = list(u.runs)
-    _append_runs(runs, v.runs)
-    return Word(u.alphabet, tuple(runs))
+    # u and v as the blocks of the letters of the two-letter pattern
+    runs, length = _block_product(
+        ((1, 1), (2, 1)), {1: (u.runs, u._length, 0), 2: (v.runs, v._length, 0)}
+    )
+    return Word._make(u.alphabet, tuple(runs), length)
 
 
 def invert(u: Word) -> Word:
@@ -418,8 +482,8 @@ def parse_word(alphabet: Alphabet, text: str) -> Word:
             exp = 1
         gen = alphabet.index(name)
         if exp:
-            _append_runs(runs, ((gen, exp),))
-    return Word(alphabet, tuple(runs))
+            runs.append((gen, exp))
+    return Word._reduced(alphabet, runs)
 
 
 def format_word(w: Word) -> str:

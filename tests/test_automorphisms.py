@@ -128,6 +128,39 @@ class TestApply:
         assert got == next((h for h in heads if len(h) >= limit), e.apply(w))
         assert len(got) == sum(abs(x) for _, x in got.runs)
 
+    def test_limit_on_a_cancelling_map_stops_where_the_length_bound_did(self):
+        # apply once bounded the image length by the sum of the image
+        # lengths read and re-summed the image whenever that bound reached
+        # the limit; with the length kept exact it must stop at the same run
+        pair = stock_theta("trace3")
+        w = parse_word(pair.alphabet, "a b a")
+        for _ in range(6):
+            w = pair.apply(w)
+        backward = pair.backward  # every image of the iterate's runs cancels
+        reads = []
+        for limit in (1, 2, 7, 50, 200, 300, len(backward.apply(w)) + 1):
+            image, read = bounded_apply_reference(backward, w, limit)
+            got = backward.apply(w, limit=limit)
+            assert got == image, limit
+            assert got == backward.apply(Word(pair.alphabet, w.runs[:read]))
+            assert len(got) == sum(abs(x) for _, x in got.runs)
+            reads.append(read)
+        assert reads == sorted(reads) and reads[0] < reads[-2] < reads[-1] == len(w.runs)
+
+
+def bounded_apply_reference(e, w, limit):
+    """The image ``e(w)`` read run by run until it has ``limit`` letters,
+    with the length test of the former ``apply`` loop: a bound that adds
+    ``k * |image|`` per run ``x^k``, checked by a re-sum once it reaches
+    the limit.  Returns the image and the number of runs read."""
+    image, bound = identity(w.alphabet), 0
+    for read, (gen, exp) in enumerate(w.runs, 1):
+        image = image * e.apply(Word(w.alphabet, ((gen, exp),)))
+        bound += abs(exp) * len(e.images[gen - 1])
+        if bound >= limit and len(image) >= limit:
+            break
+    return image, read
+
 
 def _max_cancellation(e, max_len):
     """Most letters cancelled between [e(u)] and [e(v)] over nonempty u, v

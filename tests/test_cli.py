@@ -105,6 +105,37 @@ class TestExitCodes:
         assert payload["diagnostics"]["reason"] == "growth-overflow"
 
 
+def _bad_definition_file(tmp_path, monkeypatch):
+    path = tmp_path / "bad.auto"
+    path.write_text("alphabet: a b\nfrob a -> b\n", encoding="utf-8")
+    return ["omega", str(path), "a"]
+
+
+def _bad_config_file(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text("{not json", encoding="utf-8")
+    monkeypatch.setenv("FGDYN_CONFIG", str(path))
+    return ["omega", "phi_k:k=1", "b"]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp_path, monkeypatch: ["parabolic", "zeta:k=1", "a"],
+        lambda tmp_path, monkeypatch: ["omega", "phi_k:k=1", "a^x"],
+        _bad_definition_file,
+        _bad_config_file,
+        lambda tmp_path, monkeypatch: ["graph", "phi_k:k=1", "--bound", "-1"],
+    ],
+    ids=["family-spec", "word-syntax", "definition-file", "config-file", "negative-bound"],
+)
+def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, capsys):
+    assert main(make_argv(tmp_path, monkeypatch)) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and len(err) > len("error: \n")
+    assert "Traceback" not in out + err
+
+
 class TestCommands:
     def test_iterate_forward(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "2"]) == 0

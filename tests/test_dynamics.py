@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
@@ -38,7 +38,7 @@ from fgdyn.dynamics import (
     translate,
     verify_splitting,
 )
-from fgdyn.families import family
+from fgdyn.families import family, stock_theta
 from fgdyn.graphs import default_seeds
 from fgdyn.words import (
     common_prefix_length,
@@ -401,6 +401,34 @@ class TestVerifySplitting:
         assert not cert.holds
         assert cert.witness == (1, 1)
 
+    def test_junction_test_finds_the_length_test_witness(self):
+        # the witness is the first (p, i) at which two adjacent brick
+        # images cancel, as the length test |u v| < |u| + |v| finds it
+        def length_witness(phi, bricks, p_max):
+            for p in range(p_max + 1):
+                images = [iterate(phi, b, p) for b in bricks]
+                for i in range(len(images) - 1):
+                    u, v = images[i], images[i + 1]
+                    if len(u * v) != len(u) + len(v):
+                        return p, i + 1
+            return None
+
+        rng = random.Random(4)
+        found = 0
+        for phi in (make_phi(1), make_phi(1).inverse(), fib_theta()):
+            letters = phi.alphabet.signed_letters
+            for _ in range(15):
+                bricks = [
+                    reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 3))])
+                    for _ in range(3)
+                ]
+                if any(b.is_identity() for b in bricks):
+                    continue
+                witness = length_witness(phi, bricks, 6)
+                assert verify_splitting(phi, bricks, 6).witness == witness, [str(b) for b in bricks]
+                found += witness is not None and witness[0] > 0
+        assert found > 3
+
     def test_splitting_pins_limit(self):
         phi = make_phi(1)
         bricks = [w4("b a c^-1"), w4("d^-1")]
@@ -574,3 +602,103 @@ class TestPeriodicOrbits:
                     cfg = IterationConfig(max_iterations=n)
                     got = omega_limit(phi, g, cfg)
                     assert got.to_json() == whole_word_omega(monkeypatch, phi, g, cfg).to_json()
+
+
+def stepped_orbit(e, g, budget):
+    """The iterates of ``g`` with ``apply`` at every step: the reference
+    the assembled orbit must agree with."""
+    for n in count(1):
+        g = e.apply(g)
+        if len(g) > budget:
+            raise GrowthOverflowError(n, len(g), budget, g)
+        yield g
+
+
+def orbit_outcome(orbit, steps):
+    """The first ``steps`` iterates, and the overflow that cut them short."""
+    words = []
+    try:
+        words.extend(islice(orbit, steps))
+    except GrowthOverflowError as exc:
+        return words, (exc.iteration, exc.length, exc.budget, exc.word)
+    return words, None
+
+
+def apply_calls(monkeypatch):
+    """The words ``Endomorphism.apply`` is called on from now on."""
+    calls = []
+    original = Endomorphism.apply
+
+    def counting(self, w, limit=None):
+        calls.append(w)
+        return original(self, w, limit)
+
+    monkeypatch.setattr(Endomorphism, "apply", counting)
+    return calls
+
+
+class TestOrbitAssembly:
+    def test_agrees_with_stepping_apply(self, monkeypatch):
+        rng = random.Random(11)
+        pairs = [(label, pair) for label, pair, _ in catalog_seeds()]
+        pairs += [(name, stock_theta(name)) for name in ("trace3", "trace4")]
+        calls = apply_calls(monkeypatch)
+        stepped = assembled = overflows = 0
+        for label, pair in pairs:
+            for e in (pair.forward, pair.backward):
+                letters = e.alphabet.signed_letters
+                for budget in (200, 5000, 10**5):
+                    for _ in range(2):
+                        g = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 30))])
+                        before = len(calls)
+                        got = orbit_outcome(dynamics._orbit(e, g, budget), 40)
+                        steps = len(got[0]) + (got[1] is not None)
+                        stepped += len(calls) - before
+                        assembled += steps - (len(calls) - before)
+                        overflows += got[1] is not None
+                        expected = orbit_outcome(stepped_orbit(e, g, budget), 40)
+                        assert got == expected, (label, str(g), budget)
+        # both ways of stepping, and the overflow, are exercised
+        assert stepped > 500 and assembled > 500 and overflows > 20
+
+    def test_letter_iterates_past_the_budget_fall_back_to_apply(self, monkeypatch):
+        # conjugation by u = a b: [e^n(x)] = u^n x u^-n outgrows the budget
+        # while the iterates of u^-20 a u^20, which are u^(n-20) a u^(20-n),
+        # stay 80 letters shorter
+        u = parse_word(F2, "a b")
+        e = inner(u).forward
+        g = u**-20 * parse_word(F2, "a") * u**20
+        calls = apply_calls(monkeypatch)
+        got = orbit_outcome(dynamics._orbit(e, g, 200), 100)
+        steps = [i for i, w in enumerate([g] + got[0]) if any(c is w for c in calls)]
+        # steps 1..44 apply; 45..49 assemble, as the 97 runs of the 44th
+        # iterate outnumber the 79 + 16 that an assembly step reads; at 50
+        # the letter iterates pass 200 letters (|u^50 a u^-50| = 201) and
+        # apply takes over
+        assert steps == list(range(44)) + list(range(49, 70))
+        assert got[1][:3] == (70, 201, 200)
+        assert got == orbit_outcome(stepped_orbit(e, g, 200), 100)
+
+
+class TestOrbitMechanism:
+    def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
+        phi = family("phi_k", k=1).pair
+        d = parse_word(phi.alphabet, "d")
+        calls = apply_calls(monkeypatch)
+        last = iterate(phi, d, 400)
+        first = list(calls)
+        assert 0 < len(first) < 10
+        # the words applied are the first iterates, and no later one
+        assert first == [iterate(phi, d, n) for n in range(len(first))]
+        del calls[:]
+        assert growth_classify(phi, d, 400).kind == "polynomial"
+        assert calls == first
+        assert last == orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0][-1]
+
+    def test_orbit_of_few_runs_keeps_applying(self, monkeypatch):
+        # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step reads
+        delta = family("delta", n=1).pair
+        b = parse_word(delta.alphabet, "b")
+        calls = apply_calls(monkeypatch)
+        assert iterate(delta, b, 300) == parse_word(delta.alphabet, "b a^300")
+        assert len(calls) == 300
