@@ -24,6 +24,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
 from .words import (
+    AlphabetMismatchError,
     EmptyWordError,
     Word,
     _block,
@@ -347,10 +348,13 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
-    The iterates come from :func:`_orbit`: once one has more runs than
-    the seed and the images of its letters together, the next is built
-    from the iterates of the seed's letters instead of by applying the
-    map to every run of the previous one.
+    A seed with more runs than the images of the generators together is
+    first offered to :func:`_jump`, which builds ``[phi^p(g)]`` in one
+    pass over ``g`` from the letter iterates when a length bound covers
+    every skipped step.  Otherwise the iterates come from :func:`_orbit`:
+    once one has more runs than the seed and the images of its letters
+    together, the next is built from the iterates of the seed's letters
+    instead of by applying the map to every run of the previous one.
 
     An automorphism permutes words, so the orbit of ``g`` is periodic
     exactly when it comes back to ``g``: at the first return, after ``s``
@@ -358,9 +362,16 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     a periodic orbit appears before that return, so the overflow check
     raises at the same step as iterating all ``|p|`` steps would.
     """
-    orbit = _orbit(phi.forward if p >= 0 else phi.backward, g, cfg.max_word_length)
-    current = g
+    e = phi.forward if p >= 0 else phi.backward
+    if g.alphabet != e.alphabet:
+        raise AlphabetMismatchError("word over a different alphabet")
     steps = abs(p)
+    if steps and len(g.runs) > sum(len(image.runs) for image in e.images):
+        jumped = _jump(e, g, steps, cfg.max_word_length)
+        if jumped is not None:
+            return jumped
+    orbit = _orbit(e, g, cfg.max_word_length)
+    current = g
     step = 0
     while step < steps:
         step += 1
@@ -368,6 +379,82 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
         if current == g:
             steps = step + (steps - step) % step
     return current
+
+
+def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[Word]:
+    """``[e^p(g)]`` for ``p >= 1`` as one :func:`_block_product` over the
+    runs of ``g`` with the letter iterates ``[e^p(x)]`` as blocks, or
+    ``None`` where the orbit must be stepped instead.
+
+    The letter iterates of every letter are stepped with
+    :func:`_letter_orbits`; none of the p - 1 iterates of ``g`` in
+    between is built.  The jump is taken only when
+
+    - (i) the no-cancellation bound ``sum_x |g|_x * max_{n<=p} |[e^n(x)]|``
+      is at most ``budget``, so no iterate up to the p-th can be longer
+      than ``budget`` and stepping would not overflow either; and
+    - (ii) the runs the product reads, ``runs([e^p(x)])`` summed over the
+      runs ``(x, k)`` of ``g``, are at most ``p * len(g.runs)``, and
+      after every step n the runs of the letter iterates of the
+      generators built so far are at most ``n * len(g.runs)``: what n
+      steps over iterates with as many runs as ``g`` would read.  The
+      letter iterates are built whether or not their letters occur in
+      ``g``, and stepping may return to ``g`` after a few steps.
+
+    The letters of ``g`` are counted along the way: at step n, as many
+    more runs of ``g`` are read as the letter iterates of the generators
+    hold, and the jump is declined as soon as the letters read, with every
+    unread letter at the shortest iterate, break the bound (i).  A declined
+    jump thus reads no more of ``g`` than it builds of the letter iterates.
+    When every letter iterate is its own letter at step n, ``e^n`` is the
+    identity and ``p`` is taken mod n.
+    """
+    gens = range(1, len(e.images) + 1)
+    letters = dict.fromkeys(gens, 0)  # the letters of g read, by generator
+    runs = dict.fromkeys(gens, 0)  # the runs of g read, by generator
+    longest = dict.fromkeys(gens, 0)  # max over the steps of |[e^n(x)]|
+    unread = len(g)
+    built = 0  # the runs of the letter iterates built so far
+    seed = iter(g.runs)
+    identity = e.alphabet._letter_blocks
+    orbit = _letter_orbits(e, set(identity), budget)
+    for n, blocks in enumerate(orbit, 1):
+        held = 0
+        for gen in gens:
+            block_runs, length, _ = blocks[gen]
+            longest[gen] = max(longest[gen], length)
+            held += len(block_runs)
+        built += held
+        if built > n * len(g.runs):
+            return None
+        bound = sum(letters[gen] * longest[gen] for gen in gens)
+        if bound + unread * min(longest.values()) > budget:
+            return None
+        for gen, exp in islice(seed, held):
+            k = exp if exp > 0 else -exp
+            letters[gen] += k
+            runs[gen] += 1
+            unread -= k
+        if n == p:
+            break
+        if blocks == identity:
+            p %= n
+            if p:
+                blocks = next(islice(_letter_orbits(e, set(identity), budget), p - 1, None))
+            break
+    else:
+        return None  # a letter iterate outgrew the budget
+    for gen, exp in seed:
+        letters[gen] += exp if exp > 0 else -exp
+        runs[gen] += 1
+    if sum(letters[gen] * longest[gen] for gen in gens) > budget:
+        return None
+    if not p:
+        return g
+    if sum(runs[gen] * len(blocks[gen][0]) for gen in gens) > p * len(g.runs):
+        return None
+    out, length = _block_product(g.runs, blocks)
+    return Word._make(g.alphabet, tuple(out), length)
 
 
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:

@@ -150,6 +150,11 @@ class TestCommands:
         assert main(["iterate", "sigma", "a", "100000000"]) == 0
         assert capsys.readouterr().out.strip() == "a"
 
+    def test_iterate_periodic_orbit_of_a_long_word_returns(self, capsys):
+        word = " ".join(["a b^-1 a^2 b"] * 500)
+        assert main(["iterate", "sigma", word, "100000000"]) == 0
+        assert capsys.readouterr().out.strip() == word
+
     def test_iterate_backward_table(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "--", "-3"]) == 0
         out = capsys.readouterr().out.strip()

@@ -41,6 +41,9 @@ from fgdyn.dynamics import (
 from fgdyn.families import family, stock_theta
 from fgdyn.graphs import default_seeds
 from fgdyn.words import (
+    Alphabet,
+    AlphabetMismatchError,
+    Word,
     common_prefix_length,
     identity,
     parse_word,
@@ -702,3 +705,147 @@ class TestOrbitMechanism:
         calls = apply_calls(monkeypatch)
         assert iterate(delta, b, 300) == parse_word(delta.alphabet, "b a^300")
         assert len(calls) == 300
+
+
+def jump_outcomes(monkeypatch):
+    """The outcomes of ``dynamics._jump`` from now on: True where the
+    jump was taken, False where it was declined."""
+    outcomes = []
+    original = dynamics._jump
+
+    def recording(e, g, p, budget):
+        result = original(e, g, p, budget)
+        outcomes.append(result is not None)
+        return result
+
+    monkeypatch.setattr(dynamics, "_jump", recording)
+    return outcomes
+
+
+def stepped_iterate(monkeypatch, phi, g, p, cfg):
+    """``iterate`` with the jump declined: the reference it must agree with."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_jump", lambda e, g, p, budget: None)
+        return iterate_outcome(phi, g, p, cfg)
+
+
+def iterate_outcome(phi, g, p, cfg):
+    """The iterate, or the fields of the overflow that stopped it."""
+    try:
+        return iterate(phi, g, p, cfg)
+    except GrowthOverflowError as exc:
+        return (exc.iteration, exc.length, exc.budget, exc.word)
+
+
+def long_iterate(rng, e, letters):
+    """An iterate ``[e^q(w)]`` of a random short word w with 50-20000
+    letters, or the longest one before the orbit passes 20000; and q."""
+    w = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+    target = rng.choice((50, 500, 5000, 20_000))
+    seed, q = w, 0
+    try:
+        for q, u in enumerate(islice(dynamics._orbit(e, w, 20_000), 80), 1):
+            seed = u
+            if len(u) >= target:
+                break
+    except GrowthOverflowError:
+        pass
+    return seed, q
+
+
+class TestIterateJump:
+    def test_agrees_with_stepping(self, monkeypatch):
+        rng = random.Random(9)
+        pairs = [(label, pair) for label, pair, _ in catalog_seeds()]
+        pairs += [(name, stock_theta(name)) for name in ("trace3", "trace4")]
+        outcomes = jump_outcomes(monkeypatch)
+        overflows = 0
+        for label, pair in pairs:
+            periodic = label.startswith(("sigma", "identity"))
+            for sign in (1, -1):
+                e = pair.forward if sign > 0 else pair.backward
+                for budget in (200, 5000, 10**5, 10**6):
+                    cfg = IterationConfig(max_word_length=budget)
+                    for _ in range(3):
+                        seed, q = long_iterate(rng, e, e.alphabet.signed_letters)
+                        # back at most to the short word, or further on
+                        p = rng.choice((-sign * rng.randint(1, max(q, 1)), sign * rng.randint(1, 12)))
+                        if periodic:
+                            p *= 10**6 + rng.randint(0, 1)
+                        got = iterate_outcome(pair, seed, p, cfg)
+                        expected = stepped_iterate(monkeypatch, pair, seed, p, cfg)
+                        assert got == expected, (label, str(seed), p, budget)
+                        overflows += isinstance(got, tuple)
+        # both ways, and the overflow, are exercised
+        assert outcomes.count(True) > 50 and outcomes.count(False) > 50 and overflows > 20
+
+    def test_budget_below_the_first_step_raises_as_stepping(self, monkeypatch):
+        pair = family("phi_k", k=1).pair
+        w = iterate(pair, parse_word(pair.alphabet, "b d c d"), 300)
+        first = iterate(pair, w, -1)
+        cfg = IterationConfig(max_word_length=len(first) - 1)
+        outcomes = jump_outcomes(monkeypatch)
+        with pytest.raises(GrowthOverflowError) as exc:
+            iterate(pair, w, -300, cfg)
+        assert outcomes == [False]
+        assert (exc.value.iteration, exc.value.length, exc.value.budget) == (1, len(first), len(first) - 1)
+        assert exc.value.word == first
+        assert stepped_iterate(monkeypatch, pair, w, -300, cfg) == (1, len(first), len(first) - 1, first)
+
+    def test_periodic_letter_iterates_reduce_the_power(self, monkeypatch):
+        rng = random.Random(4)
+        g = reduce(F2, [rng.choice((1, -1, 2, -2)) for _ in range(5000)])
+        phi = sigma()
+        image = phi.apply(g)
+        outcomes = jump_outcomes(monkeypatch)
+        calls = apply_calls(monkeypatch)
+        # sigma squared is the identity: 10^8 steps are none, 10^8 + 1 one
+        assert iterate(phi, g, 10**8) == g
+        assert iterate(phi, g, -(10**8 + 1)) == image
+        assert outcomes == [True, True]
+        assert calls == []
+
+    def test_fixed_seed_goes_back_to_stepping(self, monkeypatch):
+        # the letter iterates u^n x u^-n of conjugation by u = a b grow
+        # for ever, while u^50 is fixed: stepping finds that in one step
+        u = parse_word(F2, "a b")
+        conj = inner(u)
+        steps = []
+        original = dynamics._letter_orbits
+
+        def counting(*args):
+            for blocks in original(*args):
+                steps.append(len(steps) + 1)
+                yield blocks
+
+        monkeypatch.setattr(dynamics, "_letter_orbits", counting)
+        outcomes = jump_outcomes(monkeypatch)
+        calls = apply_calls(monkeypatch)
+        assert iterate(conj, u**50, 10**6) == u**50
+        assert outcomes == [False]
+        assert len(calls) == 1
+        # the letter iterates built outgrow 100 runs a step after a few
+        # steps, far before the length bound would stop them
+        assert len(steps) < 40
+
+    def test_polynomial_backward_jumps_and_exponential_steps(self, monkeypatch):
+        phi = family("phi_k", k=1).pair
+        w = parse_word(phi.alphabet, "b d c d")
+        image = iterate(phi, w, 300)
+        theta = stock_theta("trace3")
+        u = parse_word(theta.alphabet, "a b a")
+        dense = iterate(theta, u, 9)
+        calls = apply_calls(monkeypatch)
+        assert iterate(phi, image, -300) == w
+        assert calls == []
+        assert iterate(theta, dense, -9) == u
+        assert len(calls) == 9
+
+    def test_foreign_word_rejected_for_every_power(self):
+        phi = family("phi_k", k=1).pair
+        foreign = Alphabet(("w", "x", "y", "z"))
+        image = iterate(phi, parse_word(phi.alphabet, "b d c d"), 300)
+        g = Word(foreign, image.runs)
+        for p in (0, 1, -1, 300, -300):
+            with pytest.raises(AlphabetMismatchError):
+                iterate(phi, g, p)
