@@ -10,6 +10,13 @@ with nonzero exponents and distinct adjacent generators.  Iterating a
 polynomially growing automorphism produces words that are almost entirely
 long power blocks, so the run encoding keeps million-letter words cheap
 to build and compare.
+
+Every reduced product goes through one kernel, :func:`_block_product`.
+Iterates of a substitution repeat few distinct factors, so a long
+product whose leading windows of ``_WINDOW`` runs repeat is taken by
+windows: each distinct window is reduced once, and the reduced window
+images are multiplied by the same kernel.  Free reduction is
+associative, so the result is the run-by-run product exactly.
 """
 
 from __future__ import annotations
@@ -123,6 +130,45 @@ def _power_runs(runs: Runs, k: int) -> Runs:
     return (first,) + _power_runs(middle, k) + (last,)
 
 
+# A long product is cut into windows of this many runs: long enough that
+# the window images, not the runs, carry the work of the final product.
+_WINDOW = 32
+# Windows read from the head of a pattern to decide whether it repeats:
+# a bounded look, so a pattern that does not repeat costs no pass over it.
+_SAMPLE = 32
+# Only a pattern of at least twice the sampled runs is windowed, so the
+# sample that decides is at most half of the pattern.
+_MIN_WINDOWED = 2 * _WINDOW * _SAMPLE
+
+
+def _repeats(pattern: Runs) -> bool:
+    """Whether a pattern of at least ``_MIN_WINDOWED`` runs is worth
+    reducing by windows: at most half of its ``_SAMPLE`` leading windows
+    are distinct."""
+    head = {tuple(pattern[i : i + _WINDOW]) for i in range(0, _WINDOW * _SAMPLE, _WINDOW)}
+    return 2 * len(head) <= _SAMPLE
+
+
+def _window_product(pattern: Runs, blocks: dict) -> tuple[list[tuple[int, int]], int]:
+    """:func:`_block_product` without a limit, through the windows of
+    ``pattern``: each distinct window is reduced once, and the window
+    images are then the blocks of a pattern of window ids."""
+    ids: dict = {}  # window -> id, for this call only
+    # id -> the reduced window image as a block; every id has exponent 1,
+    # so the block's conjugator length is never read
+    images: dict = {}
+    windows = []
+    for i in range(0, len(pattern), _WINDOW):
+        window = tuple(pattern[i : i + _WINDOW])
+        wid = ids.get(window)
+        if wid is None:
+            wid = ids[window] = len(ids) + 1
+            runs, length = _block_product(window, blocks)
+            images[wid] = (runs, length, 0)
+        windows.append((wid, 1))
+    return _block_product(windows, images)
+
+
 def _block_product(
     pattern: Runs, blocks: dict, limit: Optional[int] = None
 ) -> tuple[list[tuple[int, int]], int]:
@@ -142,7 +188,20 @@ def _block_product(
     a power block (see :func:`_power_runs`), this is the only place where
     runs merge or cancel.  The length is kept exact from the letters that
     cancel at each junction.
+
+    Without a ``limit``, a pattern of at least ``_MIN_WINDOWED`` runs
+    whose leading windows of ``_WINDOW`` runs repeat (see
+    :func:`_repeats`) goes through :func:`_window_product`: each
+    distinct window is reduced once, and the reduced window images are
+    multiplied by this same loop.  The result is the same runs and
+    length, because free reduction is associative and every window
+    image is a reduced block.  Iterates of a substitution repeat few
+    distinct windows, so the work then scales with those rather than
+    with the runs.  A pattern whose sample does not repeat is read run
+    by run, with no pass over the rest of it.
     """
+    if limit is None and len(pattern) >= _MIN_WINDOWED and _repeats(pattern):
+        return _window_product(pattern, blocks)
     out: list[tuple[int, int]] = []
     length = 0
     powers: dict = {}  # the power blocks built so far, by pattern run
@@ -212,6 +271,30 @@ def _conjugator_length(runs: Runs) -> int:
         i += 1
         j -= 1
     return t
+
+
+def _cut(runs: Runs, n: int, length: int) -> tuple[int, int]:
+    """``(k, r)`` such that the first ``n`` letters (``0 < n < length``) of
+    the word with these runs are the runs before ``k`` and ``r`` letters of
+    run ``k``, with ``0 <= r < |run k|``.  The runs are walked from the end
+    nearer the cut, so that a prefix or a drop of a few letters costs a
+    few runs."""
+    if 2 * n <= length:
+        k = 0
+        while True:
+            e = abs(runs[k][1])
+            if n < e:
+                return k, n
+            n -= e
+            k += 1
+    k = len(runs)
+    rest = length - n  # the letters after the cut
+    while True:
+        k -= 1
+        e = abs(runs[k][1])
+        if rest <= e:
+            return k, e - rest
+        rest -= e
 
 
 class Word:
@@ -301,15 +384,12 @@ class Word:
             return self
         if n <= 0:
             return Word(self.alphabet)
-        out = []
-        rest = n
-        for gen, exp in self.runs:
-            take = min(abs(exp), rest)
-            out.append((gen, take if exp > 0 else -take))
-            rest -= take
-            if rest == 0:
-                break
-        return Word._make(self.alphabet, tuple(out), n)
+        runs = self.runs
+        k, r = _cut(runs, n, self._length)
+        if r:
+            gen, exp = runs[k]
+            return Word._make(self.alphabet, runs[:k] + ((gen, r if exp > 0 else -r),), n)
+        return Word._make(self.alphabet, runs[:k], n)
 
     def drop(self, n: int) -> "Word":
         """The word without its first ``n`` letters."""
@@ -318,14 +398,12 @@ class Word:
         if n >= self._length:
             return Word(self.alphabet)
         runs = self.runs
-        k = 0
-        rest = n
-        while abs(runs[k][1]) <= rest:
-            rest -= abs(runs[k][1])
-            k += 1
-        gen, exp = runs[k]
-        cut = (gen, exp - rest if exp > 0 else exp + rest)
-        return Word._make(self.alphabet, (cut,) + runs[k + 1 :], self._length - n)
+        k, r = _cut(runs, n, self._length)
+        if r:
+            gen, exp = runs[k]
+            cut = (gen, exp - r if exp > 0 else exp + r)
+            return Word._make(self.alphabet, (cut,) + runs[k + 1 :], self._length - n)
+        return Word._make(self.alphabet, runs[k:], self._length - n)
 
     def inverse(self) -> "Word":
         return Word._make(

@@ -1,8 +1,12 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fgdyn import words
+from fgdyn.automorphisms import Endomorphism
+from fgdyn.families import family, stock_theta
 from fgdyn.words import (
     Alphabet,
     AlphabetMismatchError,
@@ -328,6 +332,181 @@ class TestPrefixAndPower:
         for _ in range(abs(m)):
             expected = expected * step
         assert u**m == expected
+
+
+def stack_reduce(letters):
+    """Oracle: free reduction with a stack of letters."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
+def runs_of(letters):
+    """The runs of a reduced letter list, grouped here, not by the kernel."""
+    runs = []
+    for x in letters:
+        gen, sign = abs(x), (1 if x > 0 else -1)
+        if runs and runs[-1][0] == gen:
+            runs[-1] = (gen, runs[-1][1] + sign)
+        else:
+            runs.append((gen, sign))
+    return tuple(runs)
+
+
+def run_letters(runs):
+    """The letters of a list of runs, reduced or not."""
+    return [gen if exp > 0 else -gen for gen, exp in runs for _ in range(abs(exp))]
+
+
+def random_runs(rng, count, rank, max_exp=4):
+    """``count`` runs with distinct adjacent generators: a reduced word."""
+    runs = []
+    while len(runs) < count:
+        gen = rng.randint(1, rank)
+        if not runs or runs[-1][0] != gen:
+            runs.append((gen, rng.choice((1, -1)) * rng.randint(1, max_exp)))
+    return runs
+
+
+class TestPrefixAndDropAgainstLetters:
+    def test_every_cut_matches_the_letters(self):
+        rng = random.Random(11)
+        kinds = set()
+        for _ in range(300):
+            runs = random_runs(rng, rng.randint(1, 10), 4)
+            w = Word(F4, tuple(runs))
+            letters = run_letters(runs)
+            boundaries = set(accumulate(abs(e) for _, e in runs))
+            for n in range(len(w) + 2):
+                for got, want in ((w.prefix(n), letters[:n]), (w.drop(n), letters[n:])):
+                    assert got.runs == runs_of(want)
+                    assert len(got) == len(want)
+                if 0 < n < len(w):
+                    kinds.add((n in boundaries, 2 * n > len(w)))
+        # cuts at run boundaries and inside runs, on both sides of |w|/2
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+class TestWindowedProduct:
+    """Long products whose leading windows repeat are reduced window by
+    window; every result must be the stack reduction of its letters."""
+
+    @pytest.fixture
+    def windowed(self, monkeypatch):
+        calls = []
+        inner = words._window_product
+
+        def spy(pattern, blocks):
+            calls.append(len(pattern))
+            return inner(pattern, blocks)
+
+        monkeypatch.setattr(words, "_window_product", spy)
+        return calls
+
+    @staticmethod
+    def check_apply(e, w):
+        images = {}
+        for gen, img in enumerate(e.images, start=1):
+            images[gen] = list(img.letters())
+            images[-gen] = [-x for x in reversed(images[gen])]
+        want = stack_reduce([y for x in w.letters() for y in images[x]])
+        got = e.apply(w)
+        assert got.runs == runs_of(want)
+        assert len(got) == len(want)
+
+    @staticmethod
+    def check_building(alphabet, runs):
+        """``from_letters`` and ``parse_word`` on runs that need not be
+        reduced."""
+        letters = run_letters(runs)
+        want = stack_reduce(letters)
+        text = " ".join(f"{alphabet.names[g - 1]}^{e}" for g, e in runs)
+        for got in (Word.from_letters(alphabet, letters), parse_word(alphabet, text)):
+            assert got.runs == runs_of(want)
+            assert len(got) == len(want)
+
+    @staticmethod
+    def random_map(rng, alphabet):
+        rank = alphabet.rank
+        images = [random_runs(rng, rng.randint(1, 4), rank, 2) for _ in range(rank)]
+        return Endomorphism(alphabet, [Word(alphabet, tuple(runs)) for runs in images])
+
+    @pytest.mark.parametrize("name", ["trace3", "trace4", "beta"])
+    def test_iterates_of_a_substitution(self, windowed, name):
+        pair = family("beta", rank=6).pair if name == "beta" else stock_theta(name)
+        seed = "e f e" if name == "beta" else "a b a"
+        w = parse_word(pair.alphabet, seed)
+        while len(w.runs) < 5000:
+            w = pair.forward.apply(w)
+        assert words._repeats(w.runs)
+        del windowed[:]
+        for e in (pair.forward, pair.backward):
+            self.check_apply(e, w)
+        # the backward images cancel: the image is shorter than the word
+        assert len(pair.backward.apply(w)) < len(w) < len(pair.forward.apply(w))
+        assert windowed == [len(w.runs)] * 4
+
+    def test_powers_of_random_words(self, windowed):
+        rng = random.Random(5)
+        F3 = standard_alphabet(3)
+        for period in (3, 8, 16, 24, 48, 96):
+            base = random_runs(rng, period, 3)
+            while base[0][0] == base[-1][0]:  # runs of the power: base repeated
+                base = random_runs(rng, period, 3)
+            w = Word(F3, tuple(base)) ** (3000 // period + 1)
+            assert w.runs == tuple(base) * (3000 // period + 1)
+            assert words._repeats(w.runs)
+            for _ in range(3):
+                self.check_apply(self.random_map(rng, F3), w)
+            self.check_building(F3, list(w.runs))
+        assert len(windowed) == 6 * 5
+
+    def test_random_words_do_not_repeat(self, windowed):
+        rng = random.Random(6)
+        F3 = standard_alphabet(3)
+        for count in (300, 2048, 2049, 5000, 20000):
+            w = Word(F3, tuple(random_runs(rng, count, 3)))
+            assert count < words._MIN_WINDOWED or not words._repeats(w.runs)
+            self.check_apply(self.random_map(rng, F3), w)
+            self.check_building(F3, list(w.runs))
+        assert windowed == []
+
+    def test_a_repeating_head_then_random_runs(self, windowed):
+        rng = random.Random(7)
+        F3 = standard_alphabet(3)
+        head = [(1, 2), (2, -1), (3, 1), (2, 3)] * 300  # the sampled head repeats
+        for tail in (2000, 3000, 3001):
+            letters = stack_reduce(run_letters(head + random_runs(rng, tail, 3)))
+            w = Word(F3, runs_of(letters))
+            n = len(w.runs)
+            distinct = {w.runs[i : i + words._WINDOW] for i in range(0, n, words._WINDOW)}
+            assert words._repeats(w.runs) and 2 * len(distinct) > n // words._WINDOW
+            self.check_apply(self.random_map(rng, F3), w)
+            self.check_building(F3, list(w.runs))
+        assert len(windowed) == 3 * 3
+
+    def test_window_images_that_cancel_across_windows(self, windowed):
+        rng = random.Random(8)
+        F3 = standard_alphabet(3)
+        # conjugation by u: each window image is u W u^-1, so u^-1 u
+        # cancels wholly at every junction between window images
+        u = Word(F3, tuple(random_runs(rng, 12, 3)))
+        inner = Endomorphism(F3, [u * Word(F3, ((g, 1),)) * u.inverse() for g in (1, 2, 3)])
+        w = Word(F3, tuple(random_runs(rng, 20, 3, 1))) ** 200
+        assert words._repeats(w.runs)
+        self.check_apply(inner, w)
+        assert inner.apply(w) == u * w * u.inverse()
+        # unreduced patterns: v v^-1 cancels to nothing, and windows of 32
+        # runs cut v of 20 runs in changing places
+        v = random_runs(rng, 20, 3)
+        inverse = [(g, -e) for g, e in reversed(v)]
+        for runs in ((v + inverse) * 120, (v + inverse) * 120 + v, v * 3 + (inverse + v) * 150):
+            self.check_building(F3, runs)
+        assert len(windowed) == 2 + 3 * 2
 
 
 RUN_WORDS = st.lists(st.tuples(st.integers(1, 2), st.integers(-4, 4)), max_size=8).map(
