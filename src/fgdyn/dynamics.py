@@ -19,7 +19,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, count, cycle, islice
+from itertools import chain, cycle, islice
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
@@ -241,45 +241,124 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 # ---------------------------------------------------------------------------
 
 
-def _orbit(e: Endomorphism, g: Word, budget: int) -> Iterator[Word]:
-    """The iterates ``[e^n(g)]`` for n = 1, 2, ...
+def _orbit(
+    e: Endomorphism, g: Word, budget: int, last: Optional[int] = None, skip: bool = False
+) -> Iterator[Word]:
+    """The iterates ``[e^n(g)]`` for n = 1, 2, ..., or up to n = ``last``.
 
     Raises :class:`GrowthOverflowError` at the first iterate longer than
-    ``budget`` letters, carrying that iterate as ``word``.
+    ``budget`` letters, carrying that iterate as ``word``.  This is the one
+    planner of iteration.  Each step takes one of three moves, each giving
+    the same reduced word:
 
-    A step either applies ``e`` to the previous iterate, reading every run
-    of it, or assembles ``[e^n(g)]`` as the product over the runs of ``g``
-    of the letter iterates ``[e^n(x)]`` (see :func:`_letter_orbits`).  An
-    assembly step reads the runs of ``g`` and the image runs of the signed
-    letters reachable from ``g``; a step assembles when the previous
-    iterate has more runs than that.  The letter iterates are built from
-    the first assembled step on, and dropped for good once one of them is
-    longer than ``budget``.  Both ways give the same reduced word.
+    - apply ``e`` to the previous iterate ``w``, reading every run of it;
+    - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
+      letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
+      reachable from ``g``, reading the runs of ``g`` and of their images;
+    - with ``skip``, step the letter iterates of every generator alone and
+      build nothing before ``[e^last(g)]`` (the jump of :func:`iterate`).
+
+    Assembly cancels letters at the junctions.  At a step where ``w`` has
+    more runs than an assembly reads, the letters cancelled so far are the
+    unreduced length of ``e^(n-1)(g)`` (:func:`_unreduced_lengths`) less
+    ``|w|``; at the run density of ``w`` they are the runs an assembly
+    would cancel.  Assembly starts once the runs it reads and cancels are
+    fewer than those of ``w``, and never where the unreduced length passes
+    twice the budget.  It then takes every step where ``w`` has more runs
+    than it reads, until a letter iterate is longer than ``budget``.
+
+    A skip needs the no-cancellation bound ``sum_x |g|_x * max_{n<=last}
+    |[e^n(x)]|`` to be at most ``budget``, so that no skipped iterate is
+    too long, and it pays while the letter iterates built in n steps hold
+    at most ``n * len(g.runs)`` runs, what n applications to iterates as
+    long as ``g`` would read.  Each step reads as many runs of ``g`` as the
+    letter iterates hold, with the unread letters at the shortest iterate,
+    so a skip that breaks the bound stops before a long ``g`` is read.  A
+    skip given up yields nothing.  Where every letter iterate is its own
+    letter, the iterate is ``g``.
+
+    An automorphism permutes words, so the orbit is periodic exactly when
+    it comes back to ``g``.  After the first return, at step n, the first
+    n iterates are replayed, or only ``(last - n) mod n`` more steps are
+    taken.  Every iterate of a periodic orbit comes before the return, so
+    the budget raises where stepping every iterate would.
     """
     w = g
-    assembly_runs = None  # the runs an assembly step reads, once w outgrows g
-    letter_orbit = None  # the letter iterates, stepped on demand
-    taken = 0  # the step of the letter iterates last taken
-    for n in count(1):
-        blocks = None
-        if len(w.runs) > len(g.runs):
-            if assembly_runs is None:
+    if skip:
+        gens = range(1, len(e.images) + 1)
+        read = dict.fromkeys(gens, 0)  # the letters of g read, by generator
+        longest = dict.fromkeys(gens, 0)  # max over the steps of |[e^n(x)]|
+        unread = len(g)
+        built = 0  # the runs of the letter iterates built so far
+        seed = iter(g.runs)
+        identity = e.alphabet._letter_blocks
+        letter_orbit = _letter_orbits(e, set(identity), budget)
+    else:
+        letters = None  # the letters reachable from g, once w outgrows g
+        unreduced = None  # the unreduced letter lengths, while assembly is weighed
+        letter_orbit = None  # the letter iterates, once assembly pays
+        taken = 0  # the step of the letter iterates (and lengths) last taken
+    n = 0
+    while last is None or n < last:
+        n += 1
+        if skip:
+            blocks = next(letter_orbit, None)
+            if blocks is None:
+                return  # a letter iterate outgrew the budget
+            held = 0
+            for gen in gens:
+                block_runs, length, _ = blocks[gen]
+                longest[gen] = max(longest[gen], length)
+                held += len(block_runs)
+            built += held
+            bound = sum(read[gen] * longest[gen] for gen in gens)
+            if built > n * len(g.runs) or bound + unread * min(longest.values()) > budget:
+                return
+            for gen, exp in islice(seed, held):
+                k = exp if exp > 0 else -exp
+                read[gen] += k
+                unread -= k
+            w = g if blocks == identity else None
+        else:
+            blocks = None
+            if letters is None and len(w.runs) > len(g.runs):
                 letters = _reachable_letters(e, g)
-                assembly_runs = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
-                letter_orbit = _letter_orbits(e, letters, budget)
-            if len(w.runs) > assembly_runs:
+                reads = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
+                unreduced = _unreduced_lengths(e, {abs(x) for x in letters}, 2 * budget + 1)
+            if unreduced is not None and len(w.runs) > reads:
+                lengths = next(islice(unreduced, n - 1 - taken, None))  # of e^(n-1)(x)
+                taken = n
+                cancelled = sum((k if k > 0 else -k) * lengths[x] for x, k in g.runs) - len(w)
+                if reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
+                    unreduced, letter_orbit, taken = None, _letter_orbits(e, letters, budget), 0
+                elif cancelled + len(w) > 2 * budget:
+                    unreduced = None
+            if letter_orbit is not None and len(w.runs) > reads:
                 # step the letter iterates past the steps applied since
                 # they were last taken; None once they are dropped
                 blocks = next(islice(letter_orbit, n - taken - 1, None), None)
                 taken = n
-        if blocks is None:
-            w = e.apply(w)
-        else:
-            runs, length = _block_product(g.runs, blocks)
-            w = Word._make(g.alphabet, tuple(runs), length)
-        if len(w) > budget:
+            w = e.apply(w) if blocks is None else _assembled(g, blocks)
+        if w is not None and len(w) > budget:
             raise GrowthOverflowError(n, len(w), budget, w)
-        yield w
+        if w == g:  # the first return: the orbit has period n
+            if last is None:
+                yield g
+                yield from cycle(chain(islice(_orbit(e, g, budget), n - 1), [g]))  # for good
+            last = n + (last - n) % n
+        if not skip:
+            yield w
+    if skip:
+        for gen, exp in seed:
+            read[gen] += exp if exp > 0 else -exp
+        if sum(read[gen] * longest[gen] for gen in gens) <= budget:
+            yield g if w == g else _assembled(g, blocks)
+
+
+def _assembled(g: Word, blocks: dict) -> Word:
+    """The product over the runs of ``g`` of :func:`_block_product` blocks."""
+    runs, length = _block_product(g.runs, blocks)
+    return Word._make(g.alphabet, tuple(runs), length)
 
 
 def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
@@ -309,6 +388,17 @@ def _letter_orbits(e: Endomorphism, letters: set[int], budget: int) -> Iterator[
         blocks = {x: _block(tuple(runs), length) for x, (runs, length) in products.items()}
 
 
+def _unreduced_lengths(e: Endomorphism, gens: set[int], cap: int) -> Iterator[dict]:
+    """The lengths of ``e^n(x)`` before free reduction, capped at ``cap``,
+    for n = 0, 1, ... and the generators x in ``gens``, which must hold
+    those of their images.  They bound ``|[e^n(x)]|`` and never decrease."""
+    rows = {x: [(y, abs(k)) for y, k in e.images[x - 1].runs] for x in gens}
+    lengths = dict.fromkeys(gens, 1)
+    while True:
+        yield lengths
+        lengths = {x: min(cap, sum(k * lengths[y] for y, k in row)) for x, row in rows.items()}
+
+
 def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word]:
     """A prefix of each iterate ``[e^n(g)]``, for n = 1, 2, ...
 
@@ -321,17 +411,11 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
     are kept, so the image is read only until it has ``cap + C``
     letters.  A prefix that gains one letter a step and loses C keeps at
     least ``target_prefix`` letters for ``max_iterations`` steps.
-
-    An iterate equal to ``g`` after n > 1 steps makes the orbit periodic;
-    its n words are then replayed without stepping further.
     """
-    budget = cfg.max_word_length
     c = None
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
-    for n, w in enumerate(_orbit(e, g, budget), 1):
+    for w in _orbit(e, g, cfg.max_word_length):
         yield w
-        if w.runs == g.runs and n > 1:
-            yield from cycle(chain(islice(_orbit(e, g, budget), n - 1), [g]))
         if len(w) > cap:
             if c is None:
                 c = cancellation_bound(e)
@@ -348,113 +432,26 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
-    A seed with more runs than the images of the generators together is
-    first offered to :func:`_jump`, which builds ``[phi^p(g)]`` in one
-    pass over ``g`` from the letter iterates when a length bound covers
-    every skipped step.  Otherwise the iterates come from :func:`_orbit`:
-    once one has more runs than the seed and the images of its letters
-    together, the next is built from the iterates of the seed's letters
-    instead of by applying the map to every run of the previous one.
-
-    An automorphism permutes words, so the orbit of ``g`` is periodic
-    exactly when it comes back to ``g``: at the first return, after ``s``
-    steps, only ``(|p| - s) mod s`` more steps are needed.  Every word of
-    a periodic orbit appears before that return, so the overflow check
-    raises at the same step as iterating all ``|p|`` steps would.
+    :func:`_jump` tries to skip every iterate before the p-th; where it
+    gives up, :func:`_orbit` builds each one, and stops stepping at the
+    first return to ``g``.
     """
     e = phi.forward if p >= 0 else phi.backward
     if g.alphabet != e.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    steps = abs(p)
-    if steps and len(g.runs) > sum(len(image.runs) for image in e.images):
-        jumped = _jump(e, g, steps, cfg.max_word_length)
-        if jumped is not None:
-            return jumped
-    orbit = _orbit(e, g, cfg.max_word_length)
-    current = g
-    step = 0
-    while step < steps:
-        step += 1
-        current = next(orbit)
-        if current == g:
-            steps = step + (steps - step) % step
-    return current
+    if not p:
+        return g
+    w = _jump(e, g, abs(p), cfg.max_word_length)
+    if w is None:
+        for w in _orbit(e, g, cfg.max_word_length, abs(p)):
+            pass
+    return w
 
 
 def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[Word]:
-    """``[e^p(g)]`` for ``p >= 1`` as one :func:`_block_product` over the
-    runs of ``g`` with the letter iterates ``[e^p(x)]`` as blocks, or
-    ``None`` where the orbit must be stepped instead.
-
-    The letter iterates of every letter are stepped with
-    :func:`_letter_orbits`; none of the p - 1 iterates of ``g`` in
-    between is built.  The jump is taken only when
-
-    - (i) the no-cancellation bound ``sum_x |g|_x * max_{n<=p} |[e^n(x)]|``
-      is at most ``budget``, so no iterate up to the p-th can be longer
-      than ``budget`` and stepping would not overflow either; and
-    - (ii) the runs the product reads, ``runs([e^p(x)])`` summed over the
-      runs ``(x, k)`` of ``g``, are at most ``p * len(g.runs)``, and
-      after every step n the runs of the letter iterates of the
-      generators built so far are at most ``n * len(g.runs)``: what n
-      steps over iterates with as many runs as ``g`` would read.  The
-      letter iterates are built whether or not their letters occur in
-      ``g``, and stepping may return to ``g`` after a few steps.
-
-    The letters of ``g`` are counted along the way: at step n, as many
-    more runs of ``g`` are read as the letter iterates of the generators
-    hold, and the jump is declined as soon as the letters read, with every
-    unread letter at the shortest iterate, break the bound (i).  A declined
-    jump thus reads no more of ``g`` than it builds of the letter iterates.
-    When every letter iterate is its own letter at step n, ``e^n`` is the
-    identity and ``p`` is taken mod n.
-    """
-    gens = range(1, len(e.images) + 1)
-    letters = dict.fromkeys(gens, 0)  # the letters of g read, by generator
-    runs = dict.fromkeys(gens, 0)  # the runs of g read, by generator
-    longest = dict.fromkeys(gens, 0)  # max over the steps of |[e^n(x)]|
-    unread = len(g)
-    built = 0  # the runs of the letter iterates built so far
-    seed = iter(g.runs)
-    identity = e.alphabet._letter_blocks
-    orbit = _letter_orbits(e, set(identity), budget)
-    for n, blocks in enumerate(orbit, 1):
-        held = 0
-        for gen in gens:
-            block_runs, length, _ = blocks[gen]
-            longest[gen] = max(longest[gen], length)
-            held += len(block_runs)
-        built += held
-        if built > n * len(g.runs):
-            return None
-        bound = sum(letters[gen] * longest[gen] for gen in gens)
-        if bound + unread * min(longest.values()) > budget:
-            return None
-        for gen, exp in islice(seed, held):
-            k = exp if exp > 0 else -exp
-            letters[gen] += k
-            runs[gen] += 1
-            unread -= k
-        if n == p:
-            break
-        if blocks == identity:
-            p %= n
-            if p:
-                blocks = next(islice(_letter_orbits(e, set(identity), budget), p - 1, None))
-            break
-    else:
-        return None  # a letter iterate outgrew the budget
-    for gen, exp in seed:
-        letters[gen] += exp if exp > 0 else -exp
-        runs[gen] += 1
-    if sum(letters[gen] * longest[gen] for gen in gens) > budget:
-        return None
-    if not p:
-        return g
-    if sum(runs[gen] * len(blocks[gen][0]) for gen in gens) > p * len(g.runs):
-        return None
-    out, length = _block_product(g.runs, blocks)
-    return Word._make(g.alphabet, tuple(out), length)
+    """``[e^p(g)]`` for ``p >= 1`` from the letter iterates alone (see
+    :func:`_orbit` with ``skip``), or ``None`` where the skip is given up."""
+    return next(_orbit(e, g, budget, p, skip=True), None)
 
 
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:
@@ -753,8 +750,10 @@ def detect_boundary_period(
     Looks for the smallest q <= bound such that the orbit of ``seed``
     under ``phi^q`` converges while the limit itself moves on a
     ``phi``-orbit of period q > 1.  Absence of a finding is not a proof
-    of rotationlessness.
+    of rotationlessness.  A negative ``bound`` is rejected.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     for q in range(2, bound + 1):
         result = omega_limit(power(phi, q), seed, cfg)
         if isinstance(result, FixedElement):

@@ -3,7 +3,7 @@ from itertools import count, islice
 
 import pytest
 
-from fgdyn import dynamics
+from fgdyn import automorphisms, dynamics, words
 from fgdyn.automorphisms import (
     Endomorphism,
     cancellation_bound,
@@ -479,35 +479,48 @@ class TestBoundaryPeriod:
         for seed in ("b", "c", "d", "b d^-1"):
             assert detect_boundary_period(phi, w4(seed)) is None
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            detect_boundary_period(sigma(), parse_word(F2, "b"), bound=-1)
+        assert detect_boundary_period(sigma(), parse_word(F2, "b"), bound=0) is None
+
+
+def documented_inner_sample():
+    """The 20 seeds of each ``inner(u)`` of the documented sample, as
+    ``(u, pair, g)``: nontrivial, not fixed and not prefix-compatible
+    with ``u^-infinity``."""
+    rng = random.Random(424242)
+    for text in ("a", "a b", "a^2 b^-1"):
+        u = parse_word(F2, text)
+        pair = inner(u)
+        count = 0
+        while count < 20:
+            letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6))]
+            g = reduce(F2, letters)
+            if g.is_identity() or pair.apply(g) == g:
+                continue
+            if g.first_letter() == u.inverse().first_letter():
+                continue  # prefix-compatible with u^-infinity
+            count += 1
+            yield u, pair, g
+
 
 class TestInnerNorthSouth:
     def test_documented_sample(self):
-        rng = random.Random(424242)
-        for text in ("a", "a b", "a^2 b^-1"):
-            u = parse_word(F2, text)
+        for u, pair, g in documented_inner_sample():
             plus = rational_from_element(u)
             minus = rational_from_element(u.inverse())
-            pair = inner(u)
-            count = 0
-            while count < 20:
-                letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(1, 6))]
-                g = reduce(F2, letters)
-                if g.is_identity() or pair.apply(g) == g:
-                    continue
-                if g.first_letter() == u.inverse().first_letter():
-                    continue  # prefix-compatible with u^-infinity
-                count += 1
-                fwd = omega_limit(pair, g)
-                bwd = omega_limit(pair.inverse(), g)
-                assert isinstance(fwd, Boundary) and fwd.point.point == plus, (text, str(g))
-                assert isinstance(bwd, Boundary) and bwd.point.point == minus, (text, str(g))
+            fwd = omega_limit(pair, g)
+            bwd = omega_limit(pair.inverse(), g)
+            assert isinstance(fwd, Boundary) and fwd.point.point == plus, (str(u), str(g))
+            assert isinstance(bwd, Boundary) and bwd.point.point == minus, (str(u), str(g))
 
 
 def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
-    """``omega_limit`` stepping whole iterates every step: the reference
-    the held-prefix engine must agree with."""
+    """``omega_limit`` applying the map to the whole iterate at every
+    step: the reference the held-prefix engine must agree with."""
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_held_orbit", lambda e, w, c: dynamics._orbit(e, w, c.max_word_length))
+        m.setattr(dynamics, "_held_orbit", lambda e, w, c: stepped_orbit(e, w, c.max_word_length))
         return omega_limit(phi, g, cfg)
 
 
@@ -665,45 +678,109 @@ class TestOrbitAssembly:
         assert stepped > 500 and assembled > 500 and overflows > 20
 
     def test_letter_iterates_past_the_budget_fall_back_to_apply(self, monkeypatch):
-        # conjugation by u = a b: [e^n(x)] = u^n x u^-n outgrows the budget
-        # while the iterates of u^-20 a u^20, which are u^(n-20) a u^(20-n),
-        # stay 80 letters shorter
+        # a -> b, b -> b a: [e^n(a)] = [e^(n-1)(b)], so the letter iterate of
+        # b passes the budget a step before the iterate of a does
+        e = endo(F2, "b", "b a")
+        g = parse_word(F2, "a")
+        calls = apply_calls(monkeypatch)
+        got = orbit_outcome(dynamics._orbit(e, g, 200), 100)
+        steps = [i for i, w in enumerate([g] + got[0]) if any(c is w for c in calls)]
+        # steps 1..5 apply; 6..10 assemble, as nothing cancels and the 7
+        # runs of the 5th iterate outnumber the 1 + 3 an assembly step
+        # reads; at 11 |[e^11(b)]| = 233 passes 200 and apply takes over
+        assert steps == [0, 1, 2, 3, 4, 10, 11]
+        assert got[1][:3] == (12, 233, 200)
+        assert got == orbit_outcome(stepped_orbit(e, g, 200), 100)
+
+    def test_cancelling_letter_iterates_keep_applying(self, monkeypatch):
+        # conjugation by u = a b: [e^n(x)] = u^n x u^-n, so the product of
+        # the letter iterates over u^-20 a u^20 cancels almost all of them
         u = parse_word(F2, "a b")
         e = inner(u).forward
         g = u**-20 * parse_word(F2, "a") * u**20
         calls = apply_calls(monkeypatch)
         got = orbit_outcome(dynamics._orbit(e, g, 200), 100)
-        steps = [i for i, w in enumerate([g] + got[0]) if any(c is w for c in calls)]
-        # steps 1..44 apply; 45..49 assemble, as the 97 runs of the 44th
-        # iterate outnumber the 79 + 16 that an assembly step reads; at 50
-        # the letter iterates pass 200 letters (|u^50 a u^-50| = 201) and
-        # apply takes over
-        assert steps == list(range(44)) + list(range(49, 70))
+        assert [w for w in [g] + got[0] if any(c is w for c in calls)] == [g] + got[0][:69]
         assert got[1][:3] == (70, 201, 200)
         assert got == orbit_outcome(stepped_orbit(e, g, 200), 100)
+
+
+def touched_letters(monkeypatch):
+    """The letters ``_block_product`` touches from now on, in the calls of
+    ``dynamics`` and of ``apply``: the summed lengths of the blocks it
+    multiplies, a block read once per letter of its run."""
+    touched = [0]
+
+    def counting(pattern, blocks, limit=None):
+        touched[0] += sum((k if k > 0 else -k) * blocks[x if k > 0 else -x][1] for x, k in pattern)
+        return words._block_product(pattern, blocks, limit)
+
+    monkeypatch.setattr(dynamics, "_block_product", counting)
+    monkeypatch.setattr(automorphisms, "_block_product", counting)
+    return touched
+
+
+class TestPlannerWork:
+    """Letter iterates that cancel in the product, or in their own steps,
+    must not cost more than applying the map; counted, not timed."""
+
+    def test_shrinking_seed_does_not_assemble(self, monkeypatch):
+        # 157 letters down to a b^-1 a^2 in 4 steps, 6155 letters after 12;
+        # the letter iterates of trace3 grow with every step
+        theta = stock_theta("trace3")
+        seed = iterate(theta, parse_word(theta.alphabet, "a b^-1 a^2"), -4)
+        touched = touched_letters(monkeypatch)
+        got = iterate(theta, seed, 12)
+        planned = touched[0]
+        touched[0] = 0
+        assert stepped_iterate(monkeypatch, theta, seed, 12, DEFAULT_CONFIG) == got
+        assert planned <= 2 * touched[0]
+
+    def test_inner_orbits_do_not_assemble(self, monkeypatch):
+        # the letter iterates u^n x u^-n of inner(a b) cancel in their own
+        # steps and in the product over the seed
+        touched = touched_letters(monkeypatch)
+        orbits = [
+            (phi, g)
+            for u, pair, g in documented_inner_sample()
+            if str(u) == "a b"
+            for phi in (pair, pair.inverse())
+        ]
+        planned = [omega_limit(phi, g) for phi, g in orbits]
+        work = touched[0]
+        touched[0] = 0
+        assert planned == [whole_word_omega(monkeypatch, phi, g) for phi, g in orbits]
+        assert work <= 2 * touched[0]
 
 
 class TestOrbitMechanism:
     def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
         phi = family("phi_k", k=1).pair
         d = parse_word(phi.alphabet, "d")
+        outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         last = iterate(phi, d, 400)
         first = list(calls)
-        assert 0 < len(first) < 10
-        # the words applied are the first iterates, and no later one
-        assert first == [iterate(phi, d, n) for n in range(len(first))]
+        # the first letter step would hold 14 runs against the 1 of d, so
+        # the jump is given up; steps 1..4 apply, and from step 5 on, where
+        # the 7 runs of the 4th iterate outnumber the 1 + 5 an assembly step
+        # reads and nothing cancels, every step assembles
+        assert outcomes == [False]
+        assert first == [iterate(phi, d, n) for n in range(4)]
         del calls[:]
         assert growth_classify(phi, d, 400).kind == "polynomial"
         assert calls == first
         assert last == orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0][-1]
 
     def test_orbit_of_few_runs_keeps_applying(self, monkeypatch):
-        # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step reads
+        # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step
+        # reads, and the first letter step would hold 6 runs against 1
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
+        outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         assert iterate(delta, b, 300) == parse_word(delta.alphabet, "b a^300")
+        assert outcomes == [False]
         assert len(calls) == 300
 
 
@@ -723,10 +800,21 @@ def jump_outcomes(monkeypatch):
 
 
 def stepped_iterate(monkeypatch, phi, g, p, cfg):
-    """``iterate`` with the jump declined: the reference it must agree with."""
-    with monkeypatch.context() as m:
-        m.setattr(dynamics, "_jump", lambda e, g, p, budget: None)
-        return iterate_outcome(phi, g, p, cfg)
+    """``[phi^p(g)]`` by ``apply`` at every step, where the first return to
+    ``g`` cuts whole periods, or the fields of the overflow that stopped
+    it: the reference ``iterate`` must agree with."""
+    e = phi.forward if p >= 0 else phi.backward
+    orbit = stepped_orbit(e, g, cfg.max_word_length)
+    w, last, n = g, abs(p), 0
+    try:
+        while n < last:
+            n += 1
+            w = next(orbit)
+            if w == g:
+                last = n + (last - n) % n
+    except GrowthOverflowError as exc:
+        return (exc.iteration, exc.length, exc.budget, exc.word)
+    return w
 
 
 def iterate_outcome(phi, g, p, cfg):
