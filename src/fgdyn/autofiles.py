@@ -8,8 +8,9 @@ Format (one directive per line, ``#`` starts a comment):
     fix: a; b a b^-1
     seeds: b; b^-1; b d^-1
 
-Every generator needs a ``map`` and an ``inv`` line; the two tables must
-verify as mutually inverse.  ``fix`` and ``seeds`` are optional
+Every generator needs exactly one ``map`` and one ``inv`` line, and the
+alphabet is declared once; the two tables must verify as mutually
+inverse.  ``fix`` and ``seeds`` are optional
 semicolon-separated word lists.
 """
 
@@ -56,6 +57,8 @@ def parse_autofile(text: str) -> AutoFile:
             continue
         try:
             if line.startswith("alphabet:"):
+                if alphabet is not None:
+                    raise AutoFileError(f"line {lineno}: second alphabet declaration")
                 names = line[len("alphabet:") :].split()
                 alphabet = Alphabet(names)
             elif line.startswith(("map ", "inv ")):
@@ -66,6 +69,8 @@ def parse_autofile(text: str) -> AutoFile:
                     raise AutoFileError("expected '<generator> -> <word>'")
                 gen = gen.strip()
                 require_alphabet().index(gen)
+                if gen in table:
+                    raise AutoFileError(f"line {lineno}: second {line[:3]} line for {gen!r}")
                 table[gen] = parse_word(require_alphabet(), image.strip())
             elif line.startswith("fix:"):
                 fix_words = parse_word_list(require_alphabet(), line[len("fix:") :])

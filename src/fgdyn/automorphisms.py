@@ -113,7 +113,36 @@ def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     """The endomorphism ``g -> e1(e2(g))``."""
     if e1.alphabet != e2.alphabet:
         raise AlphabetMismatchError("endomorphisms over different alphabets")
-    return Endomorphism(e1.alphabet, [e1.apply(img) for img in e2.images])
+    gens = range(1, e1.alphabet.rank + 1)
+    blocks = _compose_blocks(e1._image_blocks, {g: e2._image_blocks[g] for g in gens})
+    return Endomorphism(e1.alphabet, [Word._make(e1.alphabet, *blocks[g][:2]) for g in gens])
+
+
+def _compose_blocks(outer: dict, inner: dict) -> dict:
+    """The images ``[outer(inner(x))]`` of the letters ``x`` of ``inner``,
+    as blocks of :func:`_block_product`: the product of the ``outer``
+    blocks over the runs of ``inner[x]``.  ``outer`` must hold every
+    letter those runs read."""
+    composed = {}
+    for x, (runs, _, _) in inner.items():
+        out, length = _block_product(runs, outer)
+        composed[x] = _block(tuple(out), length)
+    return composed
+
+
+def _square_and_multiply(x, p: int, mul, one):
+    """``x^p`` for ``p >= 0`` under an associative ``mul`` with unit
+    ``one``, in O(log p) products: the powers of ``x`` commute, so
+    multiplying the squares ``x^(2^i)`` picked by the bits of ``p`` gives
+    ``x^p``."""
+    result = one
+    while p:
+        if p & 1:
+            result = mul(x, result)
+        p >>= 1
+        if p:
+            x = mul(x, x)
+    return result
 
 
 def cancellation_bound(e: Endomorphism) -> int:
@@ -367,22 +396,11 @@ def conjugate(phi: AutoPair, psi: AutoPair) -> AutoPair:
 
 
 def power(phi: AutoPair, p: int) -> AutoPair:
-    """p-fold composition; negative p composes the inverse.
-
-    Square-and-multiply: the powers of ``phi`` commute, so composing the
-    squares ``phi^(2^i)`` picked by the bits of ``p`` gives the same pair
-    in O(log p) compositions.
-    """
+    """p-fold composition, by square and multiply; negative p composes
+    the inverse."""
     if p < 0:
         return power(phi.inverse(), -p)
-    result = identity_pair(phi.alphabet)
-    while p:
-        if p & 1:
-            result = compose_pairs(phi, result)
-        p >>= 1
-        if p:
-            phi = compose_pairs(phi, phi)
-    return result
+    return _square_and_multiply(phi, p, compose_pairs, identity_pair(phi.alphabet))
 
 
 class IntMatrix:
@@ -431,15 +449,7 @@ def matrix_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def matrix_power(m: IntMatrix, p: int) -> IntMatrix:
     if p < 0:
         raise ValueError("negative matrix power not supported")
-    result = IntMatrix.identity(m.dimension)
-    base = m
-    while p:
-        if p & 1:
-            result = matrix_mul(result, base)
-        p >>= 1
-        if p:
-            base = matrix_mul(base, base)
-    return result
+    return _square_and_multiply(m, p, matrix_mul, IntMatrix.identity(m.dimension))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -20,14 +20,15 @@ import statistics
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, cycle, islice
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
+from .automorphisms import _compose_blocks, _square_and_multiply
 from .words import (
     AlphabetMismatchError,
     EmptyWordError,
     Word,
-    _block,
     _block_product,
     common_prefix_length,
     cyclic_reduce,
@@ -241,22 +242,18 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 # ---------------------------------------------------------------------------
 
 
-def _orbit(
-    e: Endomorphism, g: Word, budget: int, last: Optional[int] = None, skip: bool = False
-) -> Iterator[Word]:
+def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) -> Iterator[Word]:
     """The iterates ``[e^n(g)]`` for n = 1, 2, ..., or up to n = ``last``.
 
     Raises :class:`GrowthOverflowError` at the first iterate longer than
     ``budget`` letters, carrying that iterate as ``word``.  This is the one
-    planner of iteration.  Each step takes one of three moves, each giving
+    planner of stepping.  Each step takes one of two moves, each giving
     the same reduced word:
 
     - apply ``e`` to the previous iterate ``w``, reading every run of it;
     - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
       letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
-      reachable from ``g``, reading the runs of ``g`` and of their images;
-    - with ``skip``, step the letter iterates of every generator alone and
-      build nothing before ``[e^last(g)]`` (the jump of :func:`iterate`).
+      reachable from ``g``, reading the runs of ``g`` and of their images.
 
     Assembly cancels letters at the junctions.  At a step where ``w`` has
     more runs than an assembly reads, the letters cancelled so far are the
@@ -267,16 +264,6 @@ def _orbit(
     twice the budget.  It then takes every step where ``w`` has more runs
     than it reads, until a letter iterate is longer than ``budget``.
 
-    A skip needs the no-cancellation bound ``sum_x |g|_x * max_{n<=last}
-    |[e^n(x)]|`` to be at most ``budget``, so that no skipped iterate is
-    too long, and it pays while the letter iterates built in n steps hold
-    at most ``n * len(g.runs)`` runs, what n applications to iterates as
-    long as ``g`` would read.  Each step reads as many runs of ``g`` as the
-    letter iterates hold, with the unread letters at the shortest iterate,
-    so a skip that breaks the bound stops before a long ``g`` is read.  A
-    skip given up yields nothing.  Where every letter iterate is its own
-    letter, the iterate is ``g``.
-
     An automorphism permutes words, so the orbit is periodic exactly when
     it comes back to ``g``.  After the first return, at step n, the first
     n iterates are replayed, or only ``(last - n) mod n`` more steps are
@@ -284,75 +271,40 @@ def _orbit(
     the budget raises where stepping every iterate would.
     """
     w = g
-    if skip:
-        gens = range(1, len(e.images) + 1)
-        read = dict.fromkeys(gens, 0)  # the letters of g read, by generator
-        longest = dict.fromkeys(gens, 0)  # max over the steps of |[e^n(x)]|
-        unread = len(g)
-        built = 0  # the runs of the letter iterates built so far
-        seed = iter(g.runs)
-        identity = e.alphabet._letter_blocks
-        letter_orbit = _letter_orbits(e, set(identity), budget)
-    else:
-        letters = None  # the letters reachable from g, once w outgrows g
-        unreduced = None  # the unreduced letter lengths, while assembly is weighed
-        letter_orbit = None  # the letter iterates, once assembly pays
-        taken = 0  # the step of the letter iterates (and lengths) last taken
+    letters = None  # the letters reachable from g, once w outgrows g
+    unreduced = None  # the unreduced lengths, while assembly is weighed
+    letter_orbit = None  # the letter iterates, once assembly pays
+    taken = 0  # the step of the letter iterates (and lengths) last taken
     n = 0
     while last is None or n < last:
         n += 1
-        if skip:
-            blocks = next(letter_orbit, None)
-            if blocks is None:
-                return  # a letter iterate outgrew the budget
-            held = 0
-            for gen in gens:
-                block_runs, length, _ = blocks[gen]
-                longest[gen] = max(longest[gen], length)
-                held += len(block_runs)
-            built += held
-            bound = sum(read[gen] * longest[gen] for gen in gens)
-            if built > n * len(g.runs) or bound + unread * min(longest.values()) > budget:
-                return
-            for gen, exp in islice(seed, held):
-                k = exp if exp > 0 else -exp
-                read[gen] += k
-                unread -= k
-            w = g if blocks == identity else None
-        else:
-            blocks = None
-            if letters is None and len(w.runs) > len(g.runs):
-                letters = _reachable_letters(e, g)
-                reads = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
-                unreduced = _unreduced_lengths(e, {abs(x) for x in letters}, 2 * budget + 1)
-            if unreduced is not None and len(w.runs) > reads:
-                lengths = next(islice(unreduced, n - 1 - taken, None))  # of e^(n-1)(x)
-                taken = n
-                cancelled = sum((k if k > 0 else -k) * lengths[x] for x, k in g.runs) - len(w)
-                if reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
-                    unreduced, letter_orbit, taken = None, _letter_orbits(e, letters, budget), 0
-                elif cancelled + len(w) > 2 * budget:
-                    unreduced = None
-            if letter_orbit is not None and len(w.runs) > reads:
-                # step the letter iterates past the steps applied since
-                # they were last taken; None once they are dropped
-                blocks = next(islice(letter_orbit, n - taken - 1, None), None)
-                taken = n
-            w = e.apply(w) if blocks is None else _assembled(g, blocks)
-        if w is not None and len(w) > budget:
+        blocks = None
+        if letters is None and len(w.runs) > len(g.runs):
+            letters = _reachable_letters(e, g)
+            reads = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
+            unreduced = _unreduced_lengths(e, 2 * budget + 1)
+        if unreduced is not None and len(w.runs) > reads:
+            lengths = next(islice(unreduced, n - 1 - taken, None))  # of e^(n-1)(x)
+            taken = n
+            cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
+            if reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
+                unreduced, letter_orbit, taken = None, _letter_orbits(e, letters, budget), 0
+            elif cancelled + len(w) > 2 * budget:
+                unreduced = None
+        if letter_orbit is not None and len(w.runs) > reads:
+            # step the letter iterates past the steps applied since
+            # they were last taken; None once they are dropped
+            blocks = next(islice(letter_orbit, n - taken - 1, None), None)
+            taken = n
+        w = e.apply(w) if blocks is None else _assembled(g, blocks)
+        if len(w) > budget:
             raise GrowthOverflowError(n, len(w), budget, w)
         if w == g:  # the first return: the orbit has period n
             if last is None:
                 yield g
                 yield from cycle(chain(islice(_orbit(e, g, budget), n - 1), [g]))  # for good
             last = n + (last - n) % n
-        if not skip:
-            yield w
-    if skip:
-        for gen, exp in seed:
-            read[gen] += exp if exp > 0 else -exp
-        if sum(read[gen] * longest[gen] for gen in gens) <= budget:
-            yield g if w == g else _assembled(g, blocks)
+        yield w
 
 
 def _assembled(g: Word, blocks: dict) -> Word:
@@ -377,26 +329,31 @@ def _letter_orbits(e: Endomorphism, letters: set[int], budget: int) -> Iterator[
     blocks of :func:`_block_product`; every letter of an image of one of
     the letters must be one of them.
 
-    ``[e^n(x)] = [e^(n-1)(e(x))]`` is the product of the blocks
-    ``[e^(n-1)(y)]`` over the runs of ``e(x)``.  Ends at the first step
-    where one of the iterates is longer than ``budget`` letters.
+    ``[e^n(x)] = [e^(n-1)(e(x))]``: the blocks of ``e^(n-1)`` composed
+    with those of ``e``.  Ends at the first step where one of the iterates
+    is longer than ``budget`` letters.
     """
-    blocks = {x: e._image_blocks[x] for x in letters}
+    images = blocks = {x: e._image_blocks[x] for x in letters}
     while all(length <= budget for _, length, _ in blocks.values()):
         yield blocks
-        products = {x: _block_product(e._image_runs[x], blocks) for x in letters}
-        blocks = {x: _block(tuple(runs), length) for x, (runs, length) in products.items()}
+        blocks = _compose_blocks(blocks, images)
 
 
-def _unreduced_lengths(e: Endomorphism, gens: set[int], cap: int) -> Iterator[dict]:
+def _letter_counts(e: Endomorphism) -> list[list[int]]:
+    """The letter-count matrix: row x - 1 counts each generator in ``e(x)``."""
+    gens = range(1, len(e.images) + 1)
+    return [[sum(abs(k) for y, k in image.runs if y == x) for x in gens] for image in e.images]
+
+
+def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
     """The lengths of ``e^n(x)`` before free reduction, capped at ``cap``,
-    for n = 0, 1, ... and the generators x in ``gens``, which must hold
-    those of their images.  They bound ``|[e^n(x)]|`` and never decrease."""
-    rows = {x: [(y, abs(k)) for y, k in e.images[x - 1].runs] for x in gens}
-    lengths = dict.fromkeys(gens, 1)
+    for n = 0, 1, ..., listed by generator.  They bound ``|[e^n(x)]|`` and
+    never decrease."""
+    counts = _letter_counts(e)
+    lengths = [1] * len(counts)
     while True:
         yield lengths
-        lengths = {x: min(cap, sum(k * lengths[y] for y, k in row)) for x, row in rows.items()}
+        lengths = [min(cap, sum(map(mul, row, lengths))) for row in counts]
 
 
 def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word]:
@@ -432,9 +389,9 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
-    :func:`_jump` tries to skip every iterate before the p-th; where it
-    gives up, :func:`_orbit` builds each one, and stops stepping at the
-    first return to ``g``.
+    :func:`_jump` builds it from the letter iterates where a length bound
+    covers every step; elsewhere :func:`_orbit` steps to it, and stops
+    stepping at the first return to ``g``.
     """
     e = phi.forward if p >= 0 else phi.backward
     if g.alphabet != e.alphabet:
@@ -449,9 +406,38 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
 
 
 def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[Word]:
-    """``[e^p(g)]`` for ``p >= 1`` from the letter iterates alone (see
-    :func:`_orbit` with ``skip``), or ``None`` where the skip is given up."""
-    return next(_orbit(e, g, budget, p, skip=True), None)
+    """``[e^p(g)]`` for ``p >= 1`` as the product over the runs of ``g`` of
+    the letter iterates ``[e^p(x)]``, or ``None`` where the bound below
+    fails.
+
+    The unreduced length ``U_p(x)`` of ``e^p(x)`` is a row sum of the p-th
+    power of the letter-count matrix, with every entry capped at
+    ``budget + 1`` (a capped entry stays capped in every product).  Each
+    letter of an automorphism has a nonempty image, so ``U_n(x)`` never
+    decreases with n, and ``sum_x |g|_x U_p(x)`` bounds ``|[e^n(g)]|``
+    for every n <= p.  The jump needs that sum, and ``U_p(y)`` for every
+    letter y reachable from ``g``, to be at most ``budget``: then no step
+    overflows, and no power of the letter iterates is longer than
+    ``budget``.  Both p-th powers are ``x^(p-1) x``, by square and
+    multiply.
+    """
+    cap = budget + 1
+
+    def product(a, b):
+        return [[min(cap, sum(map(mul, row, col))) for col in zip(*b)] for row in a]
+
+    counts = _letter_counts(e)
+    unreduced = [min(cap, sum(row)) for row in _square_and_multiply(counts, p - 1, product, counts)]
+    bound = 0
+    for gen, exp in g.runs:
+        bound += (exp if exp > 0 else -exp) * unreduced[gen - 1]
+        if bound > budget:
+            return None
+    letters = _reachable_letters(e, g)
+    if any(unreduced[abs(x) - 1] > budget for x in letters):
+        return None
+    images = {x: e._image_blocks[x] for x in letters}
+    return _assembled(g, _square_and_multiply(images, p - 1, _compose_blocks, images))
 
 
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:
@@ -657,24 +643,28 @@ def growth_classify(
 ) -> GrowthClass:
     """Classify the growth of ``|phi^p(g)|`` from sampled lengths.
 
-    Fits are taken on the tail half of the samples to skip transients; a
-    growth overflow truncates sampling and the classification proceeds on
-    the available points.
+    Fits are taken on the tail half of the samples to skip transients.  A
+    growth overflow truncates sampling: an orbit that overflowed is never
+    ``bounded``, and the classification proceeds on the available points,
+    or re-raises the :class:`GrowthOverflowError` when fewer than two
+    tail samples are left to fit.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     lengths = []
+    overflow = None
     try:
         for w in islice(_orbit(phi.forward, g, cfg.max_word_length), p_max):
             lengths.append(len(w))
-    except GrowthOverflowError:
-        pass
-    if not lengths or lengths[-1] == 0:
-        return GrowthClass("bounded", samples=len(lengths))
+    except GrowthOverflowError as exc:
+        overflow = exc
     tail_start = len(lengths) // 2
     ps = range(tail_start + 1, len(lengths) + 1)
     ls = lengths[tail_start:]
-    if max(ls) == min(ls):
+    if overflow is not None:
+        if len(ls) < 2:
+            raise overflow
+    elif not lengths or lengths[-1] == 0 or max(ls) == min(ls):
         return GrowthClass("bounded", samples=len(lengths))
     logl = [math.log(x) for x in ls]
     poly_fit, poly_res = _linear_fit([math.log(p) for p in ps], logl)

@@ -63,6 +63,11 @@ class TestAutoFile:
         with pytest.raises(AutoFileError):
             parse_autofile(text)
 
+    def test_second_directive_names_its_line(self):
+        text = "alphabet: a b\nmap a -> a\nmap b -> b a\nmap b -> b a^2\n"
+        with pytest.raises(AutoFileError, match="^line 4: "):
+            parse_autofile(text)
+
     def test_alphabet_required_first(self):
         with pytest.raises(AutoFileError):
             parse_autofile("map a -> a\n")
@@ -111,6 +116,15 @@ def _bad_definition_file(tmp_path, monkeypatch):
     return ["omega", str(path), "a"]
 
 
+def _definition_file(text):
+    def make_argv(tmp_path, monkeypatch):
+        path = tmp_path / "def.auto"
+        path.write_text(text, encoding="utf-8")
+        return ["iterate", str(path), "b", "3"]
+
+    return make_argv
+
+
 def _bad_config_file(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text("{not json", encoding="utf-8")
@@ -126,8 +140,27 @@ def _bad_config_file(tmp_path, monkeypatch):
         _bad_definition_file,
         _bad_config_file,
         lambda tmp_path, monkeypatch: ["graph", "phi_k:k=1", "--bound", "-1"],
+        # each would verify if the last line of a kind won
+        _definition_file(
+            "alphabet: a b\nmap a -> a\nmap b -> b a\nmap b -> b a^2\ninv a -> a\ninv b -> b a^-2\n"
+        ),
+        _definition_file(
+            "alphabet: a b\nmap a -> a\nmap b -> b a\ninv a -> a\ninv b -> b a^-1\ninv b -> b a^-1\n"
+        ),
+        _definition_file(
+            "alphabet: a b\nalphabet: a b\nmap a -> a\nmap b -> b a\ninv a -> a\ninv b -> b a^-1\n"
+        ),
     ],
-    ids=["family-spec", "word-syntax", "definition-file", "config-file", "negative-bound"],
+    ids=[
+        "family-spec",
+        "word-syntax",
+        "definition-file",
+        "config-file",
+        "negative-bound",
+        "second-map",
+        "second-inv",
+        "second-alphabet",
+    ],
 )
 def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, capsys):
     assert main(make_argv(tmp_path, monkeypatch)) == 3

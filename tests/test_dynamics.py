@@ -387,6 +387,15 @@ class TestGrowth:
         assert cls.samples == 7
         assert cls.kind == "exponential"
 
+    @pytest.mark.parametrize("budget", [3, 6, 12, 30])
+    def test_overflow_before_two_tail_samples_raises(self, budget):
+        # |trace3^p(a b a)| = 8, 21, 55, 144: each budget stops sampling
+        # within three steps, too early to fit; the orbit is not bounded
+        theta = stock_theta("trace3")
+        cfg = IterationConfig(max_word_length=budget)
+        with pytest.raises(GrowthOverflowError):
+            growth_classify(theta, parse_word(theta.alphabet, "a b a"), 20, cfg)
+
 
 class TestVerifySplitting:
     def test_image_splitting(self):
@@ -757,31 +766,74 @@ class TestOrbitMechanism:
     def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
         phi = family("phi_k", k=1).pair
         d = parse_word(phi.alphabet, "d")
+        stepped = orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0]
         outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
+        # |phi^n(d)| grows quadratically, far below the budget: iterate
+        # jumps, and growth_classify, which needs every iterate, steps.
+        # Steps 1..4 apply, and from step 5 on, where the 7 runs of the
+        # 4th iterate outnumber the 1 + 5 an assembly step reads and
+        # nothing cancels, every step assembles
         last = iterate(phi, d, 400)
-        first = list(calls)
-        # the first letter step would hold 14 runs against the 1 of d, so
-        # the jump is given up; steps 1..4 apply, and from step 5 on, where
-        # the 7 runs of the 4th iterate outnumber the 1 + 5 an assembly step
-        # reads and nothing cancels, every step assembles
-        assert outcomes == [False]
-        assert first == [iterate(phi, d, n) for n in range(4)]
-        del calls[:]
+        assert outcomes == [True]
+        assert calls == []
         assert growth_classify(phi, d, 400).kind == "polynomial"
-        assert calls == first
-        assert last == orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0][-1]
+        assert calls == [d] + stepped[:3]
+        assert last == stepped[-1]
 
     def test_orbit_of_few_runs_keeps_applying(self, monkeypatch):
         # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step
-        # reads, and the first letter step would hold 6 runs against 1
+        # reads, so growth_classify applies at every step; iterate jumps
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
         outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         assert iterate(delta, b, 300) == parse_word(delta.alphabet, "b a^300")
-        assert outcomes == [False]
+        assert outcomes == [True]
+        assert calls == []
+        assert growth_classify(delta, b, 300).kind == "polynomial"
         assert len(calls) == 300
+
+
+class TestJumpBound:
+    """The jump is decided by the bound on unreduced lengths alone;
+    counted, not timed."""
+
+    def test_only_reachable_letters_bound_the_jump(self, monkeypatch):
+        # the letter iterates of e and f grow exponentially under beta^-1,
+        # but no letter reachable from the b-d iterate leads to them
+        beta = family("beta", rank=6).pair
+        w = parse_word(beta.alphabet, "b d c d")
+        image = iterate(beta, w, 300)
+        outcomes = jump_outcomes(monkeypatch)
+        calls = apply_calls(monkeypatch)
+        assert iterate(beta, image, -300) == w
+        assert outcomes == [True]
+        assert calls == []
+
+    def test_shrinking_seed_declines_before_composing(self, monkeypatch):
+        # 157 letters whose letter iterates cancel almost wholly: the
+        # unreduced lengths of 12 trace3 steps pass the budget, so the
+        # jump composes no blocks and the planner applies
+        theta = stock_theta("trace3")
+        seed = iterate(theta, parse_word(theta.alphabet, "a b^-1 a^2"), -4)
+        composed = []
+        original = dynamics._compose_blocks
+
+        def counting(outer, inner):
+            composed.append(len(inner))
+            return original(outer, inner)
+
+        monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+        outcomes = jump_outcomes(monkeypatch)
+        touched = touched_letters(monkeypatch)
+        got = iterate(theta, seed, 12)
+        planned = touched[0]
+        touched[0] = 0
+        assert outcomes == [False]
+        assert composed == []
+        assert stepped_iterate(monkeypatch, theta, seed, 12, DEFAULT_CONFIG) == got
+        assert planned <= 2 * touched[0]
 
 
 def jump_outcomes(monkeypatch):
