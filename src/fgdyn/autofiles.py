@@ -10,8 +10,8 @@ Format (one directive per line, ``#`` starts a comment):
 
 Every generator needs exactly one ``map`` and one ``inv`` line, and the
 alphabet is declared once; the two tables must verify as mutually
-inverse.  ``fix`` and ``seeds`` are optional
-semicolon-separated word lists.
+inverse.  ``fix`` and ``seeds`` are optional semicolon-separated word
+lists, each given at most once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def parse_autofile(text: str) -> AutoFile:
     alphabet: Optional[Alphabet] = None
     forward: dict[str, Word] = {}
     backward: dict[str, Word] = {}
-    fix_words: tuple[Word, ...] = ()
-    seed_words: Optional[tuple[Word, ...]] = None
+    word_lists: dict[str, tuple[Word, ...]] = {}  # by directive: fix, seeds
 
     def require_alphabet() -> Alphabet:
         if alphabet is None:
@@ -72,10 +71,11 @@ def parse_autofile(text: str) -> AutoFile:
                 if gen in table:
                     raise AutoFileError(f"line {lineno}: second {line[:3]} line for {gen!r}")
                 table[gen] = parse_word(require_alphabet(), image.strip())
-            elif line.startswith("fix:"):
-                fix_words = parse_word_list(require_alphabet(), line[len("fix:") :])
-            elif line.startswith("seeds:"):
-                seed_words = parse_word_list(require_alphabet(), line[len("seeds:") :])
+            elif line.startswith(("fix:", "seeds:")):
+                directive, _, body = line.partition(":")
+                if directive in word_lists:
+                    raise AutoFileError(f"line {lineno}: second {directive}: line")
+                word_lists[directive] = parse_word_list(require_alphabet(), body)
             else:
                 raise AutoFileError(f"unrecognized directive: {line!r}")
         except AutoFileError:
@@ -95,10 +95,11 @@ def parse_autofile(text: str) -> AutoFile:
         )
     except ValueError as exc:
         raise AutoFileError(str(exc)) from exc
+    fix_words = word_lists.get("fix", ())
     for word in fix_words:
         if pair.apply(word) != word:
             raise AutoFileError(f"fix: word is not fixed: {word}")
-    return AutoFile(pair, fix_words, seed_words)
+    return AutoFile(pair, fix_words, word_lists.get("seeds"))
 
 
 def load_autofile(path) -> AutoFile:

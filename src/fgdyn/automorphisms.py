@@ -20,7 +20,6 @@ from .words import (
     Alphabet,
     AlphabetMismatchError,
     Word,
-    _block,
     _block_product,
     format_word,
     generator,
@@ -49,7 +48,7 @@ class UnboundedCancellationError(ValueError):
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = ("alphabet", "images", "_image_runs", "_image_blocks", "_cancellation_bound")
+    __slots__ = ("alphabet", "images", "_image_blocks", "_cancellation_bound")
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -60,15 +59,12 @@ class Endomorphism:
                 raise AlphabetMismatchError("image over a different alphabet")
         self.alphabet = alphabet
         self.images = images
-        # runs of the image of +g and -g, keyed by signed letter, and the
-        # same images as blocks of _block_product
-        self._image_runs = {}
+        # the images of +g and -g, keyed by signed letter, as blocks of
+        # _block_product
+        self._image_blocks = {}
         for g, img in enumerate(images, start=1):
-            self._image_runs[g] = img.runs
-            self._image_runs[-g] = img.inverse().runs
-        self._image_blocks = {
-            x: _block(runs, len(images[abs(x) - 1])) for x, runs in self._image_runs.items()
-        }
+            self._image_blocks[g] = (img.runs, len(img))
+            self._image_blocks[-g] = (img.inverse().runs, len(img))
         self._cancellation_bound = None  # filled in by cancellation_bound()
 
     @classmethod
@@ -115,7 +111,7 @@ def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
         raise AlphabetMismatchError("endomorphisms over different alphabets")
     gens = range(1, e1.alphabet.rank + 1)
     blocks = _compose_blocks(e1._image_blocks, {g: e2._image_blocks[g] for g in gens})
-    return Endomorphism(e1.alphabet, [Word._make(e1.alphabet, *blocks[g][:2]) for g in gens])
+    return Endomorphism(e1.alphabet, [Word._make(e1.alphabet, *blocks[g]) for g in gens])
 
 
 def _compose_blocks(outer: dict, inner: dict) -> dict:
@@ -124,9 +120,9 @@ def _compose_blocks(outer: dict, inner: dict) -> dict:
     blocks over the runs of ``inner[x]``.  ``outer`` must hold every
     letter those runs read."""
     composed = {}
-    for x, (runs, _, _) in inner.items():
+    for x, (runs, _) in inner.items():
         out, length = _block_product(runs, outer)
-        composed[x] = _block(tuple(out), length)
+        composed[x] = (tuple(out), length)
     return composed
 
 
@@ -192,7 +188,7 @@ def _longest_common_cone_prefix(e: Endomorphism) -> int:
     moves: list[dict[int, set[int]]] = [{} for _ in range(2 * n)]
     todo: list[tuple[int, int]] = []  # empty moves still to record
     for x in letters:
-        image = list(Word(e.alphabet, e._image_runs[x]).letters())
+        image = list(Word(e.alphabet, e._image_blocks[x][0]).letters())
         sources = [start[x]] + [cone[y] for y in letters if y != -x]
         if not image:
             todo += [(s, cone[x]) for s in sources]

@@ -82,11 +82,15 @@ def _load_config(args) -> IterationConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+def _add_length_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-len", type=int, help="word length budget (letters)")
+
+
 def _add_iteration_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, help="iteration budget")
     parser.add_argument("--prefix", type=int, help="certified prefix target (letters)")
     parser.add_argument("--window", type=int, help="stability window (steps)")
-    parser.add_argument("--max-len", type=int, help="word length budget (letters)")
+    _add_length_flag(parser)
 
 
 def cmd_iterate(args) -> int:
@@ -258,8 +262,16 @@ def cmd_repro(args) -> int:
     return EXIT_NEGATIVE
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as an input error (exit 3): argparse's own
+    exit code 2 means an inconclusive result here."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fgdyn",
         description="boundary dynamics of free-group automorphisms",
     )
@@ -270,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.add_argument("power", type=int)
     p.add_argument("--json", action="store_true")
-    _add_iteration_flags(p)
+    _add_length_flag(p)
     p.set_defaults(func=cmd_iterate)
 
     p = sub.add_parser("omega", help="limit of the forward orbit")
@@ -321,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (AutoFileError, UnknownFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

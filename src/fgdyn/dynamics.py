@@ -281,7 +281,7 @@ def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) ->
         blocks = None
         if letters is None and len(w.runs) > len(g.runs):
             letters = _reachable_letters(e, g)
-            reads = len(g.runs) + sum(len(e._image_runs[x]) for x in letters)
+            reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
             unreduced = _unreduced_lengths(e, 2 * budget + 1)
         if unreduced is not None and len(w.runs) > reads:
             lengths = next(islice(unreduced, n - 1 - taken, None))  # of e^(n-1)(x)
@@ -319,7 +319,7 @@ def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
     todo = {gen if exp > 0 else -gen for gen, exp in g.runs}
     while todo:
         letters |= todo
-        todo = {gen if exp > 0 else -gen for x in todo for gen, exp in e._image_runs[x]}
+        todo = {gen if exp > 0 else -gen for x in todo for gen, exp in e._image_blocks[x][0]}
         todo -= letters
     return letters
 
@@ -334,7 +334,7 @@ def _letter_orbits(e: Endomorphism, letters: set[int], budget: int) -> Iterator[
     is longer than ``budget`` letters.
     """
     images = blocks = {x: e._image_blocks[x] for x in letters}
-    while all(length <= budget for _, length, _ in blocks.values()):
+    while all(length <= budget for _, length in blocks.values()):
         yield blocks
         blocks = _compose_blocks(blocks, images)
 
@@ -472,8 +472,10 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     held as certified prefixes (see :func:`_held_orbit`); a common prefix
     shorter than both held words is the exact common prefix of the
     iterates, so results equal those of whole-word iteration as long as
-    the certifying prefixes stay below the held lengths.  Only the whole
-    iterates are checked against ``max_word_length``.
+    the certifying prefixes stay below the held lengths.  One that is
+    all of both held words is a lower bound capped by the held length,
+    and counts as growth.  Only the whole iterates are checked against
+    ``max_word_length``.
     """
     forward = phi.forward
     prev = g
@@ -487,7 +489,11 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
             cp = common_prefix_length(prev, nxt)
-            streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
+            # whole iterates are never equal past iteration 1, so a common
+            # prefix that is all of both words is a held prefix, which
+            # cannot grow past the held length: it counts as growth
+            grew = prev_cp is None or cp > prev_cp or cp == len(prev) == len(nxt)
+            streak = streak + 1 if grew else 0
             if cp >= best_cp:
                 best_cp = cp
                 best_word = nxt
@@ -646,8 +652,9 @@ def growth_classify(
     Fits are taken on the tail half of the samples to skip transients.  A
     growth overflow truncates sampling: an orbit that overflowed is never
     ``bounded``, and the classification proceeds on the available points,
-    or re-raises the :class:`GrowthOverflowError` when fewer than two
-    tail samples are left to fit.
+    or re-raises the :class:`GrowthOverflowError` when fewer than three
+    tail samples are left to fit.  Both lines pass through any two
+    points, so two samples cannot tell the growth kinds apart.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
@@ -662,7 +669,7 @@ def growth_classify(
     ps = range(tail_start + 1, len(lengths) + 1)
     ls = lengths[tail_start:]
     if overflow is not None:
-        if len(ls) < 2:
+        if len(ls) < 3:
             raise overflow
     elif not lengths or lengths[-1] == 0 or max(ls) == min(ls):
         return GrowthClass("bounded", samples=len(lengths))

@@ -325,8 +325,27 @@ def _attractor_prefix_text(k: int, backward: bool) -> str:
 
 
 def expected_graph(name: str, **params) -> GraphTemplate:
-    """The documented dynamics-graph shape for a cataloged family."""
-    if name == "phi_k":
+    """The documented dynamics-graph shape for a cataloged family.
+
+    ``alpha_k`` has the shape of ``phi_k``, derived as follows.  Its fifth
+    generator e is fixed and lies in H, the subgroup of the fixed
+    generators.  The automorphism preserves F_4 = <a, b, c, d>, and H is
+    the free product of the ``phi_k`` subgroup with <e>, so an element of
+    H that takes a point of the boundary of F_4 into it lies in the
+    ``phi_k`` subgroup: no two ``phi_k`` classes merge.  A default seed
+    (a reduced word of length at most 2) that contains e is fixed, or is
+    ``x y`` or ``y x`` with y = e^±1 and x a signed letter of b, c, d.
+    ``x y`` has the limits of x, and ``y x`` their y-translates, which
+    lie in the same classes as y is in H; so these seeds add no class
+    and no edge.  The eight classes of ``phi_k`` are all created by its
+    single-letter seeds, which come first in both default seed orders,
+    so the vertex texts, edges and the loop at ``b (a^-1)^∞`` are those
+    of ``phi_k``.  The two classes of the irrational limits of d are
+    approximate: their e-translates join them through the bounded prefix
+    search of :func:`fgdyn.graphs.isogloss`, so the count of eight
+    vertices rests on that search.
+    """
+    if name in ("phi_k", "alpha_k"):
         k = int(params.get("k", 1))
         if k < 1:
             raise ValueError("the documented shape needs k >= 1")

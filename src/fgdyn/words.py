@@ -71,7 +71,7 @@ class Alphabet:
         # each letter as a block of _block_product: a product of runs over
         # these blocks is the free reduction of the runs
         self._letter_blocks = {
-            x: (((abs(x), 1 if x > 0 else -1),), 1, 0) for x in self.signed_letters
+            x: (((abs(x), 1 if x > 0 else -1),), 1) for x in self.signed_letters
         }
 
     @property
@@ -109,14 +109,9 @@ Runs = Sequence[tuple[int, int]]
 
 
 def _power_runs(runs: Runs, k: int) -> Runs:
-    """The runs of the ``k``-th power (``k >= 0``) of a reduced block."""
-    if k == 1:
-        return runs
-    if not k or not runs:
-        return ()
-    if len(runs) == 1:
-        ((gen, exp),) = runs
-        return ((gen, exp * k),)
+    """The runs of the ``k``-th power (``k >= 1``) of a reduced block."""
+    if len(runs) < 2:
+        return tuple((gen, exp * k) for gen, exp in runs)
     if runs[0][0] != runs[-1][0]:
         # no junction can cancel or merge
         return runs * k
@@ -128,6 +123,17 @@ def _power_runs(runs: Runs, k: int) -> Runs:
         return (first,) + (middle + ((gen, merged),)) * (k - 1) + middle + (last,)
     # a conjugate (g, e0) M (g, e0)^-1: its power conjugates M^k
     return (first,) + _power_runs(middle, k) + (last,)
+
+
+def _block_power(runs: Runs, length: int, k: int) -> tuple[Runs, int]:
+    """The runs and length of the ``k``-th power (``k >= 0``) of a reduced
+    block of ``length`` letters.  The power of ``w c w^-1`` (``c``
+    cyclically reduced) cancels ``2|w|`` letters at each of its ``k - 1``
+    inner junctions, so it has ``2|w| + k(length - 2|w|)`` letters."""
+    if not k:
+        return (), 0
+    t = _conjugator_length(runs)
+    return _power_runs(runs, k), 2 * t + k * (length - 2 * t)
 
 
 # A long product is cut into windows of this many runs: long enough that
@@ -154,17 +160,14 @@ def _window_product(pattern: Runs, blocks: dict) -> tuple[list[tuple[int, int]],
     ``pattern``: each distinct window is reduced once, and the window
     images are then the blocks of a pattern of window ids."""
     ids: dict = {}  # window -> id, for this call only
-    # id -> the reduced window image as a block; every id has exponent 1,
-    # so the block's conjugator length is never read
-    images: dict = {}
+    images: dict = {}  # id -> the reduced window image as a block
     windows = []
     for i in range(0, len(pattern), _WINDOW):
         window = tuple(pattern[i : i + _WINDOW])
         wid = ids.get(window)
         if wid is None:
             wid = ids[window] = len(ids) + 1
-            runs, length = _block_product(window, blocks)
-            images[wid] = (runs, length, 0)
+            images[wid] = _block_product(window, blocks)
         windows.append((wid, 1))
     return _block_product(windows, images)
 
@@ -175,12 +178,12 @@ def _block_product(
     """The runs and length of the reduced product ``[prod block(y)^k]``
     over the runs ``(y, k)`` of ``pattern``.
 
-    ``blocks[x]`` is ``(runs, length, t)`` for the reduced block of the
-    signed letter ``x``, with ``t`` its :func:`_conjugator_length` (see
-    :func:`_block`); a run ``(g, -k)`` reads the block of ``-g``.  With a
-    ``limit``, runs of ``pattern`` are read only until the product holds
-    at least ``limit`` letters: the result is then the product over the
-    runs read so far.
+    ``blocks[x]`` is ``(runs, length)`` for the reduced block of the
+    signed letter ``x``; a run ``(g, -k)`` reads the block of ``-g``, and
+    its power is built in place for one run, else once per call by
+    :func:`_block_power`.  With a ``limit``, runs of ``pattern`` are read
+    only until the product holds at least ``limit`` letters: the result
+    is then the product over the runs read so far.
 
     Each block is reduced, so letters cancel or merge only at the
     junction with the product so far: once one run survives there, the
@@ -208,22 +211,18 @@ def _block_product(
     for run in pattern:
         gen, exp = run
         if exp == 1:
-            runs, n, _ = blocks[gen]
+            runs, n = blocks[gen]
         elif exp == -1:
-            runs, n, _ = blocks[-gen]
+            runs, n = blocks[-gen]
         elif run in powers:
             runs, n = powers[run]
         else:
-            runs, n, t = blocks[gen] if exp > 0 else blocks[-gen]
+            runs, n = blocks[gen] if exp > 0 else blocks[-gen]
             k = exp if exp > 0 else -exp
-            if len(runs) == 1:
-                ((g, e),) = runs
-                runs = ((g, e * k),)
-                n *= k
+            if len(runs) == 1:  # the common case, built in place
+                runs, n = ((runs[0][0], runs[0][1] * k),), n * k
             else:
-                # the power of w c w^-1 (c cyclically reduced) cancels 2|w|
-                # letters at each of its k - 1 inner junctions
-                runs, n = powers[run] = (_power_runs(runs, k), k * n - 2 * (k - 1) * t)
+                runs, n = powers[run] = _block_power(runs, n, k)
         # the junction: n becomes the letters the block adds to out
         i = 0
         while out and i < len(runs):
@@ -251,15 +250,9 @@ def _block_product(
     return out, length
 
 
-def _block(runs: Runs, length: int) -> tuple[Runs, int, int]:
-    """The ``blocks`` entry of :func:`_block_product` for a reduced block."""
-    return runs, length, _conjugator_length(runs)
-
-
 def _conjugator_length(runs: Runs) -> int:
     """``|w|`` for the reduced block ``w c w^-1`` with ``c`` cyclically
-    reduced, so that its ``k``-th power has ``2|w| + k|c|`` letters for
-    ``k >= 1``."""
+    reduced."""
     t, i, j = 0, 0, len(runs) - 1
     while i < j:
         (g, e), (h, f) = runs[i], runs[j]
@@ -418,10 +411,8 @@ class Word:
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()
-        k = abs(n)
-        t = _conjugator_length(base.runs)
-        length = 2 * t + k * (self._length - 2 * t) if k else 0
-        return Word._make(self.alphabet, tuple(_power_runs(base.runs, k)), length)
+        runs, length = _block_power(base.runs, self._length, abs(n))
+        return Word._make(self.alphabet, tuple(runs), length)
 
     def __eq__(self, other) -> bool:
         return (
@@ -472,7 +463,7 @@ def concat(u: Word, v: Word) -> Word:
         return u
     # u and v as the blocks of the letters of the two-letter pattern
     runs, length = _block_product(
-        ((1, 1), (2, 1)), {1: (u.runs, u._length, 0), 2: (v.runs, v._length, 0)}
+        ((1, 1), (2, 1)), {1: (u.runs, u._length), 2: (v.runs, v._length)}
     )
     return Word._make(u.alphabet, tuple(runs), length)
 

@@ -150,6 +150,19 @@ def _bad_config_file(tmp_path, monkeypatch):
         _definition_file(
             "alphabet: a b\nalphabet: a b\nmap a -> a\nmap b -> b a\ninv a -> a\ninv b -> b a^-1\n"
         ),
+        _definition_file(
+            "alphabet: a b\nmap a -> a\nmap b -> b a\ninv a -> a\ninv b -> b a^-1\n"
+            "fix: a\nfix: b a b^-1\n"
+        ),
+        _definition_file(
+            "alphabet: a b\nmap a -> a\nmap b -> b a\ninv a -> a\ninv b -> b a^-1\n"
+            "seeds: b\nseeds: a\n"
+        ),
+        # argparse's own usage errors exit 2, the code of an inconclusive result
+        lambda tmp_path, monkeypatch: ["iterate", "phi_k:k=1", "b", "x"],
+        lambda tmp_path, monkeypatch: ["omega", "phi_k:k=1"],
+        # iterate reads only the length budget
+        lambda tmp_path, monkeypatch: ["iterate", "phi_k:k=1", "b", "2", "--max-iter", "3"],
     ],
     ids=[
         "family-spec",
@@ -160,6 +173,11 @@ def _bad_config_file(tmp_path, monkeypatch):
         "second-map",
         "second-inv",
         "second-alphabet",
+        "second-fix",
+        "second-seeds",
+        "usage-bad-int",
+        "usage-missing-argument",
+        "iterate-max-iter",
     ],
 )
 def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, capsys):
@@ -167,6 +185,13 @@ def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert err.startswith("error: ") and len(err) > len("error: \n")
     assert "Traceback" not in out + err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["iterate", "--help"])
+    assert exc.value.code == 0
+    assert "--max-len" in capsys.readouterr().out
 
 
 class TestCommands:

@@ -387,6 +387,16 @@ class TestGrowth:
         assert cls.samples == 7
         assert cls.kind == "exponential"
 
+    @pytest.mark.parametrize("budget", [60, 100, 150])
+    def test_overflow_before_three_tail_samples_raises(self, budget):
+        # two tail samples lie on both fitted lines, so rounding chose
+        # between them: 8, 21, 55 read as polynomial at 60 and 100, and
+        # 8, 21, 55, 144 as exponential at 150
+        theta = stock_theta("trace3")
+        cfg = IterationConfig(max_word_length=budget)
+        with pytest.raises(GrowthOverflowError):
+            growth_classify(theta, parse_word(theta.alphabet, "a b a"), 20, cfg)
+
     @pytest.mark.parametrize("budget", [3, 6, 12, 30])
     def test_overflow_before_two_tail_samples_raises(self, budget):
         # |trace3^p(a b a)| = 8, 21, 55, 144: each budget stops sampling
@@ -585,6 +595,21 @@ class TestHeldPrefixEngine:
         assert res.point.point == rational_point(
             parse_word(pair.alphabet, "b"), parse_word(pair.alphabet, "a")
         )
+
+    def test_held_prefix_at_cap_certifies(self):
+        # C = 87 under the 4th power, so cap = 200 + 87 * 300 = 26,300: the
+        # held prefixes of e reach cap at once and stay there
+        pair = family("beta", rank=6).pair
+        seed = parse_word(pair.alphabet, "e")
+        res = omega_limit(power(pair, 4), seed)
+        assert isinstance(res, Boundary) and isinstance(res.point, PrefixApprox)
+        assert res.certified_length == 26_300
+        assert res.iterations_used <= 5
+        # the 4th power converges to the limit of the orbit under beta
+        limit = omega_limit(pair, seed)
+        assert isinstance(limit, Boundary)
+        n = limit.certified_length
+        assert res.point.prefix.prefix(n) == limit.point.prefix.prefix(n)
 
     def test_budget_below_cap_still_overflows(self):
         # whole iterates are checked against max_word_length; with a budget

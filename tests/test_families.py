@@ -35,7 +35,7 @@ from fgdyn.families import (
 )
 from fgdyn.graphs import build_graph, verify_fixed_generators
 from fgdyn.subgroups import build_core_graph, contains
-from fgdyn.words import Word, parse_word, standard_alphabet
+from fgdyn.words import Word, format_word, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
 F4 = standard_alphabet(4)
@@ -246,11 +246,26 @@ class TestCatalog:
 
 
 class TestExpectedGraphs:
-    def test_phi_template_matches_build(self):
-        fam = family("phi_k", k=1)
+    @pytest.mark.parametrize(
+        "name, k", [("phi_k", k) for k in range(1, 6)] + [("alpha_k", k) for k in range(1, 4)]
+    )
+    def test_phi_template_matches_build(self, name, k):
+        fam = family(name, k=k)
         graph = build_graph(fam.pair, fam.fixed_generators)
-        template = expected_graph("phi_k", k=1)
+        template = expected_graph(name, k=k)
         assert template.mismatches(graph) == []
+
+    @pytest.mark.parametrize("rank, theta", [(6, "trace3"), (7, "trace4")])
+    def test_beta_resolves_with_one_loop(self, rank, theta):
+        fam = family("beta", rank=rank, theta=theta)
+        graph = build_graph(fam.pair, fam.fixed_generators)
+        assert "unresolved" not in graph.diagnostics
+        loops = [
+            (graph.vertices[e.source].text(), tuple(format_word(w) for w in e.labels))
+            for e in graph.edges
+            if e.is_loop()
+        ]
+        assert loops == [("b (a^-1)^∞", ("b d^-1",))]
 
     def test_twist_templates_match_builds(self):
         for n in (1, 2, 3):
