@@ -101,10 +101,6 @@ class Endomorphism:
         return f"<Endomorphism {parts}>"
 
 
-def apply(e: Endomorphism, w: Word) -> Word:
-    return e.apply(w)
-
-
 def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     """The endomorphism ``g -> e1(e2(g))``."""
     if e1.alphabet != e2.alphabet:
@@ -435,7 +431,6 @@ class IntMatrix:
 def matrix_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.dimension != b.dimension:
         raise ValueError("dimension mismatch")
-    n = a.dimension
     bt = list(zip(*b.entries))
     return IntMatrix(
         tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries)

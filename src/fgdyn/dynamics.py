@@ -472,10 +472,8 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     held as certified prefixes (see :func:`_held_orbit`); a common prefix
     shorter than both held words is the exact common prefix of the
     iterates, so results equal those of whole-word iteration as long as
-    the certifying prefixes stay below the held lengths.  One that is
-    all of both held words is a lower bound capped by the held length,
-    and counts as growth.  Only the whole iterates are checked against
-    ``max_word_length``.
+    the certifying prefixes stay below the held lengths.  Only the whole
+    iterates are checked against ``max_word_length``.
     """
     forward = phi.forward
     prev = g
@@ -489,11 +487,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
             cp = common_prefix_length(prev, nxt)
-            # whole iterates are never equal past iteration 1, so a common
-            # prefix that is all of both words is a held prefix, which
-            # cannot grow past the held length: it counts as growth
-            grew = prev_cp is None or cp > prev_cp or cp == len(prev) == len(nxt)
-            streak = streak + 1 if grew else 0
+            streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
             if cp >= best_cp:
                 best_cp = cp
                 best_word = nxt

@@ -219,8 +219,10 @@ def _block_product(
         else:
             runs, n = blocks[gen] if exp > 0 else blocks[-gen]
             k = exp if exp > 0 else -exp
-            if len(runs) == 1:  # the common case, built in place
-                runs, n = ((runs[0][0], runs[0][1] * k),), n * k
+            if len(runs) == 1:
+                ((g, e),) = runs
+                runs = ((g, e * k),)
+                n *= k
             else:
                 runs, n = powers[run] = _block_power(runs, n, k)
         # the junction: n becomes the letters the block adds to out

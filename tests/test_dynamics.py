@@ -596,20 +596,34 @@ class TestHeldPrefixEngine:
             parse_word(pair.alphabet, "b"), parse_word(pair.alphabet, "a")
         )
 
-    def test_held_prefix_at_cap_certifies(self):
-        # C = 87 under the 4th power, so cap = 200 + 87 * 300 = 26,300: the
-        # held prefixes of e reach cap at once and stay there
-        pair = family("beta", rank=6).pair
-        seed = parse_word(pair.alphabet, "e")
-        res = omega_limit(power(pair, 4), seed)
-        assert isinstance(res, Boundary) and isinstance(res.point, PrefixApprox)
-        assert res.certified_length == 26_300
-        assert res.iterations_used <= 5
-        # the 4th power converges to the limit of the orbit under beta
-        limit = omega_limit(pair, seed)
-        assert isinstance(limit, Boundary)
-        n = limit.certified_length
-        assert res.point.prefix.prefix(n) == limit.point.prefix.prefix(n)
+    def test_prefix_held_at_cap_is_not_a_limit(self):
+        # delta: [b a^1000 b^-2] -> b a^1000 b^-1 a^-n b^-1, whose limit is
+        # b a^1000 b^-1 a^-inf; the seed is longer than cap = 200 + 1 * 300,
+        # so the held prefix is b a^499 at every step, and b a^inf (fixed)
+        # must not be read off it
+        pair = family("delta", n=1).pair
+        res = omega_limit(pair, parse_word(F2, "b a^1000 b^-2"))
+        limit = parse_word(F2, "b a^1000 b^-1 a^-2000")
+        if isinstance(res, Boundary):
+            # a rational point states every letter, a prefix only its own
+            n = 1100 if isinstance(res.point, Rational) else res.certified_length
+            assert _point_prefix(res, n) == limit.prefix(n)
+
+    @pytest.mark.parametrize(
+        "forward, backward, seed",
+        [
+            # a signed permutation: C = 0, every orbit is periodic
+            (("a", "c", "b"), ("a", "c", "b"), "a^300 b"),
+            # C = 1 and period 2: the held prefix d a^499 maps to d a^500
+            (("a", "c", "b", "d a"), ("a", "c", "b", "d a^-1"), "d a^1000 d^-1 b"),
+        ],
+    )
+    def test_periodic_seed_longer_than_cap_is_not_certified(self, forward, backward, seed):
+        alphabet = standard_alphabet(len(forward))
+        pair = verify_pair(endo(alphabet, *forward), endo(alphabet, *backward))
+        g = parse_word(alphabet, seed)
+        assert iterate(pair, g, 2) == g
+        assert not isinstance(omega_limit(pair, g), Boundary)
 
     def test_budget_below_cap_still_overflows(self):
         # whole iterates are checked against max_word_length; with a budget
