@@ -19,8 +19,9 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, cycle, islice
-from operator import mul
+from bisect import bisect_left
+from itertools import accumulate, chain, cycle, islice
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
@@ -30,6 +31,7 @@ from .words import (
     EmptyWordError,
     Word,
     _block_product,
+    _cut,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -356,18 +358,36 @@ def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
         lengths = [min(cap, sum(map(mul, row, lengths))) for row in counts]
 
 
-def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word]:
+def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Union[Word, "_Held"]]:
     """A prefix of each iterate ``[e^n(g)]``, for n = 1, 2, ...
 
     Iterates come whole from :func:`_orbit` up to the first one longer
     than ``cap = target_prefix + C * max_iterations`` letters, with C the
     :func:`cancellation_bound` of ``e`` (computed once an iterate is
-    longer than ``target_prefix``).  From there only a held prefix P of
-    the iterate W is stepped: the first ``|[e(P)]| - C`` letters of
-    ``[e(P)]`` are a prefix of ``[e(W)]``, and at most ``cap`` of them
-    are kept, so the image is read only until it has ``cap + C``
-    letters.  A prefix that gains one letter a step and loses C keeps at
-    least ``target_prefix`` letters for ``max_iterations`` steps.
+    longer than ``target_prefix``).  From there only a held prefix of
+    each iterate is kept, as a :class:`_Held` level read lazily from the
+    level before it.  ``H_0`` is the first ``cap`` letters of that
+    iterate W.  ``H_j`` is the first ``min(cap, |P| - C)`` letters of
+    ``P = [e(u)]``, where ``u`` is the runs of ``H_(j-1)`` read until
+    ``|P| >= cap + C`` or ``H_(j-1)`` ends: the first ``|[e(p)]| - C``
+    letters of the image of a prefix p are a prefix of the image of the
+    word, so ``H_j`` is a prefix of ``[e^j(W)]``.  A prefix that gains
+    one letter a step and loses C keeps at least ``target_prefix``
+    letters for ``max_iterations`` steps.
+
+    A level reads its source only as far as it is asked to know (see
+    :func:`_pull`).  While it reads, the first ``|P_t| - C`` letters of
+    its partial product ``P_t`` are final, and the rest of the read
+    cancels at most C of them, so the final P has at least ``|P_t| - C``
+    letters and ``H_j`` at least ``min(cap, |P_t| - 2C)``: the level
+    knows its letters below the largest such bound, and no further.  Its
+    length is known only once it stops reading: at ``cap + C`` (checked
+    after each whole run of the source, as the read of ``u`` stops) or
+    once it knows ``cap`` letters, it holds ``cap``; when its source
+    ends, ``|P| - C``.  Free reduction is associative, so reading the
+    known part of a run that the source's bound cuts, and the rest of it
+    later, gives the same product.  Each level is the held prefix that
+    stepping the whole held word would give, letter for letter.
     """
     c = None
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
@@ -379,11 +399,196 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Word
                 cap += c * cfg.max_iterations
             if len(w) > cap:
                 break
-    held = w.prefix(cap)
+    step = (e._image_blocks, cap, c)
+    held = _Held.whole(w.prefix(cap))
     while True:
-        image = e.apply(held, limit=cap + c)
-        held = image.prefix(min(cap, len(image) - c))
+        held = _Held(held, step)
         yield held
+
+
+# A level reads all its source knows once at most this many runs of the
+# source's product lie past its place: a kernel call over a few runs
+# costs less than the reads it saves when the levels below each lack a
+# few letters at every step.
+_FEW_RUNS = 8
+
+
+class _Held:
+    """A held prefix ``H_j`` of :func:`_held_orbit`, read lazily from its
+    source ``H_(j-1)``, or a whole word.
+
+    ``runs`` and ``length`` are the partial product ``P_t``; its first
+    ``known`` letters are letters of ``H_j``; ``end`` is ``|H_j|`` once
+    the level has stopped reading (then ``known == end``), else ``None``.
+    ``k``, ``r`` and ``pos`` are the place in the source: ``r`` letters
+    of its run ``k`` are read, ``pos`` letters in all.  ``step`` holds
+    the image blocks of the map, ``cap`` and C.  A level that has
+    stopped reading drops its source, so a finished chain can be freed.
+    """
+
+    __slots__ = ("source", "step", "alphabet", "runs", "length", "known", "end", "k", "r", "pos")
+
+    def __init__(self, source: "_Held", step: tuple):
+        self.source, self.step, self.alphabet = source, step, source.alphabet
+        self.runs: list = []
+        self.length = self.known = self.k = self.r = self.pos = 0
+        self.end: Optional[int] = None
+
+    @classmethod
+    def whole(cls, w: Word) -> "_Held":
+        """The word ``w`` as a level that has ended."""
+        held = object.__new__(cls)
+        held.source, held.alphabet, held.runs = None, w.alphabet, w.runs
+        held.length = held.known = held.end = len(w)
+        return held
+
+    def prefix(self, n: int) -> Word:
+        """The first ``n <= known`` letters."""
+        return Word._make(self.alphabet, tuple(self.runs), self.length).prefix(n)
+
+    def _read(self, n: int) -> None:
+        """Read on in the letters the source knows, toward knowing ``n``:
+        one source letter for each letter P lacks, or all the source
+        knows once few of its runs are left."""
+        source, (blocks, cap, c) = self.source, self.step
+        runs, bound, pos, k, r = source.runs, source.known, self.pos, self.k, self.r
+        if r and r == abs(runs[k][1]):
+            # run k, read to the bound, proved whole: the eager step stops
+            # after it at cap + C
+            if self.length >= cap + c:
+                return self._stop(self.length, cap)
+            k, r = k + 1, 0
+        if pos == bound:  # the source ended where this level had read to
+            return self._stop(self.length, max(0, min(cap, self.length - c)))
+        stop = bound
+        if len(runs) - k > _FEW_RUNS:
+            stop = pos + n + 2 * c - self.length
+            if stop > bound:
+                stop = bound
+        # the read ends rs letters into run ks, 0 < rs <= its size
+        if stop < bound:
+            ends = list(accumulate(map(abs, map(itemgetter(1), islice(runs, k, k + stop - pos + 1))), initial=-r))
+            ks = k + bisect_left(ends, stop - pos, 1) - 1
+            rs = stop - pos - ends[ks - k]
+        elif stop < source.length:
+            ks, rs = _cut(runs, stop, source.length)
+        else:
+            ks, rs = len(runs), 0
+        if not rs:
+            ks -= 1
+            rs = abs(runs[ks][1])
+        gen, exp = runs[ks]
+        if ks > k:
+            pieces = [*runs[k:ks], (gen, rs if exp > 0 else -rs)]
+            if r:  # the rest of run k
+                g, e = pieces[0]
+                pieces[0] = (g, e - r if e > 0 else e + r)
+        else:
+            pieces = [(gen, rs - r if exp > 0 else r - rs)]
+        # run ks is read whole when a letter after it is known, or the
+        # source ends with it; else it may still grow
+        whole = (rs == exp or rs == -exp) if stop < bound else source.end is not None
+        self.k, self.r, self.pos = (ks + 1, 0, stop) if whole else (ks, rs, stop)
+        # the eager step stops after the first whole run at cap + C, so a
+        # last piece that may grow is read after that check
+        last = None if whole else pieces.pop()
+        length = self.length
+        if pieces:
+            length = _block_product(pieces, blocks, cap + c, self.runs, length)[1]
+            if length >= cap + c:
+                return self._stop(length, cap)
+        if last:
+            length = _block_product((last,), blocks, None, self.runs, length)[1]
+        self.length = length
+        if length - 2 * c >= cap:
+            self._stop(length, cap)
+        elif stop == bound and source.end is not None:
+            self._stop(length, max(0, min(cap, length - c)))
+        elif length - 2 * c > self.known:
+            self.known = length - 2 * c
+
+    def _stop(self, length: int, end: int) -> None:
+        self.length, self.known, self.end, self.source = length, end, end, None
+
+
+def _pull(held: _Held, n: int) -> None:
+    """Read levels until ``held`` knows ``n`` letters or has ended.
+
+    A level that has read all its source knows asks the source to know
+    as many more letters as it lacks, and at least twice what the source
+    knows, so that a chain whose levels each lack a few letters a step
+    is not read down to its bottom at every step.  The asks go on a
+    stack, not down the call stack: a chain has a level per held step.
+    """
+    source = held.source
+    if held.end is None and held.known < n and (source.end is not None or source.known > held.pos):
+        held._read(n)  # most often enough: the source knows the letters
+    if held.end is not None or held.known >= n:
+        return
+    todo = [(held, n)]
+    while todo:
+        held, n = todo[-1]
+        source = held.source
+        if held.end is not None or held.known >= n:
+            todo.pop()
+        elif source.end is not None or source.known > held.pos:
+            held._read(n)
+        else:
+            todo.append((source, max(held.pos + n + 2 * held.step[2] - held.length, 2 * source.known)))
+
+
+def _held_prefix(u: Union[Word, _Held], v: _Held) -> int:
+    """:func:`common_prefix_length` of ``u`` and the level ``v``, each
+    read only as far as the comparison needs.
+
+    The runs read so far give a common prefix; it is final where it ends
+    below both known bounds, since a run that reaches a bound may still
+    grow.  Else the sides that know fewest letters read on, at least to
+    the end of the longer of the runs where the two differ and to twice
+    what they know.  The comparison then resumes at the first run that
+    does not end below both bounds: a run that differs or touches a
+    bound is compared again.
+    """
+    if isinstance(u, Word):
+        u = _Held.whole(u)
+    i = 0  # the runs before i agree and end below both known bounds
+    while True:
+        a, b = u.runs, v.runs
+        n = len(a) if len(a) < len(b) else len(b)
+        j = i  # the first run that differs
+        while j < n and a[j] == b[j]:
+            j += 1
+        # the letters before run j, summed over the shorter side of it
+        if 2 * j <= len(a):
+            start = 0
+            for _, e in a[:j]:
+                start += e if e > 0 else -e
+        else:
+            start = u.length
+            for _, e in a[j:]:
+                start -= e if e > 0 else -e
+        cp = start
+        if j < n:
+            (g1, e1), (g2, e2) = a[j], b[j]
+            reach = cp + 1
+            if g1 == g2 and (e1 > 0) == (e2 > 0):
+                s1, s2 = abs(e1), abs(e2)
+                reach += s1 if s1 > s2 else s2
+                cp += s2 if s1 > s2 else s1
+        else:
+            rest = a if n < len(a) else b
+            reach = cp + 1 + (abs(rest[n][1]) if n < len(rest) else 0)
+        known = u.known if u.known < v.known else v.known
+        if cp < known:
+            return cp
+        if u.end == known or v.end == known:
+            return known
+        i = j
+        while i and start >= known:
+            i -= 1
+            start -= abs(a[i][1])
+        for x in [x for x in (u, v) if x.known == known]:
+            _pull(x, max(reach, 2 * known))
 
 
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
@@ -474,6 +679,15 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     iterates, so results equal those of whole-word iteration as long as
     the certifying prefixes stay below the held lengths.  Only the whole
     iterates are checked against ``max_word_length``.
+
+    A held prefix comes as a level that is read only as far as the common
+    prefix, the certified prefix and the best prefix need: up to the first
+    letter where two consecutive levels differ, or to the end of one of
+    them (:func:`_held_prefix`).  A level exposes only letters below
+    ``min(cap, |P_t| - 2C)`` for its partial product ``P_t``, which the
+    rest of its read can neither change nor cut off, so every result is
+    the one of stepping each held prefix whole.  Plain words from
+    ``_held_orbit`` are compared whole.
     """
     forward = phi.forward
     prev = g
@@ -486,7 +700,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
         for iterations, nxt in orbit:
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
-            cp = common_prefix_length(prev, nxt)
+            cp = common_prefix_length(prev, nxt) if isinstance(nxt, Word) else _held_prefix(prev, nxt)
             streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
             if cp >= best_cp:
                 best_cp = cp

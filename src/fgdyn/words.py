@@ -173,7 +173,11 @@ def _window_product(pattern: Runs, blocks: dict) -> tuple[list[tuple[int, int]],
 
 
 def _block_product(
-    pattern: Runs, blocks: dict, limit: Optional[int] = None
+    pattern: Runs,
+    blocks: dict,
+    limit: Optional[int] = None,
+    out: Optional[list[tuple[int, int]]] = None,
+    length: int = 0,
 ) -> tuple[list[tuple[int, int]], int]:
     """The runs and length of the reduced product ``[prod block(y)^k]``
     over the runs ``(y, k)`` of ``pattern``.
@@ -183,7 +187,10 @@ def _block_product(
     its power is built in place for one run, else once per call by
     :func:`_block_power`.  With a ``limit``, runs of ``pattern`` are read
     only until the product holds at least ``limit`` letters: the result
-    is then the product over the runs read so far.
+    is then the product over the runs read so far.  With ``out``, the
+    product resumes from the reduced product ``out`` of ``length``
+    letters, and ``out`` is extended in place: a pattern read in pieces,
+    a run cut in two included, gives the product of the whole pattern.
 
     Each block is reduced, so letters cancel or merge only at the
     junction with the product so far: once one run survives there, the
@@ -203,10 +210,10 @@ def _block_product(
     with the runs.  A pattern whose sample does not repeat is read run
     by run, with no pass over the rest of it.
     """
-    if limit is None and len(pattern) >= _MIN_WINDOWED and _repeats(pattern):
-        return _window_product(pattern, blocks)
-    out: list[tuple[int, int]] = []
-    length = 0
+    if out is None:
+        if limit is None and len(pattern) >= _MIN_WINDOWED and _repeats(pattern):
+            return _window_product(pattern, blocks)
+        out = []
     powers: dict = {}  # the power blocks built so far, by pattern run
     for run in pattern:
         gen, exp = run

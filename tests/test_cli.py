@@ -89,6 +89,14 @@ class TestExitCodes:
     def test_parabolic_negative(self, capsys):
         assert main(["parabolic", "phi_k:k=1", "d"]) == 1
 
+    def test_parabolic_over_a_deep_held_chain(self, capsys):
+        # each orbit is held for about 1,400 steps, every held level read
+        # from the one before it
+        assert main(["parabolic", "beta:rank=6", "b d^-1", "--max-iter", "3000", "--prefix", "1500"]) == 0
+        out = capsys.readouterr()
+        assert json.loads(out.out)["verdict"] == "parabolic"
+        assert not out.err
+
     def test_parabolic_fixed_seed(self, capsys):
         assert main(["parabolic", "phi_k:k=1", "a"]) == 1
         assert json.loads(capsys.readouterr().out)["reason"].startswith("seed is fixed")

@@ -543,6 +543,52 @@ def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
         return omega_limit(phi, g, cfg)
 
 
+def eager_held_orbit(e, g, cfg):
+    """``_held_orbit`` with every held prefix stepped whole: the map is
+    applied to the held word until the image has ``cap + C`` letters, and
+    the first ``min(cap, |image| - C)`` of them are the next held word.
+    The reference the lazily read held levels must agree with."""
+    c = None
+    cap = cfg.target_prefix
+    for w in dynamics._orbit(e, g, cfg.max_word_length):
+        yield w
+        if len(w) > cap:
+            if c is None:
+                c = cancellation_bound(e)
+                cap += c * cfg.max_iterations
+            if len(w) > cap:
+                break
+    held = w.prefix(cap)
+    while True:
+        image = e.apply(held, limit=cap + c)
+        held = image.prefix(min(cap, len(image) - c))
+        yield held
+
+
+def eager_held_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
+    """``omega_limit`` over :func:`eager_held_orbit`."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_held_orbit", eager_held_orbit)
+        return omega_limit(phi, g, cfg)
+
+
+def held_letters(monkeypatch):
+    """The letters the held phase of ``omega_limit`` makes from now on:
+    the products of the kernel calls that stop at a limit or resume a
+    product, which are the held steps, counted as they grow."""
+    made = [0]
+
+    def counting(pattern, blocks, limit=None, out=None, length=0):
+        runs, new = words._block_product(pattern, blocks, limit, out, length)
+        if limit is not None or out is not None:
+            made[0] += new - length
+        return runs, new
+
+    monkeypatch.setattr(dynamics, "_block_product", counting)
+    monkeypatch.setattr(automorphisms, "_block_product", counting)
+    return made
+
+
 def catalog_seeds():
     for name, params in (
         ("phi_k", {"k": 1}),
@@ -556,6 +602,14 @@ def catalog_seeds():
     ):
         fam = family(name, **params)
         yield f"{name}:{params}", fam.pair, fam.default_seeds or default_seeds(fam.pair.alphabet)
+
+
+PERIODIC_PAST_CAP = [
+    # a signed permutation: C = 0, every orbit is periodic
+    (("a", "c", "b"), ("a", "c", "b"), "a^300 b"),
+    # C = 1 and period 2: the held prefix d a^499 maps to d a^500
+    (("a", "c", "b", "d a"), ("a", "c", "b", "d a^-1"), "d a^1000 d^-1 b"),
+]
 
 
 class TestHeldPrefixEngine:
@@ -583,6 +637,10 @@ class TestHeldPrefixEngine:
         held = dynamics._held_orbit(e, seed, cfg)
         outgrown = False
         for w, h in zip(exact, held):
+            if isinstance(h, dynamics._Held):
+                # a held level is read lazily: read it to its end
+                dynamics._pull(h, cap + 1)
+                h = h.prefix(h.end)
             assert w.prefix(len(h)) == h
             assert len(h) <= cap or not outgrown
             outgrown = outgrown or len(w) > cap
@@ -609,15 +667,7 @@ class TestHeldPrefixEngine:
             n = 1100 if isinstance(res.point, Rational) else res.certified_length
             assert _point_prefix(res, n) == limit.prefix(n)
 
-    @pytest.mark.parametrize(
-        "forward, backward, seed",
-        [
-            # a signed permutation: C = 0, every orbit is periodic
-            (("a", "c", "b"), ("a", "c", "b"), "a^300 b"),
-            # C = 1 and period 2: the held prefix d a^499 maps to d a^500
-            (("a", "c", "b", "d a"), ("a", "c", "b", "d a^-1"), "d a^1000 d^-1 b"),
-        ],
-    )
+    @pytest.mark.parametrize("forward, backward, seed", PERIODIC_PAST_CAP)
     def test_periodic_seed_longer_than_cap_is_not_certified(self, forward, backward, seed):
         alphabet = standard_alphabet(len(forward))
         pair = verify_pair(endo(alphabet, *forward), endo(alphabet, *backward))
@@ -632,6 +682,110 @@ class TestHeldPrefixEngine:
         res = omega_limit(pair, parse_word(pair.alphabet, "b e"), IterationConfig(max_word_length=1000))
         assert isinstance(res, NotConverged)
         assert res.diagnostics["reason"] == "growth-overflow"
+
+    @pytest.mark.parametrize("group", ["catalog", "beta-rank-7", "held-seeds", "beta-powers", "random-configs"])
+    def test_lazy_agrees_with_eager_held(self, monkeypatch, group):
+        # held levels read only as far as the comparisons need give the
+        # result of stepping every held prefix whole, to the last field,
+        # wherever an orbit is held
+        if group == "catalog":
+            cases = [(phi, g, DEFAULT_CONFIG) for _, pair, seeds in catalog_seeds()
+                     for g in seeds for phi in (pair, pair.inverse())]
+        elif group == "beta-rank-7":
+            pair = family("beta", rank=7).pair
+            cases = [(phi, g, DEFAULT_CONFIG) for g in default_seeds(pair.alphabet)
+                     for phi in (pair, pair.inverse())]
+        elif group == "held-seeds":
+            beta, delta = family("beta", rank=6).pair, family("delta", n=1).pair
+            cases = [(beta, parse_word(beta.alphabet, "b e"), DEFAULT_CONFIG),
+                     (delta, parse_word(F2, "b a^1000 b^-2"), DEFAULT_CONFIG)]
+            for forward, backward, seed in PERIODIC_PAST_CAP:
+                alphabet = standard_alphabet(len(forward))
+                pair = verify_pair(endo(alphabet, *forward), endo(alphabet, *backward))
+                cases.append((pair, parse_word(alphabet, seed), DEFAULT_CONFIG))
+        elif group == "beta-powers":
+            beta = family("beta", rank=6).pair
+            cfg = IterationConfig(max_iterations=30)
+            cases = [(power(beta, q), parse_word(beta.alphabet, text), cfg)
+                     for q in (2, 3, 4) for text in ("e", "f", "b e", "d f")]
+        else:
+            # small caps, so that about a third of the orbits are held
+            rng = random.Random(14)
+            pairs = [family(name, **params).pair for name, params in (
+                ("beta", {"rank": 6}), ("alpha_k", {"k": 1}), ("phi_k", {"k": 1}),
+                ("delta", {"n": 1}), ("inner", {"u": "a b"}))]
+            pairs += [stock_theta("trace3"), stock_theta("trace4")]
+            cases = []
+            for _ in range(120):
+                pair = rng.choice(pairs)
+                phi = pair if rng.random() < 0.5 else pair.inverse()
+                letters = phi.alphabet.signed_letters
+                g = reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+                cfg = IterationConfig(
+                    max_iterations=rng.randint(1, 120),
+                    target_prefix=rng.randint(1, 100),
+                    stability_window=rng.randint(1, 6),
+                    min_repeats=rng.randint(1, 4),
+                )
+                if not g.is_identity():
+                    cases.append((phi, g, cfg))
+        held = []
+        lazy = dynamics._held_orbit
+
+        def recording(e, g, c):
+            for w in lazy(e, g, c):
+                if isinstance(w, dynamics._Held) and not held[-1]:
+                    held[-1] = True
+                yield w
+
+        for phi, g, cfg in cases:
+            held.append(False)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_held_orbit", recording)
+                got = omega_limit(phi, g, cfg)
+            if held[-1]:  # an orbit never held takes the same steps either way
+                assert got.to_json() == eager_held_omega(monkeypatch, phi, g, cfg).to_json(), (str(g), cfg)
+        # held orbits: 164 of 720, 92 of 392, 4 of 4, 12 of 12, 37 of 115
+        assert 5 * sum(held) >= len(cases)
+
+    @pytest.mark.parametrize("name, params", [("beta", {"rank": 6}), ("alpha_k", {"k": 1})])
+    def test_deep_chain_of_held_levels(self, monkeypatch, name, params):
+        # about 1,400 held levels, each read from the one before it: reads
+        # must not recurse once per level
+        pair = family(name, **params).pair
+        cfg = IterationConfig(max_iterations=3000, target_prefix=1500)
+        held = []
+        lazy = dynamics._held_orbit
+
+        def counting(e, g, c):
+            for w in lazy(e, g, c):
+                held.append(isinstance(w, dynamics._Held))
+                yield w
+
+        for text in ("b d^-1", "b^-1 d^-1"):
+            g = parse_word(pair.alphabet, text)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_held_orbit", counting)
+                got = omega_limit(pair, g, cfg)
+            assert got.to_json() == eager_held_omega(monkeypatch, pair, g, cfg).to_json()
+            assert isinstance(got, Boundary)
+        assert sum(held) > 2 * 1000
+
+    def test_held_phase_reads_what_the_comparisons_need(self, monkeypatch):
+        # c^-1 f^-1 certifies a^-inf after about 100 held steps whose common
+        # prefixes are the a-runs; stepping held prefixes whole makes about
+        # 100,000 letters (cap = 1,100 a step)
+        pair = family("beta", rank=6).pair
+        g = parse_word(pair.alphabet, "c^-1 f^-1")
+        made = held_letters(monkeypatch)
+        lazy = omega_limit(pair, g)
+        lazy_letters = made[0]
+        made[0] = 0
+        eager = eager_held_omega(monkeypatch, pair, g)
+        assert lazy.to_json() == eager.to_json()
+        assert isinstance(lazy, Boundary)
+        assert made[0] > 100_000
+        assert 4 * lazy_letters <= made[0]
 
 
 def order_three():
@@ -759,9 +913,9 @@ def touched_letters(monkeypatch):
     multiplies, a block read once per letter of its run."""
     touched = [0]
 
-    def counting(pattern, blocks, limit=None):
+    def counting(pattern, blocks, limit=None, out=None, length=0):
         touched[0] += sum((k if k > 0 else -k) * blocks[x if k > 0 else -x][1] for x, k in pattern)
-        return words._block_product(pattern, blocks, limit)
+        return words._block_product(pattern, blocks, limit, out, length)
 
     monkeypatch.setattr(dynamics, "_block_product", counting)
     monkeypatch.setattr(automorphisms, "_block_product", counting)
