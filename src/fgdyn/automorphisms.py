@@ -48,7 +48,7 @@ class UnboundedCancellationError(ValueError):
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = ("alphabet", "images", "_image_blocks", "_cancellation_bound")
+    __slots__ = ("alphabet", "images", "_image_blocks", "_cancellation_bound", "_count_squares")
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -66,6 +66,7 @@ class Endomorphism:
             self._image_blocks[g] = (img.runs, len(img))
             self._image_blocks[-g] = (img.inverse().runs, len(img))
         self._cancellation_bound = None  # filled in by cancellation_bound()
+        self._count_squares = None  # filled in by dynamics._count_squares()
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":

@@ -244,8 +244,11 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 # ---------------------------------------------------------------------------
 
 
-def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) -> Iterator[Word]:
-    """The iterates ``[e^n(g)]`` for n = 1, 2, ..., or up to n = ``last``.
+def _orbit(
+    e: Endomorphism, g: Word, budget: int, last: Optional[int] = None, first: int = 1
+) -> Iterator[Word]:
+    """The iterates ``[e^n(g)]`` for n = ``first``, ``first + 1``, ..., or
+    up to n = ``last``.
 
     Raises :class:`GrowthOverflowError` at the first iterate longer than
     ``budget`` letters, carrying that iterate as ``word``.  This is the one
@@ -266,11 +269,22 @@ def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) ->
     twice the budget.  It then takes every step where ``w`` has more runs
     than it reads, until a letter iterate is longer than ``budget``.
 
+    With ``first > 1`` the first move is the jump: the letter iterates
+    ``[e^first(x)]`` are built by square and multiply, and
+    ``[e^first(g)]`` is their product over the runs of ``g``, the same
+    reduced word as ``first`` steps.  The caller bounds the unreduced
+    lengths ``U_first`` of ``g`` and of every letter reachable from it by
+    ``budget`` (:func:`_quiet_steps`), so no iterate jumped over and no
+    letter iterate built is longer than ``budget``.  Stepping then goes
+    on from those letter iterates, and assembles at every step where the
+    iterate has more runs than an assembly reads.
+
     An automorphism permutes words, so the orbit is periodic exactly when
-    it comes back to ``g``.  After the first return, at step n, the first
-    n iterates are replayed, or only ``(last - n) mod n`` more steps are
-    taken.  Every iterate of a periodic orbit comes before the return, so
-    the budget raises where stepping every iterate would.
+    it comes back to its first word: ``g``, or the iterate the jump built.
+    After the first return, q steps after that word, the q iterates from
+    it are replayed, or only ``(last - n) mod q`` more steps are taken.
+    Every iterate of a periodic orbit comes before the return, so the
+    budget raises where stepping every iterate would.
     """
     w = g
     letters = None  # the letters reachable from g, once w outgrows g
@@ -278,6 +292,16 @@ def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) ->
     letter_orbit = None  # the letter iterates, once assembly pays
     taken = 0  # the step of the letter iterates (and lengths) last taken
     n = 0
+    if first > 1:
+        letters = _reachable_letters(e, g)
+        reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
+        images = {x: e._image_blocks[x] for x in letters}
+        blocks = _square_and_multiply(images, first - 1, _compose_blocks, images)
+        w = _assembled(g, blocks)
+        letter_orbit, taken = _letter_orbits(e, letters, budget, blocks), first
+        n = first
+        yield w
+    start, anchor = n, w
     while last is None or n < last:
         n += 1
         blocks = None
@@ -301,11 +325,12 @@ def _orbit(e: Endomorphism, g: Word, budget: int, last: Optional[int] = None) ->
         w = e.apply(w) if blocks is None else _assembled(g, blocks)
         if len(w) > budget:
             raise GrowthOverflowError(n, len(w), budget, w)
-        if w == g:  # the first return: the orbit has period n
+        if w == anchor:  # the first return: the orbit has period n - start
+            period = n - start
             if last is None:
-                yield g
-                yield from cycle(chain(islice(_orbit(e, g, budget), n - 1), [g]))  # for good
-            last = n + (last - n) % n
+                yield w
+                yield from cycle(chain(islice(_orbit(e, w, budget), period - 1), [w]))  # for good
+            last = n + (last - n) % period
         yield w
 
 
@@ -326,19 +351,24 @@ def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
     return letters
 
 
-def _letter_orbits(e: Endomorphism, letters: set[int], budget: int) -> Iterator[dict]:
-    """The iterates ``[e^n(x)]`` of the ``letters`` x for n = 1, 2, ..., as
-    blocks of :func:`_block_product`; every letter of an image of one of
-    the letters must be one of them.
+def _letter_orbits(
+    e: Endomorphism, letters: set[int], budget: int, blocks: Optional[dict] = None
+) -> Iterator[dict]:
+    """The iterates ``[e^n(x)]`` of the ``letters`` x for n = m + 1, m + 2,
+    ..., as blocks of :func:`_block_product`, from ``blocks`` holding
+    ``[e^m(x)]`` (m = 0 without); every letter of an image of one of the
+    letters must be one of them.
 
     ``[e^n(x)] = [e^(n-1)(e(x))]``: the blocks of ``e^(n-1)`` composed
     with those of ``e``.  Ends at the first step where one of the iterates
     is longer than ``budget`` letters.
     """
-    images = blocks = {x: e._image_blocks[x] for x in letters}
-    while all(length <= budget for _, length in blocks.values()):
+    images = {x: e._image_blocks[x] for x in letters}
+    while True:
+        blocks = images if blocks is None else _compose_blocks(blocks, images)
+        if any(length > budget for _, length in blocks.values()):
+            return
         yield blocks
-        blocks = _compose_blocks(blocks, images)
 
 
 def _letter_counts(e: Endomorphism) -> list[list[int]]:
@@ -358,8 +388,97 @@ def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
         lengths = [min(cap, sum(map(mul, row, lengths))) for row in counts]
 
 
-def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Union[Word, "_Held"]]:
-    """A prefix of each iterate ``[e^n(g)]``, for n = 1, 2, ...
+def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list]:
+    """The squares ``M^(2^i)``, i < ``levels``, of the letter-count matrix
+    M of ``e``, with every entry capped at a cap of at least ``cap``, as
+    ``(cap, squares)``: each square as its rows, its columns and its row
+    sums (capped alike).
+
+    A capped entry stays capped in every product, and an entry below the
+    cap is exact.  The table is kept on ``e``, filled only as far as a
+    caller asks, and built again only for a larger cap.
+    """
+    table = e._count_squares
+    if table is None or table[0] < cap:
+        table = e._count_squares = (cap, [])
+    cap, squares = table
+    while len(squares) < levels:
+        if squares:
+            rows, cols, _ = squares[-1]
+            rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
+        else:
+            rows = [[min(cap, k) for k in row] for row in _letter_counts(e)]
+        squares.append((rows, list(zip(*rows)), [min(cap, sum(row)) for row in rows]))
+    return table
+
+
+def _quiet_steps(
+    e: Endomorphism, g: Word, least: int, limit: int, bound: int, budget: int
+) -> Optional[tuple[int, int]]:
+    """The largest step n in ``least..limit`` (``least >= 1``) whose
+    unreduced length ``U_n(g)`` is below ``bound``, with ``U_n(g)``;
+    ``None`` where ``U_least(g) >= bound``, or where a letter y reachable
+    from ``g`` has ``U_n(y) > budget``.  ``bound`` is at most
+    ``budget + 1``.
+
+    ``U_n(x)``, the length of ``e^n(x)`` before free reduction, is a row
+    sum of ``M^n`` for the letter-count matrix M, and ``U_n(g) = sum_x
+    |g|_x U_n(x)``.  Each letter of an automorphism has a nonempty image,
+    so ``U_n`` never decreases with n: every iterate ``[e^m(g)]`` with
+    ``m <= n`` has at most ``U_n(g)`` letters, and ``[e^m(y)]`` at most
+    ``U_n(y)``.  n is found by binary lifting over the capped squares of
+    :func:`_count_squares`, with vector-matrix products only.
+    ``U_least(x)`` comes from the squares picked by the bits of
+    ``least`` (the lowest one is a row sum), and ``U_least(g)`` is summed
+    over the runs of ``g`` only until it reaches ``bound``, so a long
+    seed past the bound costs a few runs.  The letters of ``e^n(g)``
+    before reduction, counted by generator, are ``r_n = r_0 M^n``.  Each
+    square ``M^(2^i)``, from the largest down, is then taken where
+    ``U_(n + 2^i)(g)``, the product of ``r_n`` with the row sums of the
+    square, is still below ``bound``.  The cap is above ``budget``, so
+    every comparison is exact.
+    """
+    if least > limit:
+        return None
+    cap, squares = _count_squares(e, budget + 1, limit.bit_length())
+
+    def times(vector: list[int], rows) -> list[int]:
+        return [min(cap, sum(map(mul, vector, row))) for row in rows]
+
+    low = (least & -least).bit_length() - 1  # U_(2^low) is a row sum
+    lengths = squares[low][2]  # U_least(x) by generator
+    for i in range(low + 1, least.bit_length()):
+        if least >> i & 1:
+            lengths = times(lengths, squares[i][0])
+    counts = [0] * len(lengths)
+    total = 0
+    for x, k in g.runs:  # U_least(g), read only until it reaches the bound
+        k = k if k > 0 else -k
+        counts[x - 1] += k
+        total += k * lengths[x - 1]
+        if total >= bound:
+            return None
+    for i in range(least.bit_length()):
+        if least >> i & 1:
+            counts = times(counts, squares[i][1])
+    n = least
+    for i in reversed(range((limit - least).bit_length())):
+        if n + (1 << i) <= limit:
+            rows, cols, sums = squares[i]
+            lifted = sum(map(mul, counts, sums))
+            if lifted < bound:
+                n, total = n + (1 << i), lifted
+                counts, lengths = times(counts, cols), times(lengths, rows)
+    if any(lengths[abs(y) - 1] > budget for y in _reachable_letters(e, g)):
+        return None
+    return n, total
+
+
+def _held_orbit(
+    e: Endomorphism, g: Word, cfg: IterationConfig, first: int = 1
+) -> Iterator[Union[Word, "_Held"]]:
+    """A prefix of each iterate ``[e^n(g)]``, for n = ``first``,
+    ``first + 1``, ...
 
     Iterates come whole from :func:`_orbit` up to the first one longer
     than ``cap = target_prefix + C * max_iterations`` letters, with C the
@@ -391,7 +510,7 @@ def _held_orbit(e: Endomorphism, g: Word, cfg: IterationConfig) -> Iterator[Unio
     """
     c = None
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
-    for w in _orbit(e, g, cfg.max_word_length):
+    for w in _orbit(e, g, cfg.max_word_length, None, first):
         yield w
         if len(w) > cap:
             if c is None:
@@ -594,55 +713,46 @@ def _held_prefix(u: Union[Word, _Held], v: _Held) -> int:
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
-    :func:`_jump` builds it from the letter iterates where a length bound
-    covers every step; elsewhere :func:`_orbit` steps to it, and stops
-    stepping at the first return to ``g``.
+    :func:`_orbit` lands by the jump at the step :func:`_jump` picks and
+    steps from there, or steps from ``g``; either way it stops stepping at
+    the first return to the word it started from.
     """
     e = phi.forward if p >= 0 else phi.backward
     if g.alphabet != e.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
     if not p:
         return g
-    w = _jump(e, g, abs(p), cfg.max_word_length)
-    if w is None:
-        for w in _orbit(e, g, cfg.max_word_length, abs(p)):
-            pass
+    budget = cfg.max_word_length
+    for w in _orbit(e, g, budget, abs(p), _jump(e, g, abs(p), budget) or 1):
+        pass
     return w
 
 
-def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[Word]:
-    """``[e^p(g)]`` for ``p >= 1`` as the product over the runs of ``g`` of
-    the letter iterates ``[e^p(x)]``, or ``None`` where the bound below
-    fails.
+# A jump short of p pays only where it saves at least this many steps:
+# stepping a few-run orbit this far costs about as much as the block
+# products of one jump, while an orbit whose unreduced length grows
+# exponentially reaches the budget in fewer steps, and on a seed whose
+# letter iterates cancel (a long backward iterate) one product over the
+# seed reads far more letters than stepping it makes.
+_LONG_JUMP = 64
 
-    The unreduced length ``U_p(x)`` of ``e^p(x)`` is a row sum of the p-th
-    power of the letter-count matrix, with every entry capped at
-    ``budget + 1`` (a capped entry stays capped in every product).  Each
-    letter of an automorphism has a nonempty image, so ``U_n(x)`` never
-    decreases with n, and ``sum_x |g|_x U_p(x)`` bounds ``|[e^n(g)]|``
-    for every n <= p.  The jump needs that sum, and ``U_p(y)`` for every
-    letter y reachable from ``g``, to be at most ``budget``: then no step
-    overflows, and no power of the letter iterates is longer than
-    ``budget``.  Both p-th powers are ``x^(p-1) x``, by square and
-    multiply.
+
+def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[int]:
+    """The step :func:`iterate` lands at by the jump toward ``[e^p(g)]``
+    for ``p >= 1``, or ``None`` where it steps from ``g``.
+
+    The jump lands at the largest step q <= p where the unreduced lengths
+    ``U_q`` of ``g`` and of every letter reachable from it are at most
+    ``budget`` (:func:`_quiet_steps`): no step up to q overflows, and the
+    letter iterates fit the budget.  It lands at p itself wherever that
+    bound holds at p, and short of p only where q is at least
+    ``_LONG_JUMP``; the steps after q are stepped.  Past q the unreduced
+    length is past the budget, so an orbit that does not cancel overflows
+    at the next step: ``b`` under ``delta`` reaches ``b a^(10^6)`` in
+    O(log q) block products and one application, not in 10^6 steps.
     """
-    cap = budget + 1
-
-    def product(a, b):
-        return [[min(cap, sum(map(mul, row, col))) for col in zip(*b)] for row in a]
-
-    counts = _letter_counts(e)
-    unreduced = [min(cap, sum(row)) for row in _square_and_multiply(counts, p - 1, product, counts)]
-    bound = 0
-    for gen, exp in g.runs:
-        bound += (exp if exp > 0 else -exp) * unreduced[gen - 1]
-        if bound > budget:
-            return None
-    letters = _reachable_letters(e, g)
-    if any(unreduced[abs(x) - 1] > budget for x in letters):
-        return None
-    images = {x: e._image_blocks[x] for x in letters}
-    return _assembled(g, _square_and_multiply(images, p - 1, _compose_blocks, images))
+    quiet = _quiet_steps(e, g, min(p, _LONG_JUMP), p, budget + 1, budget)
+    return None if quiet is None else quiet[0]
 
 
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:
@@ -688,16 +798,53 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     rest of its read can neither change nor cut off, so every result is
     the one of stepping each held prefix whole.  Plain words from
     ``_held_orbit`` are compared whole.
+
+    The steps that cannot certify are jumped over.  The common prefix
+    ``cp(n)`` of ``[e^(n-1)(g)]`` and ``[e^n(g)]`` is at most the
+    unreduced length ``U_(n-1)(g)`` (:func:`_quiet_steps`).  With p the
+    largest step ``<= max_iterations - 2`` where ``U_p(g)`` is below
+    ``target_prefix`` (and within ``max_word_length``), no step up to
+    p + 1 can certify; the first that can is ``N = p + 2``, and its
+    streak reads ``cp`` from ``N - stability_window`` on.  So
+    :func:`_orbit` builds ``[e^s(g)]``, ``s = p + 1 - stability_window
+    >= 2``, by the jump, and the comparisons start there with a fresh
+    streak.  At every step ``n >= N`` the streak then reaches
+    ``stability_window`` exactly where the streak from step 1 does:
+    either both count the same steps since the last one whose prefix did
+    not grow, or both count back to ``s + 1`` or past it, and so at least
+    ``n - s - 1 >= stability_window`` steps.  No iterate up to step p is
+    longer than ``target_prefix``, so no held level and no overflow is
+    jumped over.  The fixed-element check of step 1 comes first, and the
+    iterations reported are the true ones.
+    A step jumped over has ``cp <= U_p(g)``; where the best common prefix
+    after the jump is shorter, the iterates jumped over are compared too,
+    so the best prefix is the longest common prefix of any step, the last
+    such one, as without the jump.
     """
     forward = phi.forward
-    prev = g
+    budget, window = cfg.max_word_length, cfg.stability_window
+    bound = min(cfg.target_prefix, budget + 1)
+    quiet = None
+    # U_0(g) = |g| may be past the bound already; and a map that gives
+    # every letter reachable from g a one-letter image only renames the
+    # letters of g, so the orbit comes back to g within a few steps,
+    # which stepping finds
+    if len(g) < bound and not (
+        all(forward._image_blocks[x][1] == 1 for x, _ in g.runs)
+        and all(forward._image_blocks[x][1] == 1 for x in _reachable_letters(forward, g))
+    ):
+        if forward.apply(g) == g:  # the fixed-element check of step 1
+            return FixedElement(g)
+        quiet = _quiet_steps(forward, g, window + 1, cfg.max_iterations - 2, bound, budget)
+    s = 0 if quiet is None else quiet[0] + 1 - window
+    orbit = _held_orbit(forward, g, cfg, s or 1)
+    prev = next(orbit) if s else g
     prev_cp: Optional[int] = None
     streak = 0
     best_cp = 0
     best_word = g
-    orbit = zip(range(1, cfg.max_iterations + 1), _held_orbit(forward, g, cfg))
     try:
-        for iterations, nxt in orbit:
+        for iterations, nxt in zip(range(s + 1, cfg.max_iterations + 1), orbit):
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
             cp = common_prefix_length(prev, nxt) if isinstance(nxt, Word) else _held_prefix(prev, nxt)
@@ -725,6 +872,17 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             "length": exc.length,
             "budget": exc.budget,
         }
+    if s and best_cp < quiet[1]:
+        # the steps jumped over, whole words all: the last one with the
+        # longest common prefix wins, so only where it is longer
+        prev, skipped = g, (0, g)
+        for nxt in _orbit(forward, g, budget, s):
+            cp = common_prefix_length(prev, nxt)
+            if cp >= skipped[0]:
+                skipped = (cp, nxt)
+            prev = nxt
+        if skipped[0] > best_cp:
+            best_cp, best_word = skipped
     return NotConverged(best_word.prefix(best_cp), best_cp, diagnostics)
 
 

@@ -221,6 +221,14 @@ class TestCommands:
         assert main(["iterate", "sigma", word, "100000000"]) == 0
         assert capsys.readouterr().out.strip() == word
 
+    def test_iterate_growth_overflow_after_a_jump(self, capsys):
+        # b a^n under delta: the jump lands one step before the overflow
+        assert main(["iterate", "delta:n=1", "b", "1000000"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "error": "growth-overflow", "iteration": 1000000, "length": 1000001, "budget": 1000000
+        }
+
     def test_iterate_backward_table(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "--", "-3"]) == 0
         out = capsys.readouterr().out.strip()

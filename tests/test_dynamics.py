@@ -7,6 +7,7 @@ from fgdyn import automorphisms, dynamics, words
 from fgdyn.automorphisms import (
     Endomorphism,
     cancellation_bound,
+    compose_pairs,
     identity_pair,
     inner,
     power,
@@ -537,20 +538,24 @@ class TestInnerNorthSouth:
 
 def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
     """``omega_limit`` applying the map to the whole iterate at every
-    step: the reference the held-prefix engine must agree with."""
+    step from n = 1: the reference the held-prefix engine must agree
+    with.  It gives ``omega_limit`` the iterates from the step it asks
+    for, as ``_held_orbit`` does."""
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_held_orbit", lambda e, w, c: stepped_orbit(e, w, c.max_word_length))
+        m.setattr(dynamics, "_held_orbit",
+                  lambda e, w, c, first=1: islice(stepped_orbit(e, w, c.max_word_length), first - 1, None))
         return omega_limit(phi, g, cfg)
 
 
-def eager_held_orbit(e, g, cfg):
+def eager_held_orbit(e, g, cfg, first=1):
     """``_held_orbit`` with every held prefix stepped whole: the map is
     applied to the held word until the image has ``cap + C`` letters, and
     the first ``min(cap, |image| - C)`` of them are the next held word.
-    The reference the lazily read held levels must agree with."""
+    The reference the lazily read held levels must agree with; it steps
+    from n = 1 and yields from the step ``first``."""
     c = None
     cap = cfg.target_prefix
-    for w in dynamics._orbit(e, g, cfg.max_word_length):
+    for w in islice(dynamics._orbit(e, g, cfg.max_word_length), first - 1, None):
         yield w
         if len(w) > cap:
             if c is None:
@@ -732,8 +737,8 @@ class TestHeldPrefixEngine:
         held = []
         lazy = dynamics._held_orbit
 
-        def recording(e, g, c):
-            for w in lazy(e, g, c):
+        def recording(e, g, c, first=1):
+            for w in lazy(e, g, c, first):
                 if isinstance(w, dynamics._Held) and not held[-1]:
                     held[-1] = True
                 yield w
@@ -757,8 +762,8 @@ class TestHeldPrefixEngine:
         held = []
         lazy = dynamics._held_orbit
 
-        def counting(e, g, c):
-            for w in lazy(e, g, c):
+        def counting(e, g, c, first=1):
+            for w in lazy(e, g, c, first):
                 held.append(isinstance(w, dynamics._Held))
                 yield w
 
@@ -786,6 +791,114 @@ class TestHeldPrefixEngine:
         assert isinstance(lazy, Boundary)
         assert made[0] > 100_000
         assert 4 * lazy_letters <= made[0]
+
+
+def order_two():
+    # a -> a^-1, b -> a b: b and a b take turns, while the unreduced
+    # length U_n(b) = n + 1 grows
+    e = endo(F2, "a^-1", "a b")
+    return verify_pair(e, e)
+
+
+def no_quiet_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
+    """``omega_limit`` with the bound helper reporting no quiet steps, so
+    that it compares every step from n = 1: the reference the jump over
+    the quiet steps must agree with."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_quiet_steps", lambda *args: None)
+        return omega_limit(phi, g, cfg)
+
+
+def landings(monkeypatch):
+    """The steps ``omega_limit`` starts its orbits at from now on: 1, or
+    the step its jump lands at."""
+    landed = []
+    original = dynamics._held_orbit
+
+    def recording(e, g, c, first=1):
+        landed.append(first)
+        return original(e, g, c, first)
+
+    monkeypatch.setattr(dynamics, "_held_orbit", recording)
+    return landed
+
+
+class TestQuietJump:
+    """``omega_limit`` jumps over the steps that cannot certify; every
+    result must be the one of comparing every step, to the last field."""
+
+    def test_catalog_seeds_both_ways(self, monkeypatch):
+        landed = landings(monkeypatch)
+        compared = 0
+        for label, pair, seeds in catalog_seeds():
+            for g in seeds:
+                for phi in (pair, pair.inverse()):
+                    before = len(landed)
+                    got = omega_limit(phi, g).to_json()
+                    compared += len(landed) > before and landed[-1] > 1
+                    assert got == no_quiet_omega(monkeypatch, phi, g).to_json(), (label, str(g))
+        # 416 half-orbits jump: the b, c and d seeds of phi_k, alpha_k
+        # and beta and their products with fixed letters, and delta's b
+        assert compared >= 400
+
+    def test_random_configs(self, monkeypatch):
+        rng = random.Random(16)
+        pairs = [pair for _, pair, _ in catalog_seeds()] + [stock_theta("trace3"), order_two()]
+        landed = landings(monkeypatch)
+        jumped = 0
+        for _ in range(100):
+            pair = rng.choice(pairs)
+            phi = pair if rng.random() < 0.5 else pair.inverse()
+            letters = phi.alphabet.signed_letters
+            g = reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 6))])
+            if g.is_identity():
+                continue
+            cfg = IterationConfig(
+                max_iterations=rng.randint(1, 320),
+                target_prefix=rng.randint(1, 300),
+                stability_window=rng.randint(1, 8),
+                min_repeats=rng.randint(1, 4),
+                max_word_length=rng.choice((50, 300, 5000, 10**6)),
+            )
+            before = len(landed)
+            got = omega_limit(phi, g, cfg).to_json()
+            jumped += len(landed) > before and landed[-1] > 1
+            assert got == no_quiet_omega(monkeypatch, phi, g, cfg).to_json(), (str(g), cfg)
+        assert jumped >= 25  # 34 of 94
+
+    def test_jump_that_ends_not_converged_keeps_the_best_prefix(self, monkeypatch):
+        # U_198(b) = 199 < 200, so the jump lands at 198 + 1 - 5; the orbit
+        # takes turns between b and a b, and the best prefix is settled
+        # over the steps jumped over too
+        phi = order_two()
+        b = parse_word(F2, "b")
+        landed = landings(monkeypatch)
+        got = omega_limit(phi, b)
+        assert landed == [194]
+        assert isinstance(got, NotConverged)
+        assert got.diagnostics == {"reason": "max-iterations", "iterations": 300}
+        assert got.to_json() == no_quiet_omega(monkeypatch, phi, b).to_json()
+        # the jump lands at 16, where U_16(d a c) = 291 < 295, and step 17
+        # overflows: the best prefix comes from the steps jumped over
+        pair = family("phi_k", k=1).pair
+        g = parse_word(pair.alphabet, "d a c")
+        cfg = IterationConfig(target_prefix=295, stability_window=1, max_word_length=300)
+        got = omega_limit(pair, g, cfg)
+        assert landed[-1] == 16
+        assert got.diagnostics == {"reason": "growth-overflow", "iterations": 17, "length": 326, "budget": 300}
+        assert got.certified_length == 226
+        assert got.to_json() == no_quiet_omega(monkeypatch, pair, g, cfg).to_json()
+
+    def test_fixed_seed_whose_letters_grow(self, monkeypatch):
+        # the letters of b a b^-1 grow under phi_k, so the bound would let
+        # the orbit jump; the seed is fixed all the same
+        pair = family("phi_k", k=1).pair
+        g = parse_word(pair.alphabet, "b a b^-1")
+        assert dynamics._quiet_steps(pair.forward, g, 6, 298, 200, 10**6) is not None
+        landed = landings(monkeypatch)
+        assert omega_limit(pair, g) == FixedElement(g)
+        assert landed == []
+        assert no_quiet_omega(monkeypatch, pair, g) == FixedElement(g)
 
 
 def order_three():
@@ -955,6 +1068,56 @@ class TestPlannerWork:
         assert work <= 2 * touched[0]
 
 
+    def test_steps_that_cannot_certify_are_not_built(self, monkeypatch):
+        # b a^n gains one letter a step: b a^inf certifies at step 200, and
+        # before step 199 no iterate has 200 letters; stepping built all
+        # 200 iterates
+        pair = family("alpha_k", k=1).pair
+        b = parse_word(pair.alphabet, "b")
+        built = orbit_words(monkeypatch)
+        got = omega_limit(pair, b)
+        assert isinstance(got, Boundary) and got.iterations_used == 200
+        assert got.point.point == rational_point(b, parse_word(pair.alphabet, "a"))
+        # the landing and the steps after it; the fixed-element check
+        # applies the map to b once more
+        assert len(built) + 1 <= DEFAULT_CONFIG.stability_window + 3
+
+    def test_linear_orbit_overflows_after_a_jump(self, monkeypatch):
+        # U_n(b) = n + 1 under delta: the jump lands at 999,999 and the one
+        # step after it overflows, as stepping one n at a time does
+        delta = family("delta", n=1).pair
+        b = parse_word(delta.alphabet, "b")
+        composed = []
+        original = dynamics._compose_blocks
+
+        def counting(outer, inner):
+            composed.append(len(inner))
+            return original(outer, inner)
+
+        monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+        calls = apply_calls(monkeypatch)
+        with pytest.raises(GrowthOverflowError) as exc:
+            iterate(delta, b, 10**6)
+        assert (exc.value.iteration, exc.value.length, exc.value.budget) == (10**6, 10**6 + 1, 10**6)
+        assert exc.value.word == parse_word(delta.alphabet, f"b a^{10**6}")
+        assert calls == [parse_word(delta.alphabet, f"b a^{10**6 - 1}")]
+        assert len(composed) <= 2 * (10**6).bit_length()
+
+
+def orbit_words(monkeypatch):
+    """The iterates ``dynamics._orbit`` builds from now on."""
+    built = []
+    original = dynamics._orbit
+
+    def counting(*args):
+        for w in original(*args):
+            built.append(w)
+            yield w
+
+    monkeypatch.setattr(dynamics, "_orbit", counting)
+    return built
+
+
 class TestOrbitMechanism:
     def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
         phi = family("phi_k", k=1).pair
@@ -1003,6 +1166,23 @@ class TestJumpBound:
         assert iterate(beta, image, -300) == w
         assert outcomes == [True]
         assert calls == []
+
+    def test_reachable_letter_past_the_budget_declines(self, monkeypatch):
+        # a -> a b, b -> b c b^3 c b^3 c b^3, c -> c b^3: U_2(a) = 15 fits a
+        # 20-letter budget, but the letter iterate of b, reachable from a,
+        # has U_2(b) = 142 letters: the jump would build it, so it declines
+        F3 = standard_alphabet(3)
+        t_ab = verify_pair(endo(F3, "a b", "b", "c"), endo(F3, "a b^-1", "b", "c"))
+        t_bc = verify_pair(endo(F3, "a", "b c^3", "c"), endo(F3, "a", "b c^-3", "c"))
+        t_cb = verify_pair(endo(F3, "a", "b", "c b^3"), endo(F3, "a", "b", "c b^-3"))
+        pair = compose_pairs(t_ab, compose_pairs(t_cb, t_bc))
+        g = parse_word(F3, "a")
+        cfg = IterationConfig(max_word_length=20)
+        outcomes = jump_outcomes(monkeypatch)
+        got = iterate(pair, g, 2, cfg)
+        assert outcomes == [False]
+        assert got == parse_word(F3, "a b^2 c b^3 c b^3 c b^3")
+        assert got == stepped_iterate(monkeypatch, pair, g, 2, cfg)
 
     def test_shrinking_seed_declines_before_composing(self, monkeypatch):
         # 157 letters whose letter iterates cancel almost wholly: the
@@ -1173,6 +1353,37 @@ class TestIterateJump:
         assert calls == []
         assert iterate(theta, dense, -9) == u
         assert len(calls) == 9
+
+    def test_partial_jump_agrees_with_stepping(self, monkeypatch):
+        # orbits whose unreduced length grows polynomially land short of p
+        # where p passes the budget's bound, and step the rest
+        cases = [(family("delta", n=1).pair, "b"), (family("delta", n=1).pair, "b a^3 b^-1 a"),
+                 (family("twist", n=2, k=1).pair, "b"), (order_two(), "b a^2"),
+                 (family("phi_k", k=1).pair, "d"), (family("phi_k", k=1).pair, "b d^-1")]
+        outcomes = jump_outcomes(monkeypatch)
+        for pair, text in cases:
+            g = parse_word(pair.alphabet, text)
+            for budget in (300, 5000):
+                cfg = IterationConfig(max_word_length=budget)
+                for p in (64, 150, 299, 300, 301, 1000, 2500, 5001, 20_000):
+                    for sign in (1, -1):
+                        got = iterate_outcome(pair, g, sign * p, cfg)
+                        expected = stepped_iterate(monkeypatch, pair, g, sign * p, cfg)
+                        assert got == expected, (text, budget, sign * p)
+        assert outcomes.count(True) > 50
+
+    def test_partial_jump_returns_to_the_landing_word(self, monkeypatch):
+        # U_n(b) = n + 1, so the jump lands at 999,999 (a b); a b comes back
+        # two steps later, so at most one more step follows; a return to
+        # b, one step after the landing, would leave about 500,000
+        phi = order_two()
+        b = parse_word(F2, "b")
+        outcomes = jump_outcomes(monkeypatch)
+        calls = apply_calls(monkeypatch)
+        assert iterate(phi, b, 1_500_000) == b
+        assert iterate(phi, b, 1_500_001) == parse_word(F2, "a b")
+        assert outcomes == [True, True]
+        assert len(calls) <= 6
 
     def test_foreign_word_rejected_for_every_power(self):
         phi = family("phi_k", k=1).pair
