@@ -388,11 +388,12 @@ def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
         lengths = [min(cap, sum(map(mul, row, lengths))) for row in counts]
 
 
-def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list]:
+def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, list]:
     """The squares ``M^(2^i)``, i < ``levels``, of the letter-count matrix
     M of ``e``, with every entry capped at a cap of at least ``cap``, as
-    ``(cap, squares)``: each square as its rows, its columns and its row
-    sums (capped alike).
+    ``(cap, squares, last)``: each square as its rows, its columns and its
+    row sums (capped alike), and in ``last`` the ``[least, U_least(x) by
+    generator]`` that :func:`_quiet_steps` last asked for (capped alike).
 
     A capped entry stays capped in every product, and an entry below the
     cap is exact.  The table is kept on ``e``, filled only as far as a
@@ -400,8 +401,8 @@ def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list]:
     """
     table = e._count_squares
     if table is None or table[0] < cap:
-        table = e._count_squares = (cap, [])
-    cap, squares = table
+        table = e._count_squares = (cap, [], [0, None])
+    cap, squares, _ = table
     while len(squares) < levels:
         if squares:
             rows, cols, _ = squares[-1]
@@ -410,6 +411,12 @@ def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list]:
             rows = [[min(cap, k) for k in row] for row in _letter_counts(e)]
         squares.append((rows, list(zip(*rows)), [min(cap, sum(row)) for row in rows]))
     return table
+
+
+def _capped_product(vector: list[int], rows, cap: int) -> list[int]:
+    """The vector-matrix product of ``vector`` with the matrix whose
+    columns are ``rows``, each entry capped at ``cap``."""
+    return [min(cap, sum(map(mul, vector, row))) for row in rows]
 
 
 def _quiet_steps(
@@ -429,7 +436,8 @@ def _quiet_steps(
     ``U_n(y)``.  n is found by binary lifting over the capped squares of
     :func:`_count_squares`, with vector-matrix products only.
     ``U_least(x)`` comes from the squares picked by the bits of
-    ``least`` (the lowest one is a row sum), and ``U_least(g)`` is summed
+    ``least`` (the lowest one is a row sum) and is kept on the table for
+    the next call with the same ``least``; ``U_least(g)`` is summed
     over the runs of ``g`` only until it reaches ``bound``, so a long
     seed past the bound costs a few runs.  The letters of ``e^n(g)``
     before reduction, counted by generator, are ``r_n = r_0 M^n``.  Each
@@ -440,16 +448,16 @@ def _quiet_steps(
     """
     if least > limit:
         return None
-    cap, squares = _count_squares(e, budget + 1, limit.bit_length())
-
-    def times(vector: list[int], rows) -> list[int]:
-        return [min(cap, sum(map(mul, vector, row))) for row in rows]
-
-    low = (least & -least).bit_length() - 1  # U_(2^low) is a row sum
-    lengths = squares[low][2]  # U_least(x) by generator
-    for i in range(low + 1, least.bit_length()):
-        if least >> i & 1:
-            lengths = times(lengths, squares[i][0])
+    cap, squares, last = _count_squares(e, budget + 1, limit.bit_length())
+    if last[0] == least:
+        lengths = last[1]  # U_least(x) by generator
+    else:
+        low = (least & -least).bit_length() - 1  # U_(2^low) is a row sum
+        lengths = squares[low][2]
+        for i in range(low + 1, least.bit_length()):
+            if least >> i & 1:
+                lengths = _capped_product(lengths, squares[i][0], cap)
+        last[:] = least, lengths
     counts = [0] * len(lengths)
     total = 0
     for x, k in g.runs:  # U_least(g), read only until it reaches the bound
@@ -460,7 +468,7 @@ def _quiet_steps(
             return None
     for i in range(least.bit_length()):
         if least >> i & 1:
-            counts = times(counts, squares[i][1])
+            counts = _capped_product(counts, squares[i][1], cap)
     n = least
     for i in reversed(range((limit - least).bit_length())):
         if n + (1 << i) <= limit:
@@ -468,7 +476,8 @@ def _quiet_steps(
             lifted = sum(map(mul, counts, sums))
             if lifted < bound:
                 n, total = n + (1 << i), lifted
-                counts, lengths = times(counts, cols), times(lengths, rows)
+                counts = _capped_product(counts, cols, cap)
+                lengths = _capped_product(lengths, rows, cap)
     if any(lengths[abs(y) - 1] > budget for y in _reachable_letters(e, g)):
         return None
     return n, total

@@ -5,6 +5,12 @@ core graph of a subgroup: membership of a reduced word is "reading a loop
 at the base state".  Graphs are canonicalized (breadth-first renumbering
 from the base over ordered letters), so structural equality is plain
 ``==`` and is independent of the generator order used to build them.
+
+A graph is held as ``rows``, one letter -> state dict per state, which
+is also the structure the fold builds: folding lays each generator only
+where the graph does not already spell it (two-ended insertion, see
+:func:`build_core_graph`), and the numbering relabels the fold's own
+dicts.  A read costs one dict lookup per letter.
 """
 
 from __future__ import annotations
@@ -17,35 +23,59 @@ from .words import Alphabet, AlphabetMismatchError, Letter, Word
 class StallingsGraph:
     """Folded core graph with base state 0.
 
-    ``transitions`` maps ``(state, signed letter)`` to a state and is
-    closed under inversion symmetry: ``(s, x) -> t`` iff ``(t, -x) -> s``.
+    ``rows[s]`` maps each signed letter with an edge at state s to its
+    target.  ``transitions``, derived from ``rows``, maps ``(state, signed
+    letter)`` to a state and is closed under inversion symmetry: ``(s, x)
+    -> t`` iff ``(t, -x) -> s``.
     """
 
-    __slots__ = ("alphabet", "n_states", "transitions")
+    __slots__ = ("alphabet", "rows")
 
     def __init__(self, alphabet: Alphabet, n_states: int, transitions: dict):
         self.alphabet = alphabet
-        self.n_states = n_states
-        self.transitions = transitions
+        self.rows: list[dict[Letter, int]] = [{} for _ in range(n_states)]
+        for (s, letter), t in transitions.items():
+            self.rows[s][letter] = t
+
+    @classmethod
+    def _make(cls, alphabet: Alphabet, rows: list[dict[Letter, int]]) -> "StallingsGraph":
+        # Trusted constructor: `rows` are already canonically numbered.
+        graph = object.__new__(cls)
+        graph.alphabet = alphabet
+        graph.rows = rows
+        return graph
+
+    @property
+    def n_states(self) -> int:
+        return len(self.rows)
+
+    @property
+    def transitions(self) -> dict[tuple[int, Letter], int]:
+        letters = self.alphabet.signed_letters
+        return {(s, x): row[x] for s, row in enumerate(self.rows) for x in letters if x in row}
 
     def step(self, state: int, letter: Letter) -> Optional[int]:
-        return self.transitions.get((state, letter))
+        return self.rows[state].get(letter)
 
     def read(self, word: Word, start: int = 0) -> Optional[int]:
         """State reached reading a reduced word, or None if the path dies."""
+        rows = self.rows
         state = start
-        for letter in word.letters():
-            state = self.transitions.get((state, letter))
-            if state is None:
-                return None
+        for gen, exp in word.runs:
+            if exp < 0:
+                gen, exp = -gen, -exp
+            while exp:
+                state = rows[state].get(gen)
+                if state is None:
+                    return None
+                exp -= 1
         return state
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StallingsGraph)
             and self.alphabet == other.alphabet
-            and self.n_states == other.n_states
-            and self.transitions == other.transitions
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
@@ -54,7 +84,8 @@ class StallingsGraph:
         )
 
     def __repr__(self) -> str:
-        return f"<StallingsGraph {self.n_states} states, {len(self.transitions) // 2} edges>"
+        edges = sum(map(len, self.rows)) // 2
+        return f"<StallingsGraph {self.n_states} states, {edges} edges>"
 
 
 def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsGraph:
@@ -66,8 +97,23 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
     One union-find pass (Touikan 2006): ``out[s]`` maps each letter to one
     state from the first edge on, so an edge into a taken slot queues its
     target to merge with the state already there, and merging the smaller
-    map into the larger queues each clash it meets.  The states are then
-    numbered breadth-first from the base over ``alphabet.signed_letters``.
+    map into the larger queues each clash it meets.
+
+    Two-ended insertion: a generator w is read forward from the base
+    along the edges already there, to letter i and state s, and its
+    inverse back from the base, to letter j >= i and state t; new states
+    are laid only for the letters ``w[i:j]``, and where the reads meet
+    (i == j) s and t are queued to merge.  This is exact: laying the
+    whole loop and folding its first i and last ``|w| - j`` edges onto
+    the paths read gives the same graph, and folding is confluent
+    (Kapovich-Myasnikov 2002), so every order of folds ends in the same
+    core graph.  A clash left at the ends of ``w[i:j]`` (s == t with a
+    middle that is not cyclically reduced, as in ``x u x^-1`` with x
+    partly spelled) is queued by ``link`` like any other.
+
+    The states are then numbered breadth-first from the base over
+    ``alphabet.signed_letters``: the rows of the graph are the fold's own
+    ``out`` dicts of the surviving states, relabeled in place.
 
     No trim is needed: a new state is an inner vertex of a reduced word,
     so it starts with two distinct letters, and folding never takes a
@@ -94,13 +140,33 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
             raise AlphabetMismatchError("generator over a different alphabet")
         if gen.is_identity():
             continue
-        # a loop at the base through len(gen) - 1 new states
-        path = [0, *range(len(parent), len(parent) + len(gen) - 1), 0]
-        parent.extend(path[1:-1])
-        out.extend({} for _ in path[1:-1])
-        for s, letter, t in zip(path, gen.letters(), path[1:]):
-            link(s, letter, t)
-            link(t, -letter, s)
+        w: list[Letter] = []
+        for g, k in gen.runs:
+            w += [g] * k if k > 0 else [-g] * -k
+        i, s = 0, 0
+        for x in w:
+            t = out[s].get(x)
+            if t is None:
+                break
+            i, s = i + 1, t
+        j, t = len(w), 0
+        while j > i:
+            u = out[t].get(-w[j - 1])
+            if u is None:
+                break
+            j, t = j - 1, u
+        if i == j:
+            if s != t:
+                merges.append((s, t))
+            continue
+        # a path s -> t reading w[i:j] through j - i - 1 new states
+        new = range(len(out), len(out) + j - i - 1)
+        path = [s, *new, t]
+        mid = w[i:j]
+        out.extend({-x: a, y: b} for a, x, y, b in zip(path, mid, mid[1:], path[2:]))
+        parent.extend(new)
+        link(s, mid[0], path[1])
+        link(t, -mid[-1], path[-2])
 
     while merges:
         s, t = merges.pop()
@@ -114,20 +180,21 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
             link(s, letter, u)
 
     base = find(0)
-    order = {base: 0}
-    queue = [base]
-    transitions: dict[tuple[int, Letter], int] = {}
-    for s in queue:
+    number = {base: 0}
+    rows = [out[base]]
+    for row in rows:
         for letter in alphabet.signed_letters:
-            t = out[s].get(letter)
+            t = row.get(letter)
             if t is None:
                 continue
-            t = find(t)
-            if t not in order:
-                order[t] = len(order)
-                queue.append(t)
-            transitions[(order[s], letter)] = order[t]
-    return StallingsGraph(alphabet, len(order), transitions)
+            if parent[t] != t:
+                t = find(t)
+            n = number.get(t)
+            if n is None:
+                n = number[t] = len(rows)
+                rows.append(out[t])
+            row[letter] = n
+    return StallingsGraph._make(alphabet, rows)
 
 
 def contains(graph: StallingsGraph, g: Word) -> bool:
@@ -212,7 +279,12 @@ def core_graph_dot(graph: StallingsGraph) -> str:
         shape = "doublecircle" if s == 0 else "circle"
         lines.append(f'  s{s} [shape={shape}];')
     edges = sorted(
-        ((s, graph.alphabet.name(letter), t) for (s, letter), t in graph.transitions.items() if letter > 0),
+        (
+            (s, graph.alphabet.name(letter), t)
+            for s, row in enumerate(graph.rows)
+            for letter, t in row.items()
+            if letter > 0
+        ),
         key=lambda e: (e[0], e[2], e[1]),
     )
     for s, name, t in edges:

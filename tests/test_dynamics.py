@@ -901,6 +901,61 @@ class TestQuietJump:
         assert no_quiet_omega(monkeypatch, pair, g) == FixedElement(g)
 
 
+class TestQuietBoundWork:
+    """``_quiet_steps`` keeps ``U_least(x)`` by generator with the count
+    squares of the map, so a seed that cannot jump pays one dot product
+    over its runs on every call after the first with the same ``least``."""
+
+    def test_repeat_call_makes_no_vector_matrix_product(self, monkeypatch):
+        pair = family("beta", rank=7).pair.inverse()
+        e, products = pair.forward, []
+        original = dynamics._capped_product
+
+        def counting(*args):
+            products.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "_capped_product", counting)
+        # U_6(e) is past the bound 200: the seed cannot jump
+        for text in ("e", "f^-1 e", "e"):
+            g = parse_word(pair.alphabet, text)
+            assert dynamics._quiet_steps(e, g, 6, 298, 200, 10**6) is None
+            assert len(products) == 1  # U_6 = U_2 M^4: one product, first call only
+        # omega_limit asks for least = stability_window + 1 = 6 on the same map
+        omega_limit(pair, parse_word(pair.alphabet, "e"))
+        assert len(products) == 1
+        # another least is computed afresh and then kept in its place
+        assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
+        assert len(products) == 3
+        assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
+        assert len(products) == 3
+
+    def test_kept_vector_gives_the_same_steps(self):
+        # a call after another one on the same map, with the same least or
+        # not, and with the same cap or a larger one (which builds the
+        # table again), gives the steps of a fresh table
+        rng = random.Random(17)
+        pairs = [pair for _, pair, _ in catalog_seeds()]
+
+        def draw(alphabet):
+            letters = alphabet.signed_letters
+            g = reduce(alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 6))])
+            budget = rng.choice((300, 5000, 10**6))
+            return g, rng.randint(1, 12), rng.randint(1, 300), rng.randint(1, budget + 1), budget
+
+        for _ in range(200):
+            pair = rng.choice(pairs)
+            e = (pair if rng.random() < 0.5 else pair.inverse()).forward
+            first, then = draw(e.alphabet), draw(e.alphabet)
+            if rng.random() < 0.5:
+                then = (then[0], first[1], *then[2:])
+            e._count_squares = None
+            fresh = dynamics._quiet_steps(e, *then)
+            e._count_squares = None
+            dynamics._quiet_steps(e, *first)
+            assert dynamics._quiet_steps(e, *then) == fresh
+
+
 def order_three():
     # a -> b -> a^-1 b^-1 -> a
     return verify_pair(endo(F2, "b", "a^-1 b^-1"), endo(F2, "a^-1 b^-1", "a"))

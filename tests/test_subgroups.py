@@ -37,9 +37,9 @@ def random_reduced(rng, n, alphabet=F3):
     return Word.from_letters(alphabet, letters)
 
 
-def random_cyclic(rng, n):
+def random_cyclic(rng, n, alphabet=F3):
     while True:
-        w = random_reduced(rng, n)
+        w = random_reduced(rng, n, alphabet)
         if len(w) == 1 or w.first_letter() != -w.last_letter():
             return w
 
@@ -202,6 +202,89 @@ class TestBuildCoreGraph:
         graph = build_core_graph(F2, words(F2, "a b", "a"))
         assert graph == build_core_graph(F2, words(F2, "a", "b"))
         assert graph.n_states == 1
+
+
+class TestTwoEndedInsertion:
+    """Folding lays each generator only where the graph does not already
+    spell it; every graph must be the one of folding the whole wedge."""
+
+    def test_shared_prefix_conjugates(self):
+        # the benchmark's shape: conjugates x u^m x^-1 whose x extend a few
+        # shared prefixes, beside random words
+        rng = random.Random(17)
+        for _ in range(400):
+            alphabet = rng.choice((F2, F3, F4))
+            prefixes = [random_reduced(rng, rng.randint(0, 4), alphabet) for _ in range(rng.randint(1, 3))]
+            gens = []
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.3:
+                    gens.append(random_reduced(rng, rng.randint(1, 8), alphabet))
+                    continue
+                x = rng.choice(prefixes) * random_reduced(rng, rng.randint(0, 3), alphabet)
+                u = random_cyclic(rng, rng.randint(1, 5), alphabet)
+                gens.append(x * u ** rng.choice((1, 1, 2, 3, -1)) * x.inverse())
+            assert build_core_graph(alphabet, gens) == fold_by_rescan(alphabet, gens), gens
+
+    def test_generator_already_spelled(self):
+        # a b reads forward from the base to the end of b: the reads meet
+        # at the end of the generator, which merges with the base
+        gens = words(F3, "a b c", "a b")
+        graph = build_core_graph(F3, gens)
+        assert graph == fold_by_rescan(F3, gens) == build_core_graph(F3, words(F3, "a b", "c"))
+        assert graph.n_states == 2
+        # a c^-1 reads forward to the end of a and back to the end of c:
+        # the reads meet in the middle, whose two states merge
+        gens = words(F3, "a b a^-1", "c b c^-1", "a c^-1")
+        graph = build_core_graph(F3, gens)
+        assert graph == fold_by_rescan(F3, gens)
+        assert graph.n_states == 2
+        assert graph.read(parse_word(F3, "a")) == graph.read(parse_word(F3, "c"))
+        # a b^2 a^-1 reads as a loop already: nothing is laid or merged
+        gens = words(F3, "a b a^-1", "a b^2 a^-1")
+        assert build_core_graph(F3, gens) == build_core_graph(F3, gens[:1])
+
+    def test_conjugator_partly_spelled(self):
+        # x = a b c is spelled up to c, and x^-1 read back from the base
+        # stops at the same state: the middle c d c^-1 is laid as a path
+        # from that state to itself, whose two c-edges clash
+        gens = words(F4, "a b d", "a b c d c^-1 b^-1 a^-1")
+        graph = build_core_graph(F4, gens)
+        assert graph == fold_by_rescan(F4, gens)
+        assert graph.n_states == 4
+        assert graph.read(parse_word(F4, "a b c d^5 c^-1")) == graph.read(parse_word(F4, "a b"))
+        # the same with the conjugate laid first
+        assert build_core_graph(F4, gens[::-1]) == graph
+
+
+class TestRows:
+    def test_transitions_round_trip(self):
+        for alphabet, gens in random_generator_sets(7, 300):
+            graph = build_core_graph(alphabet, gens)
+            copy = StallingsGraph(alphabet, graph.n_states, graph.transitions)
+            assert copy == graph
+            assert hash(copy) == hash(graph)
+            assert copy.transitions == graph.transitions
+
+    def test_read_long_runs(self):
+        loop = build_core_graph(F2, words(F2, "a"))
+        assert loop.read(parse_word(F2, "a^1000")) == 0
+        assert loop.read(parse_word(F2, "a^-1000 b")) is None
+        conjugate = build_core_graph(F2, words(F2, "b a^3 b^-1"))
+        assert conjugate.read(parse_word(F2, "b a^999 b^-1")) == 0
+        assert conjugate.read(parse_word(F2, "b a^1000 b^-1")) is None
+        b = conjugate.read(parse_word(F2, "b"))
+        assert conjugate.read(parse_word(F2, "a^-1000"), b) == conjugate.read(parse_word(F2, "a^2"), b)
+
+    def test_read_dies_mid_run(self):
+        path = build_core_graph(F2, words(F2, "a^5 b"))
+        assert path.n_states == 6
+        end = path.read(parse_word(F2, "a^5"))
+        assert end not in (None, 0)
+        assert path.read(parse_word(F2, "b^-1")) == end
+        assert path.read(parse_word(F2, "a^7")) is None
+        assert path.read(parse_word(F2, "a^3 b")) is None
+        assert path.read(parse_word(F2, "b^-1 a^-5")) == 0
+        assert path.read(parse_word(F2, "a^-1")) is None
 
 
 class TestContains:
@@ -371,3 +454,19 @@ class TestDotExport:
         assert dot.startswith("digraph stallings {")
         assert dot.rstrip().endswith("}")
         assert '[label="a"]' in dot
+
+    def test_demo_subgroup(self):
+        # the fixed subgroup <a, b a b^-1, c a c^-1> of demos/subgroup_membership.py
+        assert core_graph_dot(fix_phi_graph()) == (
+            "digraph stallings {\n"
+            "  rankdir=LR;\n"
+            "  s0 [shape=doublecircle];\n"
+            "  s1 [shape=circle];\n"
+            "  s2 [shape=circle];\n"
+            '  s0 -> s0 [label="a"];\n'
+            '  s0 -> s1 [label="b"];\n'
+            '  s0 -> s2 [label="c"];\n'
+            '  s1 -> s1 [label="a"];\n'
+            '  s2 -> s2 [label="a"];\n'
+            "}\n"
+        )
