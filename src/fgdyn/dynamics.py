@@ -16,7 +16,6 @@ Limits of elements and of rational boundary points agree (the orbit of
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from functools import partial
 from bisect import bisect_left
@@ -1062,8 +1061,18 @@ def growth_classify(
 
 
 def _linear_fit(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares line through ``(x, y)``: slope and residual sum of squares."""
-    slope, intercept = statistics.linear_regression(x, y)
+    """Least-squares line through ``(x, y)``: slope and residual sum of squares.
+
+    The line is the one of ``statistics.linear_regression`` in CPython 3.10
+    and 3.11: means and centred sums of products by ``math.fsum``.
+    """
+    n = len(x)
+    xbar = math.fsum(x) / n
+    ybar = math.fsum(y) / n
+    sxy = math.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+    sxx = math.fsum((d := xi - xbar) * d for xi in x)
+    slope = sxy / sxx
+    intercept = ybar - slope * xbar
     return slope, sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
 
 

@@ -2,15 +2,17 @@
 
 A :class:`StallingsGraph` is the folded, deterministic and co-deterministic
 core graph of a subgroup: membership of a reduced word is "reading a loop
-at the base state".  Graphs are canonicalized (breadth-first renumbering
-from the base over ordered letters), so structural equality is plain
-``==`` and is independent of the generator order used to build them.
+at the base state".
 
 A graph is held as ``rows``, one letter -> state dict per state, which
-is also the structure the fold builds: folding lays each generator only
-where the graph does not already spell it (two-ended insertion, see
-:func:`build_core_graph`), and the numbering relabels the fold's own
-dicts.  A read costs one dict lookup per letter.
+is the structure the fold builds: folding lays each generator only where
+the graph does not already spell it (two-ended insertion, see
+:func:`build_core_graph`) and keeps the fold's own dicts, in fold order.
+A read costs one dict lookup per letter.  Structural equality is plain
+``==`` and hashing is consistent with it, independent of the generator
+order used to build a graph: both read a canonical numbering
+(breadth-first from the base over ordered letters) that a graph computes
+the first time it is compared, hashed or printed, and then keeps.
 """
 
 from __future__ import annotations
@@ -24,26 +26,40 @@ class StallingsGraph:
     """Folded core graph with base state 0.
 
     ``rows[s]`` maps each signed letter with an edge at state s to its
-    target.  ``transitions``, derived from ``rows``, maps ``(state, signed
-    letter)`` to a state and is closed under inversion symmetry: ``(s, x)
-    -> t`` iff ``(t, -x) -> s``.
+    target; the states other than the base are numbered in any order (a
+    folded graph keeps its fold order).  ``transitions`` maps ``(state,
+    signed letter)`` to a state in the canonical numbering: states
+    breadth-first from the base over ``alphabet.signed_letters``, keys in
+    that order.  It is closed under inversion symmetry: ``(s, x) -> t`` iff
+    ``(t, -x) -> s``.  ``==``, ``hash`` and :func:`core_graph_dot` read the
+    same numbering, which is computed once per graph, on first use.  It
+    numbers the states that the base reaches, so a graph built from
+    ``transitions`` must be connected, as a core graph is.
     """
 
-    __slots__ = ("alphabet", "rows")
+    __slots__ = ("alphabet", "rows", "_canonical")
 
     def __init__(self, alphabet: Alphabet, n_states: int, transitions: dict):
         self.alphabet = alphabet
         self.rows: list[dict[Letter, int]] = [{} for _ in range(n_states)]
         for (s, letter), t in transitions.items():
             self.rows[s][letter] = t
+        self._canonical: Optional[list[dict[Letter, int]]] = None
 
     @classmethod
     def _make(cls, alphabet: Alphabet, rows: list[dict[Letter, int]]) -> "StallingsGraph":
-        # Trusted constructor: `rows` are already canonically numbered.
+        # Trusted constructor: `rows` are a folded graph with base state 0.
         graph = object.__new__(cls)
         graph.alphabet = alphabet
         graph.rows = rows
+        graph._canonical = None
         return graph
+
+    def _canonical_rows(self) -> list[dict[Letter, int]]:
+        """The rows in the canonical numbering, computed on first use."""
+        if self._canonical is None:
+            self._canonical = _breadth_first(self.rows, self.alphabet.signed_letters)
+        return self._canonical
 
     @property
     def n_states(self) -> int:
@@ -51,8 +67,7 @@ class StallingsGraph:
 
     @property
     def transitions(self) -> dict[tuple[int, Letter], int]:
-        letters = self.alphabet.signed_letters
-        return {(s, x): row[x] for s, row in enumerate(self.rows) for x in letters if x in row}
+        return {(s, x): t for s, row in enumerate(self._canonical_rows()) for x, t in row.items()}
 
     def step(self, state: int, letter: Letter) -> Optional[int]:
         return self.rows[state].get(letter)
@@ -75,7 +90,8 @@ class StallingsGraph:
         return (
             isinstance(other, StallingsGraph)
             and self.alphabet == other.alphabet
-            and self.rows == other.rows
+            and self.n_states == other.n_states
+            and self._canonical_rows() == other._canonical_rows()
         )
 
     def __hash__(self) -> int:
@@ -88,6 +104,28 @@ class StallingsGraph:
         return f"<StallingsGraph {self.n_states} states, {edges} edges>"
 
 
+def _breadth_first(rows: list[dict[Letter, int]], letters: Sequence[Letter]) -> list[dict[Letter, int]]:
+    """``rows`` renumbered breadth-first from state 0 over ``letters``, as
+    new dicts whose keys follow ``letters``."""
+    number = {0: 0}
+    order = [0]
+    numbered = []
+    for s in order:
+        row = rows[s]
+        new = {}
+        for letter in letters:
+            t = row.get(letter)
+            if t is None:
+                continue
+            n = number.get(t)
+            if n is None:
+                n = number[t] = len(order)
+                order.append(t)
+            new[letter] = n
+        numbered.append(new)
+    return numbered
+
+
 def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> StallingsGraph:
     """Fold the wedge of generator loops into the core graph.
 
@@ -97,7 +135,8 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
     One union-find pass (Touikan 2006): ``out[s]`` maps each letter to one
     state from the first edge on, so an edge into a taken slot queues its
     target to merge with the state already there, and merging the smaller
-    map into the larger queues each clash it meets.
+    map into the larger queues each clash it meets.  A merge that involves
+    the base keeps the base as the root, whatever the sizes.
 
     Two-ended insertion: a generator w is read forward from the base
     along the edges already there, to letter i and state s, and its
@@ -111,9 +150,24 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
     middle that is not cyclically reduced, as in ``x u x^-1`` with x
     partly spelled) is queued by ``link`` like any other.
 
-    The states are then numbered breadth-first from the base over
-    ``alphabet.signed_letters``: the rows of the graph are the fold's own
-    ``out`` dicts of the surviving states, relabeled in place.
+    The roots are then compacted in place, so the graph's rows are the
+    fold's own ``out`` dicts, in fold order, with the base at 0:
+
+    - Every edge is pointed at a root.  An edge written at s to u always
+      has its inverse written at u, to a state that finds to s's root
+      (``link`` keeps the held edge and merges the clash), and merging
+      moves a row's edges to the root.  So a stale edge into a merged
+      state u is the inverse of an edge in u's own row, and the rows of
+      the merged states find every stale edge.
+    - The last root is moved into each hole that a merge left below the
+      number of roots.  Its row moves as it is; only its neighbours'
+      inverse edges are rewritten.  A loop's inverse is in the moved row
+      itself, so the row is put in the hole before the rewrite, which
+      then finds it under both numbers.  The base is never merged, so
+      it is never a hole and never moves.
+
+    The canonical numbering is left to the graph, which computes it only
+    when it is compared, hashed or printed.
 
     No trim is needed: a new state is an inner vertex of a reduced word,
     so it starts with two distinct letters, and folding never takes a
@@ -168,33 +222,41 @@ def build_core_graph(alphabet: Alphabet, generators: Sequence[Word]) -> Stalling
         link(s, mid[0], path[1])
         link(t, -mid[-1], path[-2])
 
+    merged: list[int] = []
     while merges:
         s, t = merges.pop()
         s, t = find(s), find(t)
         if s == t:
             continue
-        if len(out[s]) < len(out[t]):
+        if t == 0 or (s and len(out[s]) < len(out[t])):
             s, t = t, s
         parent[t] = s
+        merged.append(t)
         for letter, u in out[t].items():
             link(s, letter, u)
 
-    base = find(0)
-    number = {base: 0}
-    rows = [out[base]]
-    for row in rows:
-        for letter in alphabet.signed_letters:
-            t = row.get(letter)
-            if t is None:
-                continue
+    for u in merged:
+        for letter, v in out[u].items():
+            row = out[find(v)]
+            t = row[-letter]
             if parent[t] != t:
-                t = find(t)
-            n = number.get(t)
-            if n is None:
-                n = number[t] = len(rows)
-                rows.append(out[t])
-            row[letter] = n
-    return StallingsGraph._make(alphabet, rows)
+                row[-letter] = find(t)
+
+    n_states = len(out) - len(merged)
+    last = len(out) - 1
+    for hole in merged:
+        if hole >= n_states:
+            continue
+        while parent[last] != last:
+            last -= 1
+        # the row is at both numbers while its edges are rewritten, so a
+        # loop is rewritten in the row itself
+        row = out[hole] = out[last]
+        for letter, u in row.items():
+            out[u][-letter] = hole
+        last -= 1
+    del out[n_states:]
+    return StallingsGraph._make(alphabet, out)
 
 
 def contains(graph: StallingsGraph, g: Word) -> bool:
@@ -274,14 +336,15 @@ def coset_power_membership(
 
 def core_graph_dot(graph: StallingsGraph) -> str:
     """DOT rendering: states as nodes, positive-letter transitions as edges."""
+    rows = graph._canonical_rows()
     lines = ["digraph stallings {", '  rankdir=LR;']
-    for s in range(graph.n_states):
+    for s in range(len(rows)):
         shape = "doublecircle" if s == 0 else "circle"
         lines.append(f'  s{s} [shape={shape}];')
     edges = sorted(
         (
             (s, graph.alphabet.name(letter), t)
-            for s, row in enumerate(graph.rows)
+            for s, row in enumerate(rows)
             for letter, t in row.items()
             if letter > 0
         ),

@@ -388,6 +388,50 @@ class TestGrowth:
         assert cls.samples == 7
         assert cls.kind == "exponential"
 
+    def test_fit_is_the_statistics_line(self, monkeypatch):
+        # _linear_fit sums as statistics.linear_regression does in CPython
+        # 3.10 and 3.11, so growth_classify gives the same floats; 3.12 sums
+        # the centred products with math.sumprod, equal up to rounding
+        import math
+        import statistics
+        import sys
+
+        def statistics_fit(x, y):
+            slope, intercept = statistics.linear_regression(x, y)
+            return slope, sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
+
+        rng = random.Random(5)
+        cases = []
+        # the iterate_exact sources: positive words over their letters
+        for name, params, gens in (
+            ("trace3", None, (1, 2)),
+            ("trace4", None, (1, 2)),
+            ("beta", {"rank": 6}, (5, 6)),
+            ("phi_k", {"k": 1}, (2, 3, 4)),
+            ("phi_k", {"k": 2}, (2, 3, 4)),
+            ("phi_k", {"k": 3}, (2, 3, 4)),
+        ):
+            pair = stock_theta(name) if params is None else family(name, **params).pair
+            p_max = 9 if params is None or name == "beta" else 30
+            for _ in range(3):
+                letters = [rng.choice(gens) for _ in range(rng.randint(1, 6))]
+                cases.append((pair, Word.from_letters(pair.alphabet, letters), p_max))
+        for _label, pair, seeds in catalog_seeds():
+            cases += [(pair, seed, 12) for seed in seeds[:8]]
+        got = [growth_classify(pair, g, p_max) for pair, g, p_max in cases]
+        monkeypatch.setattr(dynamics, "_linear_fit", statistics_fit)
+        want = [growth_classify(pair, g, p_max) for pair, g, p_max in cases]
+        assert {cls.kind for cls in got} == {"bounded", "polynomial", "exponential"}
+        for a, b in zip(got, want):
+            # GrowthClass equality leaves the residuals out
+            assert (a.kind, a.degree, a.samples) == (b.kind, b.degree, b.samples)
+            assert a.residuals.keys() == b.residuals.keys()
+            for x, y in [(a.rate, b.rate)] + [(a.residuals[k], b.residuals[k]) for k in a.residuals]:
+                if sys.version_info < (3, 12):
+                    assert x == y
+                else:
+                    assert x == y or math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+
     @pytest.mark.parametrize("budget", [60, 100, 150])
     def test_overflow_before_three_tail_samples_raises(self, budget):
         # two tail samples lie on both fitted lines, so rounding chose

@@ -4,6 +4,9 @@ from collections import Counter
 
 import pytest
 
+from fgdyn import subgroups
+from fgdyn.families import family
+from fgdyn.graphs import build_graph
 from fgdyn.subgroups import (
     StallingsGraph,
     build_core_graph,
@@ -170,10 +173,12 @@ class TestBuildCoreGraph:
         assert build_core_graph(F4, [identity(F4)]) == build_core_graph(F4, [])
 
     def test_order_independence(self):
-        gens = words(F4, "a", "b a b^-1", "c a c^-1")
-        reference = build_core_graph(F4, gens)
-        for perm in itertools.permutations(gens):
-            assert build_core_graph(F4, list(perm)) == reference
+        gens = words(F4, "a", "b a b^-1", "c a c^-1", "d b^2 d^-1")
+        graphs = [build_core_graph(F4, list(perm)) for perm in itertools.permutations(gens)]
+        # the fold orders differ, so the rows do; the graphs are one
+        assert len({repr([sorted(row.items()) for row in g.rows]) for g in graphs}) > 1
+        assert all(g == graphs[0] and hash(g) == hash(graphs[0]) for g in graphs)
+        assert len(set(graphs)) == 1
 
     def test_matches_fold_by_rescan(self):
         for alphabet, gens in random_generator_sets(5, 2400):
@@ -254,6 +259,111 @@ class TestTwoEndedInsertion:
         assert graph.read(parse_word(F4, "a b c d^5 c^-1")) == graph.read(parse_word(F4, "a b"))
         # the same with the conjugate laid first
         assert build_core_graph(F4, gens[::-1]) == graph
+
+
+def merge_heavy_sets(seed, count):
+    """Small generator sets that fold with many merges: conjugates and
+    powers over a few shared prefixes, generators already spelled, and
+    products of the generators before them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = rng.choice((F2, F3, F4))
+        prefixes = [random_reduced(rng, rng.randint(0, 4), alphabet) for _ in range(2)]
+        gens = []
+        for _ in range(rng.randint(2, 7)):
+            r = rng.random()
+            if r < 0.2 and gens:
+                gens.append(rng.choice(gens) * rng.choice(gens) ** rng.choice((1, -1)))
+            elif r < 0.35:
+                gens.append(rng.choice(prefixes) * random_reduced(rng, rng.randint(0, 2), alphabet))
+            else:
+                x = rng.choice(prefixes) * random_reduced(rng, rng.randint(0, 2), alphabet)
+                u = random_cyclic(rng, rng.randint(1, 4), alphabet)
+                gens.append(x * u ** rng.choice((1, 2, 3, -1, -2)) * x.inverse())
+        yield alphabet, gens
+
+
+def assert_fold_order_rows(graph):
+    """The rows the fold leaves: every target is a state, and every edge
+    has its inverse."""
+    rows = graph.rows
+    assert all(0 <= t < len(rows) and rows[t].get(-x) == s for s, row in enumerate(rows) for x, t in row.items())
+
+
+class TestCompaction:
+    """The fold keeps its own rows, compacted in place; the canonical
+    numbering is the graph's, computed only when it is compared, hashed or
+    printed."""
+
+    def test_base_merged_with_a_larger_map(self):
+        # a b c lays states 1 (after a) and 2; a d a^-1 reads a forward and
+        # back and lays a d-loop at 1, which then has four edges to the
+        # base's two; a is spelled whole, so its end, state 1, merges with
+        # the base, which must stay the root
+        gens = words(F4, "a b c", "a d a^-1", "a")
+        graph = build_core_graph(F4, gens)
+        assert graph == fold_by_rescan(F4, gens)
+        assert graph.n_states == 2
+        assert_fold_order_rows(graph)
+        assert all(contains(graph, g) for g in words(F4, "a", "d", "b c", "a d^5 b c"))
+        assert not contains(graph, parse_word(F4, "b"))
+
+    def test_last_state_moved_with_a_loop(self):
+        # b a b^-1 lays states 1 and 2 and c a c^-1 states 3 and 4; the
+        # merges fold 4 into 3, which gets an a-loop, and 2 into 1, so the
+        # last state, 3, moves with its loop into the hole at 2
+        gens = words(F3, "b a b^-1", "c a c^-1")
+        graph = build_core_graph(F3, gens)
+        assert graph.rows == [{2: 1, 3: 2}, {-2: 0, 1: 1, -1: 1}, {-3: 0, 1: 2, -1: 2}]
+        assert graph == fold_by_rescan(F3, gens)
+        assert_fold_order_rows(graph)
+        c = graph.read(parse_word(F3, "c"))
+        assert graph.read(parse_word(F3, "c a^7"), 0) == graph.read(parse_word(F3, "a^-3"), c) == c
+
+    def test_merge_heavy_sets_match_fold_by_rescan(self):
+        folded = 0  # edges of the wedges that folding removed
+        for alphabet, gens in merge_heavy_sets(23, 1000):
+            graph = build_core_graph(alphabet, gens)
+            reference = fold_by_rescan(alphabet, gens)
+            rank = {x: i for i, x in enumerate(alphabet.signed_letters)}
+            trans = graph.transitions
+            assert list(trans.items()) == list(reference.transitions.items()), gens
+            assert list(trans) == sorted(trans, key=lambda k: (k[0], rank[k[1]]))
+            assert core_graph_dot(graph) == core_graph_dot(reference)
+            assert hash(graph) == hash(reference)
+            assert graph.n_states == reference.n_states
+            assert_fold_order_rows(graph)
+            folded += sum(len(g) for g in gens) - sum(map(len, graph.rows)) // 2
+        assert folded > 15000
+
+    def test_membership_never_numbers(self, monkeypatch):
+        numbered = []
+        original = subgroups._breadth_first
+
+        def counting(rows, letters):
+            numbered.append(rows)
+            return original(rows, letters)
+
+        monkeypatch.setattr(subgroups, "_breadth_first", counting)
+        graph = fix_phi_graph()
+        assert graph.n_states == 3
+        assert contains(graph, parse_word(F4, "b a^3 b^-1"))
+        assert graph.read(parse_word(F4, "c a")) == graph.step(0, 3)
+        assert coset_power_membership(graph, parse_word(F4, "b"), parse_word(F4, "a"), parse_word(F4, "b^-1")) == 0
+        assert len(enumerate_elements(graph, 3)) > 1
+        # isogloss reads H by steps only
+        phi = family("phi_k", k=1).pair
+        seeds = words(F4, "b", "b^-1", "c", "c^-1", "b c^-1", "b d^-1")
+        assert len(build_graph(phi, words(F4, "a", "b a b^-1", "c a c^-1"), seeds=seeds).edges) > 1
+        assert numbered == []
+        # comparing, hashing and printing number each graph once
+        other = fix_phi_graph()
+        for _ in range(3):
+            assert graph == other
+            assert hash(graph) == hash(other)
+            assert graph.transitions == other.transitions
+            assert core_graph_dot(graph) == core_graph_dot(other)
+        assert len(numbered) == 2
 
 
 class TestRows:
