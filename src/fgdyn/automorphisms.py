@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .words import (
     Alphabet,
@@ -72,16 +72,14 @@ class Endomorphism:
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":
         return cls(alphabet, [generator(alphabet, g) for g in range(1, alphabet.rank + 1)])
 
-    def apply(self, w: Word, limit: Optional[int] = None) -> Word:
-        """The reduced image ``[e(w)]``.
-
-        With a ``limit``, runs of ``w`` are read only until the image holds
-        at least ``limit`` letters: the result is then ``[e(u)]`` for the
-        prefix ``u`` of ``w`` read so far.
-        """
+    def apply(self, w: Word) -> Word:
+        """The reduced image ``[e(w)]``: the product of the image blocks
+        over the runs of ``w`` (:func:`words._block_product`, whose
+        ``limit`` reads a prefix of the runs for the held prefixes of
+        :mod:`dynamics`)."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
-        out, length = _block_product(w.runs, self._image_blocks, limit)
+        out, length = _block_product(w.runs, self._image_blocks)
         return Word._make(self.alphabet, tuple(out), length)
 
     def __eq__(self, other) -> bool:

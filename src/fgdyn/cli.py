@@ -227,6 +227,7 @@ SCENARIOS = {
     "fig3": ("fig3.dot", lambda: _scenario_graph("twist:n=1,k=0", "b; b^-1")),
     "fig4": ("fig4.dot", lambda: _scenario_graph("twist:n=1,k=2", "b; b^-1")),
     "fig5": ("fig5.dot", lambda: _scenario_graph("twist:n=2,k=1", "b; b^-1")),
+    "beta6": ("beta6.dot", lambda: _scenario_graph("beta:rank=6", None)),
 }
 
 

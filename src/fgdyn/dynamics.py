@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from bisect import bisect_left
-from itertools import accumulate, chain, cycle, islice
-from operator import itemgetter, mul
+from itertools import chain, cycle, islice
+from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
@@ -30,7 +29,6 @@ from .words import (
     EmptyWordError,
     Word,
     _block_product,
-    _cut,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -370,17 +368,13 @@ def _letter_orbits(
         yield blocks
 
 
-def _letter_counts(e: Endomorphism) -> list[list[int]]:
-    """The letter-count matrix: row x - 1 counts each generator in ``e(x)``."""
-    gens = range(1, len(e.images) + 1)
-    return [[sum(abs(k) for y, k in image.runs if y == x) for x in gens] for image in e.images]
-
-
 def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
     """The lengths of ``e^n(x)`` before free reduction, capped at ``cap``,
-    for n = 0, 1, ..., listed by generator.  They bound ``|[e^n(x)]|`` and
-    never decrease."""
-    counts = _letter_counts(e)
+    for n = 0, 1, ..., listed by generator: each the last one times the
+    letter-count matrix, the first square of :func:`_count_squares` (its
+    entries capped at a cap of at least ``cap``, so a capped entry gives a
+    capped length).  They bound ``|[e^n(x)]|`` and never decrease."""
+    counts = _count_squares(e, cap, 1)[1][0][0]  # the rows of M
     lengths = [1] * len(counts)
     while True:
         yield lengths
@@ -389,14 +383,18 @@ def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
 
 def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, list]:
     """The squares ``M^(2^i)``, i < ``levels``, of the letter-count matrix
-    M of ``e``, with every entry capped at a cap of at least ``cap``, as
-    ``(cap, squares, last)``: each square as its rows, its columns and its
-    row sums (capped alike), and in ``last`` the ``[least, U_least(x) by
+    M of ``e`` (row x - 1 counts each generator in ``e(x)``), with every
+    entry capped at a cap of at least ``cap``, as ``(cap, squares,
+    last)``: each square as its rows, its columns and its row sums
+    (capped alike), and in ``last`` the ``[least, U_least(x) by
     generator]`` that :func:`_quiet_steps` last asked for (capped alike).
 
     A capped entry stays capped in every product, and an entry below the
-    cap is exact.  The table is kept on ``e``, filled only as far as a
-    caller asks, and built again only for a larger cap.
+    cap is exact.  The table is the one letter-count table of ``e``: it is
+    kept on ``e``, filled only as far as a caller asks, and built again
+    only for a larger cap.  :func:`_orbit` and :func:`_quiet_steps` both
+    ask for ``2 * max_word_length + 1``, so it is built once per map and
+    budget.
     """
     table = e._count_squares
     if table is None or table[0] < cap:
@@ -407,7 +405,8 @@ def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, l
             rows, cols, _ = squares[-1]
             rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
         else:
-            rows = [[min(cap, k) for k in row] for row in _letter_counts(e)]
+            gens = range(1, len(e.images) + 1)
+            rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in e.images]
         squares.append((rows, list(zip(*rows)), [min(cap, sum(row)) for row in rows]))
     return table
 
@@ -442,12 +441,14 @@ def _quiet_steps(
     before reduction, counted by generator, are ``r_n = r_0 M^n``.  Each
     square ``M^(2^i)``, from the largest down, is then taken where
     ``U_(n + 2^i)(g)``, the product of ``r_n`` with the row sums of the
-    square, is still below ``bound``.  The cap is above ``budget``, so
-    every comparison is exact.
+    square, is still below ``bound``.  The table's cap is at least
+    ``2 * budget + 1``, the one :func:`_orbit` weighs with, so the map
+    keeps one table; every comparison is against at most ``budget + 1``,
+    below the cap, so it is exact.
     """
     if least > limit:
         return None
-    cap, squares, last = _count_squares(e, budget + 1, limit.bit_length())
+    cap, squares, last = _count_squares(e, 2 * budget + 1, limit.bit_length())
     if last[0] == least:
         lengths = last[1]  # U_least(x) by generator
     else:
@@ -549,8 +550,11 @@ class _Held:
     the level has stopped reading (then ``known == end``), else ``None``.
     ``k``, ``r`` and ``pos`` are the place in the source: ``r`` letters
     of its run ``k`` are read, ``pos`` letters in all.  ``step`` holds
-    the image blocks of the map, ``cap`` and C.  A level that has
-    stopped reading drops its source, so a finished chain can be freed.
+    the image blocks of the map, ``cap`` and C.  A read ends at a count
+    of source letters; the run it ends in is found by walking the
+    source's runs from run ``k``, so a read costs the runs it reads.  A
+    level that has stopped reading drops its source, so a finished chain
+    can be freed.
     """
 
     __slots__ = ("source", "step", "alphabet", "runs", "length", "known", "end", "k", "r", "pos")
@@ -592,26 +596,19 @@ class _Held:
             stop = pos + n + 2 * c - self.length
             if stop > bound:
                 stop = bound
-        # the read ends rs letters into run ks, 0 < rs <= its size
-        if stop < bound:
-            ends = list(accumulate(map(abs, map(itemgetter(1), islice(runs, k, k + stop - pos + 1))), initial=-r))
-            ks = k + bisect_left(ends, stop - pos, 1) - 1
-            rs = stop - pos - ends[ks - k]
-        elif stop < source.length:
-            ks, rs = _cut(runs, stop, source.length)
-        else:
-            ks, rs = len(runs), 0
-        if not rs:
-            ks -= 1
-            rs = abs(runs[ks][1])
-        gen, exp = runs[ks]
-        if ks > k:
-            pieces = [*runs[k:ks], (gen, rs if exp > 0 else -rs)]
-            if r:  # the rest of run k
-                g, e = pieces[0]
-                pieces[0] = (g, e - r if e > 0 else e + r)
-        else:
-            pieces = [(gen, rs - r if exp > 0 else r - rs)]
+        # the read ends rs letters into run ks, counted from the start of
+        # the run, 0 < rs <= its size: the first run from k that reaches stop
+        ks, rs = k, stop - pos + r
+        while True:
+            gen, exp = runs[ks]
+            if rs <= exp or rs <= -exp:
+                break
+            rs -= exp if exp > 0 else -exp
+            ks += 1
+        pieces = [*runs[k:ks], (gen, rs if exp > 0 else -rs)]
+        if r:  # the rest of run k
+            g, e = pieces[0]
+            pieces[0] = (g, e - r if e > 0 else e + r)
         # run ks is read whole when a letter after it is known, or the
         # source ends with it; else it may still grow
         whole = (rs == exp or rs == -exp) if stop < bound else source.end is not None
@@ -646,12 +643,9 @@ def _pull(held: _Held, n: int) -> None:
     knows, so that a chain whose levels each lack a few letters a step
     is not read down to its bottom at every step.  The asks go on a
     stack, not down the call stack: a chain has a level per held step.
+    The stack starts with ``held`` itself, so a level whose source knows
+    the letters reads at the first turn.
     """
-    source = held.source
-    if held.end is None and held.known < n and (source.end is not None or source.known > held.pos):
-        held._read(n)  # most often enough: the source knows the letters
-    if held.end is not None or held.known >= n:
-        return
     todo = [(held, n)]
     while todo:
         held, n = todo[-1]
@@ -674,29 +668,25 @@ def _held_prefix(u: Union[Word, _Held], v: _Held) -> int:
     the end of the longer of the runs where the two differ and to twice
     what they know.  The comparison then resumes at the first run that
     does not end below both bounds: a run that differs or touches a
-    bound is compared again.
+    bound is compared again.  The letters before the run compared are
+    counted as the comparison moves on and backs off, never summed
+    again.
     """
     if isinstance(u, Word):
         u = _Held.whole(u)
-    i = 0  # the runs before i agree and end below both known bounds
+    # the runs before i agree and end below both known bounds, and hold
+    # start letters
+    i = start = 0
     while True:
         a, b = u.runs, v.runs
         n = len(a) if len(a) < len(b) else len(b)
-        j = i  # the first run that differs
-        while j < n and a[j] == b[j]:
-            j += 1
-        # the letters before run j, summed over the shorter side of it
-        if 2 * j <= len(a):
-            start = 0
-            for _, e in a[:j]:
-                start += e if e > 0 else -e
-        else:
-            start = u.length
-            for _, e in a[j:]:
-                start -= e if e > 0 else -e
+        while i < n and a[i] == b[i]:  # on to the first run that differs
+            e = a[i][1]
+            start += e if e > 0 else -e
+            i += 1
         cp = start
-        if j < n:
-            (g1, e1), (g2, e2) = a[j], b[j]
+        if i < n:
+            (g1, e1), (g2, e2) = a[i], b[i]
             reach = cp + 1
             if g1 == g2 and (e1 > 0) == (e2 > 0):
                 s1, s2 = abs(e1), abs(e2)
@@ -710,7 +700,6 @@ def _held_prefix(u: Union[Word, _Held], v: _Held) -> int:
             return cp
         if u.end == known or v.end == known:
             return known
-        i = j
         while i and start >= known:
             i -= 1
             start -= abs(a[i][1])

@@ -28,12 +28,11 @@ from .automorphisms import (
     power,
     verify_pair,
 )
-from .dynamics import rational_from_element, rational_point
+from .dynamics import PrefixApprox, rational_from_element, rational_point
 from .graphs import GraphTemplate
 from .words import (
     Alphabet,
     Word,
-    format_word,
     identity,
     parse_word,
     primitive_root,
@@ -313,7 +312,8 @@ def parse_family_spec(spec: str) -> FamilyInstance:
 
 
 def _attractor_prefix_text(k: int, backward: bool) -> str:
-    """First 12 letters of the rank-4 family's irrational limit, as text."""
+    """The rank-4 family's irrational limit as the text of its first 12
+    letters, a certified prefix point."""
     point = [4]  # d
     if not backward:
         point += [3, 3]  # c c
@@ -321,7 +321,7 @@ def _attractor_prefix_text(k: int, backward: bool) -> str:
     while len(point) < 12:
         point += [1] * (j * (k + 1)) + ([-3] if backward else [3])
         j += 1
-    return format_word(Word.from_letters(F4, point[:12])) + " …"
+    return PrefixApprox(Word.from_letters(F4, point), 12).text()
 
 
 def expected_graph(name: str, **params) -> GraphTemplate:

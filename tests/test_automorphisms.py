@@ -25,6 +25,7 @@ from fgdyn.automorphisms import (
     squarefree_part,
     verify_pair,
 )
+from fgdyn import words
 from fgdyn.families import family, make_delta, stock_theta
 from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
 
@@ -122,7 +123,8 @@ class TestApply:
     @given(st.lists(IMAGES3, min_size=3, max_size=3), RUN_WORDS3, st.integers(0, 60))
     def test_limit_reads_a_prefix_of_runs(self, images, w, limit):
         e = Endomorphism(F3, images)
-        got = e.apply(w, limit=limit)
+        runs, length = words._block_product(w.runs, e._image_blocks, limit)
+        got = Word._make(F3, tuple(runs), length)
         # reading stops after the first run that brings the image to the limit
         heads = (e.apply(Word(F3, w.runs[:i])) for i in range(1, len(w.runs) + 1))
         assert got == next((h for h in heads if len(h) >= limit), e.apply(w))
@@ -140,7 +142,8 @@ class TestApply:
         reads = []
         for limit in (1, 2, 7, 50, 200, 300, len(backward.apply(w)) + 1):
             image, read = bounded_apply_reference(backward, w, limit)
-            got = backward.apply(w, limit=limit)
+            runs, length = words._block_product(w.runs, backward._image_blocks, limit)
+            got = Word._make(pair.alphabet, tuple(runs), length)
             assert got == image, limit
             assert got == backward.apply(Word(pair.alphabet, w.runs[:read]))
             assert len(got) == sum(abs(x) for _, x in got.runs)

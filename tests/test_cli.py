@@ -331,6 +331,7 @@ class TestRepro:
     def test_list(self, capsys):
         assert main(["repro", "--list"]) == 0
         assert capsys.readouterr().out.split() == [
+            "beta6",
             "fig1",
             "fig2",
             "fig3",
@@ -339,7 +340,7 @@ class TestRepro:
             "sec2",
         ]
 
-    @pytest.mark.parametrize("scenario", ["sec2", "fig1", "fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("scenario", ["sec2", "fig1", "fig2", "fig3", "fig4", "fig5", "beta6"])
     def test_scenarios_match_goldens(self, scenario, capsys):
         assert main(["repro", scenario]) == 0
         assert "OK" in capsys.readouterr().out

@@ -609,7 +609,8 @@ def eager_held_orbit(e, g, cfg, first=1):
                 break
     held = w.prefix(cap)
     while True:
-        image = e.apply(held, limit=cap + c)
+        runs, length = dynamics._block_product(held.runs, e._image_blocks, cap + c)
+        image = Word._make(held.alphabet, tuple(runs), length)
         held = image.prefix(min(cap, len(image) - c))
         yield held
 
@@ -974,6 +975,23 @@ class TestQuietBoundWork:
         assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
         assert len(products) == 3
 
+    def test_one_count_table_per_map(self):
+        # the weighing of assembly in the orbit and the jump bound read one
+        # letter-count table, built once for the budget: growth_classify
+        # builds it, and iterate and omega_limit read the same table on
+        pair = family("phi_k", k=1).pair
+        e, d = pair.forward, parse_word(pair.alphabet, "d")
+        assert e._count_squares is None
+        growth_classify(pair, d, 12)
+        table = e._count_squares
+        assert table is not None and table[0] == 2 * 10**6 + 1
+        letter_counts = [[1, 0, 0, 0], [1, 1, 0, 0], [2, 0, 1, 0], [0, 0, 1, 1]]  # images a, b a, c a^2, d c
+        assert table[1][0][0] == letter_counts
+        iterate(pair, d, 400)
+        assert isinstance(omega_limit(pair, d), Boundary)
+        assert e._count_squares is table
+        assert table[1][0][0] == letter_counts
+
     def test_kept_vector_gives_the_same_steps(self):
         # a call after another one on the same map, with the same least or
         # not, and with the same cap or a larger one (which builds the
@@ -1011,9 +1029,9 @@ class TestPeriodicOrbits:
         calls = []
         original = Endomorphism.apply
 
-        def counting(self, w, limit=None):
+        def counting(self, w):
             calls.append(w)
-            return original(self, w, limit)
+            return original(self, w)
 
         monkeypatch.setattr(Endomorphism, "apply", counting)
         res = omega_limit(phi, parse_word(F2, "b"))
@@ -1059,9 +1077,9 @@ def apply_calls(monkeypatch):
     calls = []
     original = Endomorphism.apply
 
-    def counting(self, w, limit=None):
+    def counting(self, w):
         calls.append(w)
-        return original(self, w, limit)
+        return original(self, w)
 
     monkeypatch.setattr(Endomorphism, "apply", counting)
     return calls
