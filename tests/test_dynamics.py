@@ -591,12 +591,21 @@ def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
         return omega_limit(phi, g, cfg)
 
 
+def eager_held_step(held, e, cap, c):
+    """The held word after ``held``, stepped whole: the map is applied to
+    ``held`` run by run until the image has ``cap + c`` letters, checked
+    after each whole run, and the first ``min(cap, |image| - c)`` of them
+    are kept."""
+    runs, length = dynamics._block_product(held.runs, e._image_blocks, cap + c)
+    image = Word._make(held.alphabet, tuple(runs), length)
+    return image.prefix(min(cap, len(image) - c))
+
+
 def eager_held_orbit(e, g, cfg, first=1):
-    """``_held_orbit`` with every held prefix stepped whole: the map is
-    applied to the held word until the image has ``cap + C`` letters, and
-    the first ``min(cap, |image| - C)`` of them are the next held word.
-    The reference the lazily read held levels must agree with; it steps
-    from n = 1 and yields from the step ``first``."""
+    """``_held_orbit`` with every held prefix stepped whole by
+    :func:`eager_held_step`.  The reference the lazily read held levels
+    must agree with; it steps from n = 1 and yields from the step
+    ``first``."""
     c = None
     cap = cfg.target_prefix
     for w in islice(dynamics._orbit(e, g, cfg.max_word_length), first - 1, None):
@@ -609,9 +618,7 @@ def eager_held_orbit(e, g, cfg, first=1):
                 break
     held = w.prefix(cap)
     while True:
-        runs, length = dynamics._block_product(held.runs, e._image_blocks, cap + c)
-        image = Word._make(held.alphabet, tuple(runs), length)
-        held = image.prefix(min(cap, len(image) - c))
+        held = eager_held_step(held, e, cap, c)
         yield held
 
 
@@ -623,15 +630,17 @@ def eager_held_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
 
 
 def held_letters(monkeypatch):
-    """The letters the held phase of ``omega_limit`` makes from now on:
-    the products of the kernel calls that stop at a limit or resume a
-    product, which are the held steps, counted as they grow."""
-    made = [0]
+    """The letters the held phase of ``omega_limit`` makes from now on,
+    and its kernel calls: the calls that stop at a limit or resume a
+    product, which are the held steps, and their products counted as
+    they grow.  ``made[0]`` is the letters, ``made[1]`` the calls."""
+    made = [0, 0]
 
     def counting(pattern, blocks, limit=None, out=None, length=0):
         runs, new = words._block_product(pattern, blocks, limit, out, length)
         if limit is not None or out is not None:
             made[0] += new - length
+            made[1] += 1
         return runs, new
 
     monkeypatch.setattr(dynamics, "_block_product", counting)
@@ -829,13 +838,130 @@ class TestHeldPrefixEngine:
         g = parse_word(pair.alphabet, "c^-1 f^-1")
         made = held_letters(monkeypatch)
         lazy = omega_limit(pair, g)
-        lazy_letters = made[0]
+        lazy_letters, lazy_calls = made
         made[0] = 0
         eager = eager_held_omega(monkeypatch, pair, g)
         assert lazy.to_json() == eager.to_json()
         assert isinstance(lazy, Boundary)
         assert made[0] > 100_000
         assert 4 * lazy_letters <= made[0]
+        # one call a held step, as before the first ask came from the
+        # previous common prefix: the first ask reaches the end of the
+        # a-run, so it is no second read
+        assert lazy_calls <= 93 and lazy_letters <= 11_811
+
+    @pytest.mark.parametrize("case", ["mixed", "chain", "contact"])
+    def test_held_steps_read_each_level_about_once(self, monkeypatch, case):
+        # the eager step reads each held level with one kernel call.  The
+        # first ask of each comparison, the previous common prefix and two
+        # letters more, reads a fresh level of the mixed seed b e once (192
+        # held steps); the deep chain of few-run levels of b d^-1 under the
+        # inverse of alpha_k and the contact-shaped orbit of e under a power
+        # of beta take at most one call more a step than stepping whole
+        beta, alpha = family("beta", rank=6).pair, family("alpha_k", k=1).pair
+        phi, text, cfg = {
+            "mixed": (beta, "b e", DEFAULT_CONFIG),
+            "chain": (alpha.inverse(), "b d^-1", DEFAULT_CONFIG),
+            "contact": (power(beta, 3), "e", IterationConfig(max_iterations=40)),
+        }[case]
+        g = parse_word(phi.alphabet, text)
+        made = held_letters(monkeypatch)
+        held = []
+        lazy_orbit = dynamics._held_orbit
+
+        def recording(e, w, c, first=1):
+            for x in lazy_orbit(e, w, c, first):
+                held.append(isinstance(x, dynamics._Held))
+                yield x
+
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_held_orbit", recording)
+            lazy = omega_limit(phi, g, cfg)
+        lazy_calls, made[1] = made[1], 0
+        eager = eager_held_omega(monkeypatch, phi, g, cfg)
+        assert lazy.to_json() == eager.to_json()
+        steps = sum(held)
+        assert made[1] == steps > 30
+        if case == "mixed":
+            assert lazy_calls == steps == 192
+        else:
+            assert lazy_calls <= 2 * steps
+
+
+def read_level(e, w, cap, c, reveal):
+    """A held level over the word ``w``, read as its source comes to know
+    ``w``: the source knows the first m letters for each m of ``reveal``
+    in turn, and then it ends.  At each bound the level is asked for 1,
+    2, ... letters and reads, as :func:`dynamics._pull` does, while its
+    source knows letters past its place; after every read the letters it
+    exposes must be letters of :func:`eager_held_step`.  The level's word
+    once it has ended."""
+    source = dynamics._Held.whole(w)
+    level = dynamics._Held(source, (e._image_blocks, cap, c))
+    want = eager_held_step(w, e, cap, c)
+    for m, end in [*((m, None) for m in reveal), (len(w), len(w))]:
+        source.known, source.end = m, end
+        for n in range(1, cap + 2):
+            while level.end is None and level.known < n and (
+                source.end is not None or source.known > level.pos
+            ):
+                level._read(n)
+                assert level.known <= len(want), (level.known, str(want))
+                assert level.prefix(level.known) == want.prefix(level.known)
+    assert level.end is not None
+    return level.prefix(level.end)
+
+
+# (images of a and b, source word, cap, source bounds revealed in turn)
+HELD_READS = [
+    # b -> b a (C = 1): the image of b^3 reaches cap + C = 6 at the end of
+    # the run, known or cut at the bound, and stops there; reading on, a^-1
+    # would cancel a letter and end the level one letter short
+    (("a", "b a"), "b^3 a^-1", 5, (3,)),
+    (("a", "b a"), "b^3 a^-1", 5, (2, 3)),
+    # the a of [e(b)] = b a, the last of |P_t| - C letters, is cancelled by
+    # a^-1: the level exposes only |P_t| - 2C letters, none here
+    (("a", "b a"), "b a^-1", 4, (1,)),
+    (("a", "b a"), "b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b", 6, ()),
+    (("a", "b a"), "b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b a^-1 b", 4, (1, 4, 5, 8, 13)),
+    # the source ends where the level had read to, and where it ends inside
+    # a run: the level holds |P| - C letters
+    (("a", "b a"), "b^2", 10, (2,)),
+    (("a", "b a"), "b^2 a^3", 10, (2, 4)),
+    # b -> b a^-5 (C = 5): along the run a^14 the product first falls, from
+    # 12 letters to 7, and then rises; it passes cap + C = 13 only while
+    # rising, where a cut and the whole run give the same first cap letters
+    (("a", "b a^-5"), "b^2 a^14", 8, (5, 13)),
+    (("a", "b a^-5"), "b^2 a^14", 8, (4, 9, 14)),
+    (("a", "b a^-5"), "b^2 a^11", 8, (13,)),
+    (("a", "b a^-5"), "b a^3 b a^9 b^-1 a^2", 3, (2, 7, 16)),
+]
+
+
+class TestHeldRead:
+    @pytest.mark.parametrize("images, text, cap, reveal", HELD_READS)
+    @pytest.mark.parametrize("extra", [0, 1, 2])
+    def test_level_is_the_eager_step(self, images, text, cap, reveal, extra):
+        # a level read in pieces, however its source's bound cuts the
+        # runs, is the eager step of the whole source word, for any c at
+        # least the true C
+        e = endo(F2, *images)
+        c = cancellation_bound(e) + extra
+        w = parse_word(F2, text)
+        assert read_level(e, w, cap, c, reveal) == eager_held_step(w, e, cap, c)
+
+    def test_cases_reach_the_conditions(self):
+        # the cases above take the stop at cap + C inside a run, cut at the
+        # source's bound and where the product still grows; the source's
+        # end inside a run; and a partial product whose last C letters the
+        # rest of the source cancels
+        e = endo(F2, "a", "b a")
+        assert eager_held_step(parse_word(F2, "b^3"), e, 5, 1) == parse_word(F2, "b a b a b")
+        assert eager_held_step(parse_word(F2, "b^3 a^-1"), e, 5, 1) == parse_word(F2, "b a b a b")
+        assert len(eager_held_step(parse_word(F2, "b a^-1"), e, 4, 1)) == 0
+        e = endo(F2, "a", "b a^-5")
+        products = [len(e.apply(parse_word(F2, f"b^2 a^{j}"))) for j in range(15)]
+        assert products[:6] == [12, 11, 10, 9, 8, 7] and products[11] == 13 and products[14] == 16
 
 
 def order_two():
