@@ -612,7 +612,12 @@ class _Held:
                 stop = bound
         # the read ends rs letters into run ks, counted from the start of
         # the run, 0 < rs <= its size: the first run from k that reaches
-        # stop, found from whichever end of the runs is nearer to stop
+        # stop, found from whichever end of the runs is nearer to stop.
+        # A read to all a long source knows walks back over a few runs
+        # where a walk from k would cross every run it reads: e under
+        # power(beta:rank=6, 3) at max_iterations=40 reads 1,100 runs a
+        # step and takes 1.5 times as long walking forward only, and the
+        # orbit_beta benchmark's task_tail_ms is 1.05 times as long
         rest = source.length - stop
         if rest < stop - pos:
             ks = len(runs)
@@ -663,9 +668,14 @@ def _pull(held: _Held, n: int) -> None:
     about C letters more; a margin of C a level lets a refill that went
     d levels down serve about d more steps.  Asking each source for
     twice what it knew instead made the deep levels, which know most,
-    read most.  The asks go on a stack, not down the call stack: a chain
-    has a level per held step.  The stack starts with ``held`` itself, so
-    a level whose source knows the letters reads at the first turn.
+    read most.  The rule trades: the few-run chain of ``b d^-1`` under
+    ``beta:rank=6`` is refilled late and deep and takes about 1.2 times
+    as long as under doubling, while doubling, even for sources of few
+    runs only, makes ``d^-1 e`` and the chain of ``b d^-1`` under the
+    inverse of ``alpha_k:k=1`` take 1.4-1.6 times as long.  The asks go
+    on a stack, not down the call stack: a chain has a level per held
+    step.  The stack starts with ``held`` itself, so a level whose source
+    knows the letters reads at the first turn.
     """
     todo = [(held, n)]
     margin = n

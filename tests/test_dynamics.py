@@ -850,19 +850,26 @@ class TestHeldPrefixEngine:
         # a-run, so it is no second read
         assert lazy_calls <= 93 and lazy_letters <= 11_811
 
-    @pytest.mark.parametrize("case", ["mixed", "chain", "contact"])
+    @pytest.mark.parametrize("case", ["mixed", "chain", "contact", "few_run_beta", "few_run_alpha"])
     def test_held_steps_read_each_level_about_once(self, monkeypatch, case):
         # the eager step reads each held level with one kernel call.  The
         # first ask of each comparison, the previous common prefix and two
         # letters more, reads a fresh level of the mixed seed b e once (192
         # held steps); the deep chain of few-run levels of b d^-1 under the
         # inverse of alpha_k and the contact-shaped orbit of e under a power
-        # of beta take at most one call more a step than stepping whole
+        # of beta take at most one call more a step than stepping whole.
+        # The refill rule trades: the few-run chain of b d^-1 under beta
+        # and alpha_k is refilled late and deep, 411 calls and 145,481
+        # letters, where asking each source for twice what it knew made
+        # 553 calls and 94,957 letters in about 0.85 times the time; that
+        # cost must not grow
         beta, alpha = family("beta", rank=6).pair, family("alpha_k", k=1).pair
         phi, text, cfg = {
             "mixed": (beta, "b e", DEFAULT_CONFIG),
             "chain": (alpha.inverse(), "b d^-1", DEFAULT_CONFIG),
             "contact": (power(beta, 3), "e", IterationConfig(max_iterations=40)),
+            "few_run_beta": (beta, "b d^-1", DEFAULT_CONFIG),
+            "few_run_alpha": (alpha, "b d^-1", DEFAULT_CONFIG),
         }[case]
         g = parse_word(phi.alphabet, text)
         made = held_letters(monkeypatch)
@@ -877,13 +884,16 @@ class TestHeldPrefixEngine:
         with monkeypatch.context() as m:
             m.setattr(dynamics, "_held_orbit", recording)
             lazy = omega_limit(phi, g, cfg)
-        lazy_calls, made[1] = made[1], 0
+        lazy_letters, lazy_calls = made
+        made[1] = 0
         eager = eager_held_omega(monkeypatch, phi, g, cfg)
         assert lazy.to_json() == eager.to_json()
         steps = sum(held)
         assert made[1] == steps > 30
         if case == "mixed":
             assert lazy_calls == steps == 192
+        elif case.startswith("few_run"):
+            assert lazy_calls <= 411 and lazy_letters <= 145_481
         else:
             assert lazy_calls <= 2 * steps
 
