@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, cycle, islice
+from itertools import chain, islice
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -241,96 +241,6 @@ LimitResult = Union[FixedElement, Boundary, NotConverged]
 # ---------------------------------------------------------------------------
 
 
-def _orbit(
-    e: Endomorphism, g: Word, budget: int, last: Optional[int] = None, first: int = 1
-) -> Iterator[Word]:
-    """The iterates ``[e^n(g)]`` for n = ``first``, ``first + 1``, ..., or
-    up to n = ``last``.
-
-    Raises :class:`GrowthOverflowError` at the first iterate longer than
-    ``budget`` letters, carrying that iterate as ``word``.  This is the one
-    planner of stepping.  Each step takes one of two moves, each giving
-    the same reduced word:
-
-    - apply ``e`` to the previous iterate ``w``, reading every run of it;
-    - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
-      letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
-      reachable from ``g``, reading the runs of ``g`` and of their images.
-
-    Assembly cancels letters at the junctions.  At a step where ``w`` has
-    more runs than an assembly reads, the letters cancelled so far are the
-    unreduced length of ``e^(n-1)(g)`` (:func:`_unreduced_lengths`) less
-    ``|w|``; at the run density of ``w`` they are the runs an assembly
-    would cancel.  Assembly starts once the runs it reads and cancels are
-    fewer than those of ``w``, and never where the unreduced length passes
-    twice the budget.  It then takes every step where ``w`` has more runs
-    than it reads, until a letter iterate is longer than ``budget``.
-
-    With ``first > 1`` the first move is the jump: the letter iterates
-    ``[e^first(x)]`` are built by square and multiply, and
-    ``[e^first(g)]`` is their product over the runs of ``g``, the same
-    reduced word as ``first`` steps.  The caller bounds the unreduced
-    lengths ``U_first`` of ``g`` and of every letter reachable from it by
-    ``budget`` (:func:`_quiet_steps`), so no iterate jumped over and no
-    letter iterate built is longer than ``budget``.  Stepping then goes
-    on from those letter iterates, and assembles at every step where the
-    iterate has more runs than an assembly reads.
-
-    An automorphism permutes words, so the orbit is periodic exactly when
-    it comes back to its first word: ``g``, or the iterate the jump built.
-    After the first return, q steps after that word, the q iterates from
-    it are replayed, or only ``(last - n) mod q`` more steps are taken.
-    Every iterate of a periodic orbit comes before the return, so the
-    budget raises where stepping every iterate would.
-    """
-    w = g
-    letters = None  # the letters reachable from g, once w outgrows g
-    unreduced = None  # the unreduced lengths, while assembly is weighed
-    letter_orbit = None  # the letter iterates, once assembly pays
-    taken = 0  # the step of the letter iterates (and lengths) last taken
-    n = 0
-    if first > 1:
-        letters = _reachable_letters(e, g)
-        reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
-        images = {x: e._image_blocks[x] for x in letters}
-        blocks = _square_and_multiply(images, first - 1, _compose_blocks, images)
-        w = _assembled(g, blocks)
-        letter_orbit, taken = _letter_orbits(e, letters, budget, blocks), first
-        n = first
-        yield w
-    start, anchor = n, w
-    while last is None or n < last:
-        n += 1
-        blocks = None
-        if letters is None and len(w.runs) > len(g.runs):
-            letters = _reachable_letters(e, g)
-            reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
-            unreduced = _unreduced_lengths(e, 2 * budget + 1)
-        if unreduced is not None and len(w.runs) > reads:
-            lengths = next(islice(unreduced, n - 1 - taken, None))  # of e^(n-1)(x)
-            taken = n
-            cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
-            if reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
-                unreduced, letter_orbit, taken = None, _letter_orbits(e, letters, budget), 0
-            elif cancelled + len(w) > 2 * budget:
-                unreduced = None
-        if letter_orbit is not None and len(w.runs) > reads:
-            # step the letter iterates past the steps applied since
-            # they were last taken; None once they are dropped
-            blocks = next(islice(letter_orbit, n - taken - 1, None), None)
-            taken = n
-        w = e.apply(w) if blocks is None else _assembled(g, blocks)
-        if len(w) > budget:
-            raise GrowthOverflowError(n, len(w), budget, w)
-        if w == anchor:  # the first return: the orbit has period n - start
-            period = n - start
-            if last is None:
-                yield w
-                yield from cycle(chain(islice(_orbit(e, w, budget), period - 1), [w]))  # for good
-            last = n + (last - n) % period
-        yield w
-
-
 def _assembled(g: Word, blocks: dict) -> Word:
     """The product over the runs of ``g`` of :func:`_block_product` blocks."""
     runs, length = _block_product(g.runs, blocks)
@@ -392,9 +302,9 @@ def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, l
     A capped entry stays capped in every product, and an entry below the
     cap is exact.  The table is the one letter-count table of ``e``: it is
     kept on ``e``, filled only as far as a caller asks, and built again
-    only for a larger cap.  :func:`_orbit` and :func:`_quiet_steps` both
-    ask for ``2 * max_word_length + 1``, so it is built once per map and
-    budget.
+    only for a larger cap.  The planner of :class:`_Orbit`, which weighs
+    assembly with the first square, and :func:`_quiet_steps` both ask for
+    ``2 * max_word_length + 1``, so it is built once per map and budget.
     """
     table = e._count_squares
     if table is None or table[0] < cap:
@@ -442,7 +352,7 @@ def _quiet_steps(
     square ``M^(2^i)``, from the largest down, is then taken where
     ``U_(n + 2^i)(g)``, the product of ``r_n`` with the row sums of the
     square, is still below ``bound``.  The table's cap is at least
-    ``2 * budget + 1``, the one :func:`_orbit` weighs with, so the map
+    ``2 * budget + 1``, the one :class:`_Orbit` weighs with, so the map
     keeps one table; every comparison is against at most ``budget + 1``,
     below the cap, so it is exact.
     """
@@ -483,58 +393,6 @@ def _quiet_steps(
     return n, total
 
 
-def _held_orbit(
-    e: Endomorphism, g: Word, cfg: IterationConfig, first: int = 1
-) -> Iterator[Union[Word, "_Held"]]:
-    """A prefix of each iterate ``[e^n(g)]``, for n = ``first``,
-    ``first + 1``, ...
-
-    Iterates come whole from :func:`_orbit` up to the first one longer
-    than ``cap = target_prefix + C * max_iterations`` letters, with C the
-    :func:`cancellation_bound` of ``e`` (computed once an iterate is
-    longer than ``target_prefix``).  From there only a held prefix of
-    each iterate is kept, as a :class:`_Held` level read lazily from the
-    level before it.  ``H_0`` is the first ``cap`` letters of that
-    iterate W.  ``H_j`` is the first ``min(cap, |P| - C)`` letters of
-    ``P = [e(u)]``, where ``u`` is the runs of ``H_(j-1)`` read until
-    ``|P| >= cap + C`` or ``H_(j-1)`` ends: the first ``|[e(p)]| - C``
-    letters of the image of a prefix p are a prefix of the image of the
-    word, so ``H_j`` is a prefix of ``[e^j(W)]``.  A prefix that gains
-    one letter a step and loses C keeps at least ``target_prefix``
-    letters for ``max_iterations`` steps.
-
-    A level reads its source only as far as it is asked to know (see
-    :func:`_pull`).  While it reads, the first ``|P_t| - C`` letters of
-    its partial product ``P_t`` are final, and the rest of the read
-    cancels at most C of them, so the final P has at least ``|P_t| - C``
-    letters and ``H_j`` at least ``min(cap, |P_t| - 2C)``: the level
-    knows its letters below the largest such bound, and no further.  Its
-    length is known only once it stops reading: at ``cap + C``, checked
-    after every piece it reads, a run cut inside included (see
-    :meth:`_Held._read` for why that agrees with the whole runs of
-    ``u``), it holds ``cap``; when its source ends, ``|P| - C``.  Free
-    reduction is associative, so reading the known part of a run that
-    the source's bound cuts, and the rest of it later, gives the same
-    product.  Each level is the held prefix that stepping the whole held
-    word would give, letter for letter.
-    """
-    c = None
-    cap = cfg.target_prefix  # raised by C * max_iterations once C is known
-    for w in _orbit(e, g, cfg.max_word_length, None, first):
-        yield w
-        if len(w) > cap:
-            if c is None:
-                c = cancellation_bound(e)
-                cap += c * cfg.max_iterations
-            if len(w) > cap:
-                break
-    step = (e._image_blocks, cap, c)
-    held = _Held.whole(w.prefix(cap))
-    while True:
-        held = _Held(held, step)
-        yield held
-
-
 # A level reads all its source knows once at most this many runs of the
 # source's product lie past its place: a kernel call over a few runs
 # costs less than the reads it saves when the levels below each lack a
@@ -545,8 +403,8 @@ _FEW_RUNS = 8
 
 
 class _Held:
-    """A held prefix ``H_j`` of :func:`_held_orbit`, read lazily from its
-    source ``H_(j-1)``, or a whole word.
+    """A held prefix ``H_j`` of an orbit past :meth:`_Orbit.hold`, read
+    lazily from its source ``H_(j-1)``, or a whole word.
 
     ``runs`` and ``length`` are the partial product ``P_t``; its first
     ``known`` letters are letters of ``H_j``; ``end`` is ``|H_j|`` once
@@ -746,22 +604,143 @@ def _held_prefix(u: Union[Word, _Held], v: _Held, ask: int) -> int:
             _pull(x, max(reach, ask, 2 * known - ask))
 
 
-def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
-    """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
+class _Orbit(Iterator[Union[Word, _Held]]):
+    """The orbit of ``g`` under ``e``: each ``next`` takes one step and
+    gives the iterate ``[e^n(g)]`` of the new step ``n``, or, once
+    :meth:`hold` has been called, a held prefix of it.  ``w`` is the last
+    whole iterate; it stays the word the held prefixes start from.
 
-    :func:`_orbit` lands by the jump at the step :func:`_jump` picks and
-    steps from there, or steps from ``g``; either way it stops stepping at
-    the first return to the word it started from.
+    Raises :class:`GrowthOverflowError` at the first iterate longer than
+    ``budget`` letters, carrying that iterate as ``word``.  This is the
+    one planner of stepping.  Each step takes one of two moves, each
+    giving the same reduced word:
+
+    - apply ``e`` to the previous iterate ``w``, reading every run of it;
+    - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
+      letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
+      reachable from ``g``, reading the runs of ``g`` and of their images.
+
+    Assembly cancels letters at the junctions.  At a step where ``w`` has
+    more runs than an assembly reads, the letters cancelled so far are the
+    unreduced length of ``e^(n-1)(g)`` (:func:`_unreduced_lengths`) less
+    ``|w|``; at the run density of ``w`` they are the runs an assembly
+    would cancel.  Assembly starts once the runs it reads and cancels are
+    fewer than those of ``w``, and never where the unreduced length passes
+    twice the budget.  It then takes every step where ``w`` has more runs
+    than it reads, until a letter iterate is longer than ``budget``.  The
+    letters reachable from ``g`` are found only once ``w`` has more runs
+    than ``g``, so a long seed stepped a few times is not read for them.
+
+    An automorphism permutes words, so the orbit is periodic exactly when
+    it comes back to its first word: ``g``, or the iterate :meth:`jump`
+    landed at.  At the first return, ``period`` q steps after that word,
+    the orbit starts a replay list with it and adds each word it makes
+    after it; once the list holds q words, every step replays them.
+    Every iterate of a periodic orbit comes before the return, so the
+    budget raises where stepping every iterate would.
     """
-    e = phi.forward if p >= 0 else phi.backward
-    if g.alphabet != e.alphabet:
-        raise AlphabetMismatchError("word over a different alphabet")
-    if not p:
-        return g
-    budget = cfg.max_word_length
-    for w in _orbit(e, g, budget, abs(p), _jump(e, g, abs(p), budget) or 1):
-        pass
-    return w
+
+    def __init__(self, e: Endomorphism, g: Word, budget: int):
+        self.e, self.g, self.budget = e, g, budget
+        self.n, self.w = 0, g  # the step, and the last whole iterate
+        self.letters = None  # the letters reachable from g (and self.reads), once w outgrows g
+        self.unreduced = None  # the unreduced lengths, while assembly is weighed
+        self.letter_orbit = None  # the letter iterates, once assembly pays
+        self.taken = 0  # the step of the letter iterates (and lengths) last taken
+        self.start, self.anchor = 0, g  # the step of the first word, and the word
+        self.period, self.replay = 0, []  # set at the first return
+        self.held: Optional[_Held] = None  # the held level, once held
+
+    def jump(self, n: int) -> Word:
+        """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
+
+        The letter iterates ``[e^n(x)]`` are built by square and multiply,
+        and ``[e^n(g)]`` is their product over the runs of ``g``, the same
+        reduced word as n steps.  The caller bounds the unreduced lengths
+        ``U_n`` of ``g`` and of every letter reachable from it by
+        ``budget`` (:func:`_quiet_steps`), so no iterate jumped over and
+        no letter iterate built is longer than ``budget``.  Stepping then
+        goes on from those letter iterates, and assembles at every step
+        where the iterate has more runs than an assembly reads.
+        """
+        self.letters = letters = _reachable_letters(self.e, self.g)
+        self.reads = len(self.g.runs) + sum(len(self.e._image_blocks[x][0]) for x in letters)
+        images = {x: self.e._image_blocks[x] for x in letters}
+        blocks = _square_and_multiply(images, n - 1, _compose_blocks, images)
+        self.letter_orbit = _letter_orbits(self.e, letters, self.budget, blocks)
+        self.n = self.start = self.taken = n
+        self.w = self.anchor = _assembled(self.g, blocks)
+        return self.w
+
+    def hold(self, cap: int, c: int) -> None:
+        """Give a held prefix of each iterate from the next step on, as a
+        :class:`_Held` level read lazily from the level before it, with
+        ``c`` the :func:`cancellation_bound` C of ``e``.
+
+        :func:`omega_limit` holds from the first whole iterate W longer
+        than ``cap = target_prefix + C * max_iterations`` letters.
+        ``H_0`` is the first ``cap`` letters of W.  ``H_j`` is the first
+        ``min(cap, |P| - C)`` letters of ``P = [e(u)]``, where ``u`` is
+        the runs of ``H_(j-1)`` read until ``|P| >= cap + C`` or
+        ``H_(j-1)`` ends: the first ``|[e(p)]| - C`` letters of the image
+        of a prefix p are a prefix of the image of the word, so ``H_j`` is
+        a prefix of ``[e^j(W)]``.  A prefix that gains one letter a step
+        and loses C keeps at least ``target_prefix`` letters for
+        ``max_iterations`` steps.
+
+        A level reads its source only as far as it is asked to know (see
+        :func:`_pull`).  While it reads, the first ``|P_t| - C`` letters of
+        its partial product ``P_t`` are final, and the rest of the read
+        cancels at most C of them, so the final P has at least ``|P_t| -
+        C`` letters and ``H_j`` at least ``min(cap, |P_t| - 2C)``: the
+        level knows its letters below the largest such bound, and no
+        further.  Its length is known only once it stops reading: at
+        ``cap + C``, checked after every piece it reads, a run cut inside
+        included (see :meth:`_Held._read` for why that agrees with the
+        whole runs of ``u``), it holds ``cap``; when its source ends,
+        ``|P| - C``.  Free reduction is associative, so reading the known
+        part of a run that the source's bound cuts, and the rest of it
+        later, gives the same product.  Each level is the held prefix that
+        stepping the whole held word would give, letter for letter.
+        """
+        self.step = (self.e._image_blocks, cap, c)
+        self.held = _Held.whole(self.w.prefix(cap))
+
+    def __next__(self) -> Union[Word, _Held]:
+        self.n = n = self.n + 1
+        if self.held is not None:
+            self.held = _Held(self.held, self.step)
+            return self.held
+        if self.period and len(self.replay) == self.period:
+            self.w = self.replay[(n - self.start) % self.period]
+            return self.w
+        e, g, w, budget = self.e, self.g, self.w, self.budget
+        blocks = None
+        if self.letters is None and len(w.runs) > len(g.runs):
+            self.letters = letters = _reachable_letters(e, g)
+            self.reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
+            self.unreduced = _unreduced_lengths(e, 2 * budget + 1)
+        if self.unreduced is not None and len(w.runs) > self.reads:
+            lengths = next(islice(self.unreduced, n - 1 - self.taken, None))  # of e^(n-1)(x)
+            self.taken = n
+            cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
+            if self.reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
+                self.unreduced, self.letter_orbit, self.taken = None, _letter_orbits(e, self.letters, budget), 0
+            elif cancelled + len(w) > 2 * budget:
+                self.unreduced = None
+        if self.letter_orbit is not None and len(w.runs) > self.reads:
+            # step the letter iterates past the steps applied since
+            # they were last taken; None once they are dropped
+            blocks = next(islice(self.letter_orbit, n - self.taken - 1, None), None)
+            self.taken = n
+        self.w = w = e.apply(w) if blocks is None else _assembled(g, blocks)
+        if len(w) > budget:
+            raise GrowthOverflowError(n, len(w), budget, w)
+        if self.period:
+            self.replay.append(w)
+        elif w == self.anchor:  # the first return: the orbit has period n - start
+            self.period, self.replay = n - self.start, [w]
+        return w
 
 
 # A jump short of p pays only where it saves at least this many steps:
@@ -773,22 +752,37 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
 _LONG_JUMP = 64
 
 
-def _jump(e: Endomorphism, g: Word, p: int, budget: int) -> Optional[int]:
-    """The step :func:`iterate` lands at by the jump toward ``[e^p(g)]``
-    for ``p >= 1``, or ``None`` where it steps from ``g``.
+def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
+    """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
-    The jump lands at the largest step q <= p where the unreduced lengths
-    ``U_q`` of ``g`` and of every letter reachable from it are at most
-    ``budget`` (:func:`_quiet_steps`): no step up to q overflows, and the
-    letter iterates fit the budget.  It lands at p itself wherever that
-    bound holds at p, and short of p only where q is at least
-    ``_LONG_JUMP``; the steps after q are stepped.  Past q the unreduced
-    length is past the budget, so an orbit that does not cancel overflows
-    at the next step: ``b`` under ``delta`` reaches ``b a^(10^6)`` in
-    O(log q) block products and one application, not in 10^6 steps.
+    The orbit jumps (:meth:`_Orbit.jump`) to the largest step q <= |p|
+    where the unreduced lengths ``U_q`` of ``g`` and of every letter
+    reachable from it are at most ``max_word_length``
+    (:func:`_quiet_steps`): no step up to q overflows, and the letter
+    iterates fit the budget.  It lands at |p| itself wherever that bound
+    holds there, and short of |p| only where q is at least
+    ``_LONG_JUMP``; the steps after q are stepped, and without a jump
+    every step is.  Past q the unreduced length is past the budget, so
+    an orbit that does not cancel overflows at the next step: ``b``
+    under ``delta`` reaches ``b a^(10^6)`` in O(log q) block products and
+    one application, not in 10^6 steps.  Either way stepping stops at
+    the first return to the word the orbit started from: from step m on,
+    only ``(|p| - m) mod period`` more steps are taken.
     """
+    e = phi.forward if p >= 0 else phi.backward
+    if g.alphabet != e.alphabet:
+        raise AlphabetMismatchError("word over a different alphabet")
+    if not p:
+        return g
+    budget, p = cfg.max_word_length, abs(p)
+    orbit = _Orbit(e, g, budget)
     quiet = _quiet_steps(e, g, min(p, _LONG_JUMP), p, budget + 1, budget)
-    return None if quiet is None else quiet[0]
+    w = orbit.jump(quiet[0]) if quiet is not None and quiet[0] > 1 else g
+    while orbit.n < p:
+        w = next(orbit)
+        if orbit.period:  # whole periods are skipped
+            p = orbit.n + (p - orbit.n) % orbit.period
+    return w
 
 
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:
@@ -820,7 +814,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     Fixed elements are reported as such, whatever their length; otherwise
     the orbit is followed until the common prefix of consecutive iterates
     certifies a boundary point, or budgets run out.  Long iterates are
-    held as certified prefixes (see :func:`_held_orbit`); a common prefix
+    held as certified prefixes (see :meth:`_Orbit.hold`); a common prefix
     shorter than both held words is the exact common prefix of the
     iterates, so results equal those of whole-word iteration as long as
     the certifying prefixes stay below the held lengths.  Only the whole
@@ -835,8 +829,15 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     mostly read once.  A level exposes only letters below
     ``min(cap, |P_t| - 2C)`` for its partial product ``P_t``, which the
     rest of its read can neither change nor cut off, so every result is
-    the one of stepping each held prefix whole.  Plain words from
-    ``_held_orbit`` are compared whole.
+    the one of stepping each held prefix whole.  Whole iterates are
+    compared whole.
+
+    The orbit is one :class:`_Orbit`, stepped once an iteration.  Before
+    each step the cap rule runs on the last whole iterate: past
+    ``target_prefix`` letters, C is computed (once per map) and ``cap =
+    target_prefix + C * max_iterations``; past ``cap``, the orbit is held
+    from that iterate on.  So C is not computed for an orbit that
+    certifies or stops before an iterate outgrows ``target_prefix``.
 
     The steps that cannot certify are jumped over.  The common prefix
     ``cp(n)`` of ``[e^(n-1)(g)]`` and ``[e^n(g)]`` is at most the
@@ -844,9 +845,9 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     largest step ``<= max_iterations - 2`` where ``U_p(g)`` is below
     ``target_prefix`` (and within ``max_word_length``), no step up to
     p + 1 can certify; the first that can is ``N = p + 2``, and its
-    streak reads ``cp`` from ``N - stability_window`` on.  So
-    :func:`_orbit` builds ``[e^s(g)]``, ``s = p + 1 - stability_window
-    >= 2``, by the jump, and the comparisons start there with a fresh
+    streak reads ``cp`` from ``N - stability_window`` on.  So the orbit
+    builds ``[e^s(g)]``, ``s = p + 1 - stability_window >= 2``, by
+    :meth:`_Orbit.jump`, and the comparisons start there with a fresh
     streak.  At every step ``n >= N`` the streak then reaches
     ``stability_window`` exactly where the streak from step 1 does:
     either both count the same steps since the last one whose prefix did
@@ -857,8 +858,8 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     iterations reported are the true ones.
     A step jumped over has ``cp <= U_p(g)``; where the best common prefix
     after the jump is shorter, the iterates jumped over are compared too,
-    so the best prefix is the longest common prefix of any step, the last
-    such one, as without the jump.
+    stepped by a fresh :class:`_Orbit`, so the best prefix is the longest
+    common prefix of any step, the last such one, as without the jump.
     """
     forward = phi.forward
     budget, window = cfg.max_word_length, cfg.stability_window
@@ -876,14 +877,24 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             return FixedElement(g)
         quiet = _quiet_steps(forward, g, window + 1, cfg.max_iterations - 2, bound, budget)
     s = 0 if quiet is None else quiet[0] + 1 - window
-    orbit = _held_orbit(forward, g, cfg, s or 1)
-    prev = next(orbit) if s else g
+    orbit = _Orbit(forward, g, budget)
+    prev = orbit.jump(s) if s else g
+    cap = cfg.target_prefix  # raised by C * max_iterations once C is known
     prev_cp: Optional[int] = None
     streak = 0
     best_cp = 0
     best_word = g
     try:
-        for iterations, nxt in zip(range(s + 1, cfg.max_iterations + 1), orbit):
+        for iterations in range(s + 1, cfg.max_iterations + 1):
+            # hold from the first whole iterate past cap; C is computed
+            # (and kept on the map) only once an iterate is past
+            # target_prefix and a step is asked for
+            if iterations > 1 and isinstance(prev, Word) and len(prev) > cap:
+                c = cancellation_bound(forward)
+                cap = cfg.target_prefix + c * cfg.max_iterations
+                if len(prev) > cap:
+                    orbit.hold(cap, c)
+            nxt = next(orbit)
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
             if isinstance(nxt, Word):
@@ -918,7 +929,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
         # the steps jumped over, whole words all: the last one with the
         # longest common prefix wins, so only where it is longer
         prev, skipped = g, (0, g)
-        for nxt in _orbit(forward, g, budget, s):
+        for nxt in islice(_Orbit(forward, g, budget), s):
             cp = common_prefix_length(prev, nxt)
             if cp >= skipped[0]:
                 skipped = (cp, nxt)
@@ -1069,7 +1080,7 @@ def growth_classify(
     lengths = []
     overflow = None
     try:
-        for w in islice(_orbit(phi.forward, g, cfg.max_word_length), p_max):
+        for w in islice(_Orbit(phi.forward, g, cfg.max_word_length), p_max):
             lengths.append(len(w))
     except GrowthOverflowError as exc:
         overflow = exc
@@ -1146,7 +1157,7 @@ def verify_splitting(
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
     budget = DEFAULT_CONFIG.max_word_length
-    orbits = [chain([b], _orbit(phi.forward, b, budget)) for b in bricks]
+    orbits = [chain([b], _Orbit(phi.forward, b, budget)) for b in bricks]
     for p, images in enumerate(islice(zip(*orbits), p_max + 1)):
         for i in range(len(images) - 1):
             if images[i].last_letter() == -images[i + 1].first_letter():

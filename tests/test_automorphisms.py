@@ -28,6 +28,7 @@ from fgdyn.automorphisms import (
 from fgdyn import words
 from fgdyn.families import family, make_delta, stock_theta
 from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
+from random_maps import random_pair
 
 F2 = standard_alphabet(2)
 F3 = standard_alphabet(3)
@@ -192,23 +193,6 @@ def _lipschitz_bound(e, inverse):
     return le * (le * li // 2) + le // 2
 
 
-def _random_pair(rng, alphabet, moves):
-    """A product of random elementary Nielsen moves x_i -> x_i x_j^(+-1)
-    or x_j^(+-1) x_i, with its inverse."""
-    pair = identity_pair(alphabet)
-    gens = [Word.from_letters(alphabet, [g]) for g in range(1, alphabet.rank + 1)]
-    for _ in range(moves):
-        i, j = rng.sample(range(alphabet.rank), 2)
-        x = gens[j] ** rng.choice((1, -1))
-        fwd, bwd = list(gens), list(gens)
-        if rng.random() < 0.5:
-            fwd[i], bwd[i] = gens[i] * x, gens[i] * x.inverse()
-        else:
-            fwd[i], bwd[i] = x * gens[i], x.inverse() * gens[i]
-        pair = compose_pairs(verify_pair(Endomorphism(alphabet, fwd), Endomorphism(alphabet, bwd)), pair)
-    return pair
-
-
 class TestCancellationBound:
     # exhaustive maxima over short words (forward, backward) and the
     # word length they were measured at
@@ -234,7 +218,7 @@ class TestCancellationBound:
         rng = random.Random(11)
         for _ in range(12):
             alphabet = rng.choice((F2, F3))
-            pair = _random_pair(rng, alphabet, rng.randint(1, 4))
+            pair = random_pair(rng, alphabet, rng.randint(1, 4))
             for e, inv in ((pair.forward, pair.backward), (pair.backward, pair.forward)):
                 c = cancellation_bound(e)
                 assert _max_cancellation(e, 5 if alphabet is F2 else 3) <= c <= _lipschitz_bound(e, inv)

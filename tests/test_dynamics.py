@@ -580,14 +580,35 @@ class TestInnerNorthSouth:
             assert isinstance(bwd, Boundary) and bwd.point.point == minus, (str(u), str(g))
 
 
+class SteppedOrbit:
+    """A stand-in for ``dynamics._Orbit`` that applies the map to the
+    whole iterate at every step from n = 1, its jump included, and never
+    holds a prefix."""
+
+    def __init__(self, e, g, budget):
+        self.n, self.words = 0, stepped_orbit(e, g, budget)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.n += 1
+        return next(self.words)
+
+    def jump(self, n):
+        while self.n < n:
+            w = next(self)
+        return w
+
+    def hold(self, cap, c):
+        pass
+
+
 def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
-    """``omega_limit`` applying the map to the whole iterate at every
-    step from n = 1: the reference the held-prefix engine must agree
-    with.  It gives ``omega_limit`` the iterates from the step it asks
-    for, as ``_held_orbit`` does."""
+    """``omega_limit`` over :class:`SteppedOrbit`: the reference the
+    held-prefix engine must agree with."""
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_held_orbit",
-                  lambda e, w, c, first=1: islice(stepped_orbit(e, w, c.max_word_length), first - 1, None))
+        m.setattr(dynamics, "_Orbit", SteppedOrbit)
         return omega_limit(phi, g, cfg)
 
 
@@ -601,32 +622,62 @@ def eager_held_step(held, e, cap, c):
     return image.prefix(min(cap, len(image) - c))
 
 
-def eager_held_orbit(e, g, cfg, first=1):
-    """``_held_orbit`` with every held prefix stepped whole by
-    :func:`eager_held_step`.  The reference the lazily read held levels
-    must agree with; it steps from n = 1 and yields from the step
-    ``first``."""
-    c = None
-    cap = cfg.target_prefix
-    for w in islice(dynamics._orbit(e, g, cfg.max_word_length), first - 1, None):
-        yield w
-        if len(w) > cap:
-            if c is None:
-                c = cancellation_bound(e)
-                cap += c * cfg.max_iterations
-            if len(w) > cap:
-                break
-    held = w.prefix(cap)
-    while True:
-        held = eager_held_step(held, e, cap, c)
-        yield held
+class EagerHeldOrbit(dynamics._Orbit):
+    """``dynamics._Orbit`` with every held prefix stepped whole by
+    :func:`eager_held_step`: the reference the lazily read held levels
+    must agree with.  Its jump steps from n = 1."""
+
+    def jump(self, n):
+        while self.n < n:
+            w = next(self)
+        return w
+
+    def hold(self, cap, c):
+        self.step, self.held = (cap, c), self.w.prefix(cap)
+
+    def __next__(self):
+        if self.held is None:
+            return super().__next__()
+        self.n += 1
+        self.held = eager_held_step(self.held, self.e, *self.step)
+        return self.held
 
 
 def eager_held_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
-    """``omega_limit`` over :func:`eager_held_orbit`."""
+    """``omega_limit`` over :class:`EagerHeldOrbit`."""
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_held_orbit", eager_held_orbit)
+        m.setattr(dynamics, "_Orbit", EagerHeldOrbit)
         return omega_limit(phi, g, cfg)
+
+
+def orbit_calls(monkeypatch, name, seen):
+    """Wrap the method ``name`` of ``dynamics._Orbit`` from now on:
+    ``seen(orbit, args, result)`` is called after each call that
+    returns."""
+    original = getattr(dynamics._Orbit, name)
+
+    def recording(self, *args):
+        result = original(self, *args)
+        seen(self, args, result)
+        return result
+
+    monkeypatch.setattr(dynamics._Orbit, name, recording)
+
+
+def orbit_steps(monkeypatch):
+    """The steps of every ``dynamics._Orbit`` from now on, as pairs of
+    the step and the word or held level it gave."""
+    steps = []
+    orbit_calls(monkeypatch, "__next__", lambda orbit, args, x: steps.append((orbit.n, x)))
+    return steps
+
+
+def held_steps(monkeypatch):
+    """For each step of a ``dynamics._Orbit`` from now on, whether it
+    gave a held level."""
+    held = []
+    orbit_calls(monkeypatch, "__next__", lambda orbit, args, x: held.append(isinstance(x, dynamics._Held)))
+    return held
 
 
 def held_letters(monkeypatch):
@@ -687,15 +738,19 @@ class TestHeldPrefixEngine:
                         assert omega_limit(phi, seed, cfg) == whole, (label, str(seed))
         assert compared > 500
 
-    def test_held_words_are_prefixes_within_cap(self):
-        e = family("beta", rank=6).pair.forward
-        seed = parse_word(e.alphabet, "b e")
+    def test_held_words_are_prefixes_within_cap(self, monkeypatch):
+        pair = family("beta", rank=6).pair
+        seed = parse_word(pair.alphabet, "b e")
         cfg = IterationConfig(target_prefix=20, max_iterations=10)
-        cap = cfg.target_prefix + cancellation_bound(e) * cfg.max_iterations
-        exact = islice(dynamics._orbit(e, seed, 10**7), 14)
-        held = dynamics._held_orbit(e, seed, cfg)
+        cap = cfg.target_prefix + cancellation_bound(pair.forward) * cfg.max_iterations
+        with monkeypatch.context() as m:
+            steps = orbit_steps(m)
+            omega_limit(pair, seed, cfg)
+        assert [n for n, _ in steps] == list(range(1, 11))
+        exact = IterationConfig(max_word_length=10**7)
         outgrown = False
-        for w, h in zip(exact, held):
+        for n, h in steps:
+            w = iterate(pair, seed, n, exact)
             if isinstance(h, dynamics._Held):
                 # a held level is read lazily: read it to its end
                 dynamics._pull(h, cap + 1)
@@ -703,7 +758,21 @@ class TestHeldPrefixEngine:
             assert w.prefix(len(h)) == h
             assert len(h) <= cap or not outgrown
             outgrown = outgrown or len(w) > cap
-        assert outgrown
+        assert outgrown and isinstance(steps[-1][1], dynamics._Held)
+
+    def test_orbit_keeps_the_whole_iterate_it_held_from(self, monkeypatch):
+        # the held levels of b e start from its 8th iterate, and the orbit
+        # keeps that word while it steps the held levels to 200
+        pair = family("beta", rank=6).pair
+        g = parse_word(pair.alphabet, "b e")
+        holds = []
+        orbit_calls(monkeypatch, "hold", lambda orbit, args, _: holds.append((orbit, orbit.n, orbit.w, args[0])))
+        got = omega_limit(pair, g)
+        assert isinstance(got, Boundary) and got.iterations_used == 200
+        [(orbit, n, w, cap)] = holds
+        assert (n, len(w), cap) == (8, 2593, 1100)
+        assert orbit.w is w and w == iterate(pair, g, 8)
+        assert orbit.n == 200
 
     def test_mixed_seed_certifies(self):
         pair = family("beta", rank=6).pair
@@ -789,19 +858,11 @@ class TestHeldPrefixEngine:
                 if not g.is_identity():
                     cases.append((phi, g, cfg))
         held = []
-        lazy = dynamics._held_orbit
-
-        def recording(e, g, c, first=1):
-            for w in lazy(e, g, c, first):
-                if isinstance(w, dynamics._Held) and not held[-1]:
-                    held[-1] = True
-                yield w
-
         for phi, g, cfg in cases:
-            held.append(False)
             with monkeypatch.context() as m:
-                m.setattr(dynamics, "_held_orbit", recording)
+                steps = held_steps(m)
                 got = omega_limit(phi, g, cfg)
+            held.append(any(steps))
             if held[-1]:  # an orbit never held takes the same steps either way
                 assert got.to_json() == eager_held_omega(monkeypatch, phi, g, cfg).to_json(), (str(g), cfg)
         # held orbits: 164 of 720, 92 of 392, 4 of 4, 12 of 12, 37 of 115
@@ -814,18 +875,12 @@ class TestHeldPrefixEngine:
         pair = family(name, **params).pair
         cfg = IterationConfig(max_iterations=3000, target_prefix=1500)
         held = []
-        lazy = dynamics._held_orbit
-
-        def counting(e, g, c, first=1):
-            for w in lazy(e, g, c, first):
-                held.append(isinstance(w, dynamics._Held))
-                yield w
-
         for text in ("b d^-1", "b^-1 d^-1"):
             g = parse_word(pair.alphabet, text)
             with monkeypatch.context() as m:
-                m.setattr(dynamics, "_held_orbit", counting)
+                steps = held_steps(m)
                 got = omega_limit(pair, g, cfg)
+            held += steps
             assert got.to_json() == eager_held_omega(monkeypatch, pair, g, cfg).to_json()
             assert isinstance(got, Boundary)
         assert sum(held) > 2 * 1000
@@ -873,16 +928,8 @@ class TestHeldPrefixEngine:
         }[case]
         g = parse_word(phi.alphabet, text)
         made = held_letters(monkeypatch)
-        held = []
-        lazy_orbit = dynamics._held_orbit
-
-        def recording(e, w, c, first=1):
-            for x in lazy_orbit(e, w, c, first):
-                held.append(isinstance(x, dynamics._Held))
-                yield x
-
         with monkeypatch.context() as m:
-            m.setattr(dynamics, "_held_orbit", recording)
+            held = held_steps(m)
             lazy = omega_limit(phi, g, cfg)
         lazy_letters, lazy_calls = made
         made[1] = 0
@@ -991,16 +1038,10 @@ def no_quiet_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
 
 
 def landings(monkeypatch):
-    """The steps ``omega_limit`` starts its orbits at from now on: 1, or
-    the step its jump lands at."""
+    """The steps the jumps of ``omega_limit`` land at from now on; an
+    orbit that does not jump starts at step 1 and adds none."""
     landed = []
-    original = dynamics._held_orbit
-
-    def recording(e, g, c, first=1):
-        landed.append(first)
-        return original(e, g, c, first)
-
-    monkeypatch.setattr(dynamics, "_held_orbit", recording)
+    orbit_calls(monkeypatch, "jump", lambda orbit, args, w: landed.append(args[0]))
     return landed
 
 
@@ -1235,7 +1276,7 @@ class TestOrbitAssembly:
                     for _ in range(2):
                         g = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 30))])
                         before = len(calls)
-                        got = orbit_outcome(dynamics._orbit(e, g, budget), 40)
+                        got = orbit_outcome(dynamics._Orbit(e, g, budget), 40)
                         steps = len(got[0]) + (got[1] is not None)
                         stepped += len(calls) - before
                         assembled += steps - (len(calls) - before)
@@ -1251,7 +1292,7 @@ class TestOrbitAssembly:
         e = endo(F2, "b", "b a")
         g = parse_word(F2, "a")
         calls = apply_calls(monkeypatch)
-        got = orbit_outcome(dynamics._orbit(e, g, 200), 100)
+        got = orbit_outcome(dynamics._Orbit(e, g, 200), 100)
         steps = [i for i, w in enumerate([g] + got[0]) if any(c is w for c in calls)]
         # steps 1..5 apply; 6..10 assemble, as nothing cancels and the 7
         # runs of the 5th iterate outnumber the 1 + 3 an assembly step
@@ -1267,7 +1308,7 @@ class TestOrbitAssembly:
         e = inner(u).forward
         g = u**-20 * parse_word(F2, "a") * u**20
         calls = apply_calls(monkeypatch)
-        got = orbit_outcome(dynamics._orbit(e, g, 200), 100)
+        got = orbit_outcome(dynamics._Orbit(e, g, 200), 100)
         assert [w for w in [g] + got[0] if any(c is w for c in calls)] == [g] + got[0][:69]
         assert got[1][:3] == (70, 201, 200)
         assert got == orbit_outcome(stepped_orbit(e, g, 200), 100)
@@ -1358,16 +1399,11 @@ class TestPlannerWork:
 
 
 def orbit_words(monkeypatch):
-    """The iterates ``dynamics._orbit`` builds from now on."""
+    """The iterates ``dynamics._Orbit`` builds from now on: the words its
+    jumps land at and those its steps give."""
     built = []
-    original = dynamics._orbit
-
-    def counting(*args):
-        for w in original(*args):
-            built.append(w)
-            yield w
-
-    monkeypatch.setattr(dynamics, "_orbit", counting)
+    for name in ("jump", "__next__"):
+        orbit_calls(monkeypatch, name, lambda orbit, args, w: built.append(w))
     return built
 
 
@@ -1463,17 +1499,11 @@ class TestJumpBound:
 
 
 def jump_outcomes(monkeypatch):
-    """The outcomes of ``dynamics._jump`` from now on: True where the
-    jump was taken, False where it was declined."""
+    """For each ``dynamics._Orbit`` made from now on, whether it jumped:
+    True where the jump was taken, False where it was declined."""
     outcomes = []
-    original = dynamics._jump
-
-    def recording(e, g, p, budget):
-        result = original(e, g, p, budget)
-        outcomes.append(result is not None)
-        return result
-
-    monkeypatch.setattr(dynamics, "_jump", recording)
+    orbit_calls(monkeypatch, "__init__", lambda orbit, args, _: outcomes.append(False))
+    orbit_calls(monkeypatch, "jump", lambda orbit, args, w: outcomes.__setitem__(-1, True))
     return outcomes
 
 
@@ -1510,7 +1540,7 @@ def long_iterate(rng, e, letters):
     target = rng.choice((50, 500, 5000, 20_000))
     seed, q = w, 0
     try:
-        for q, u in enumerate(islice(dynamics._orbit(e, w, 20_000), 80), 1):
+        for q, u in enumerate(islice(dynamics._Orbit(e, w, 20_000), 80), 1):
             seed = u
             if len(u) >= target:
                 break
