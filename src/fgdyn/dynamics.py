@@ -103,25 +103,49 @@ class RationalPoint:
 
 
 def rational_point(head: Word, period: Word) -> RationalPoint:
-    """Canonicalize ``head . period^infinity``."""
+    """Canonicalize ``head . period^infinity``.
+
+    The head is walked back over its runs and the period is the primitive
+    root turned by a rotation index ``r`` (the point is ``[head * conj]
+    (c[r:] c[:r])^infinity`` for the root's letters ``c``): the head loses
+    its last letter while it cancels against the period's first letter
+    (``r`` goes forward), then while it equals the period's last letter
+    (``r`` goes back).  A one-letter period takes off the head's last run
+    whole where that run is a power of its letter.
+    """
     if period.is_identity():
         raise EmptyWordError("period must be nonempty")
     conj, core = cyclic_reduce(period)
     root, _ = primitive_root(core)
-    h = list((head * conj).letters())
+    h = head * conj
+    runs, length, k = h.runs, len(h), len(h.runs)
+    if len(root) == 1:
+        if k and runs[-1][0] == root.runs[0][0]:
+            k -= 1
+            length -= abs(runs[-1][1])
+        return RationalPoint(Word._make(h.alphabet, runs[:k], length), root)
     c = list(root.letters())
-    # absorb cancellation of the head into the power block
-    while h and h[-1] == -c[0]:
-        h.pop()
-        c = c[1:] + c[:1]
-    # minimal head: pull whole trailing periods and partial rotations back
-    while h and h[-1] == c[-1]:
-        h.pop()
-        c = c[-1:] + c[:-1]
-    alphabet = period.alphabet
-    return RationalPoint(
-        Word.from_letters(alphabet, h), Word.from_letters(alphabet, c)
-    )
+    r = 0
+    x = left = 0  # the head's last letter, and its letters in run k - 1
+    if k:
+        gen, exp = runs[-1]
+        x, left = (gen, exp) if exp > 0 else (-gen, -exp)
+    # absorb cancellation of the head into the power block (the period
+    # turns forward), then pull whole trailing periods and partial
+    # rotations back (it turns back): the minimal head
+    for turn in (1, -1):
+        while length and x == (-c[r] if turn > 0 else c[r - 1]):
+            length -= 1
+            left -= 1
+            r = (r + turn) % len(c)
+            if not left and length:
+                k -= 1
+                gen, exp = runs[k - 1]
+                x, left = (gen, exp) if exp > 0 else (-gen, -exp)
+    head = Word(h.alphabet)
+    if length:
+        head = Word._make(h.alphabet, runs[: k - 1] + ((abs(x), left if x > 0 else -left),), length)
+    return RationalPoint(head, root.drop(r) * root.prefix(r) if r else root)
 
 
 def rational_from_element(u: Word) -> RationalPoint:
@@ -788,23 +812,37 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
 def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> Optional[RationalPoint]:
     """Eventually periodic decomposition of a certified prefix, if any.
 
-    Scans period lengths in increasing order; for each, the minimal head
-    is found by one backward pass.  The period must repeat at least
-    ``min_repeats`` times and cover the prefix to its end.
+    The period is the least d for which the prefix ends in ``min_repeats``
+    copies of some d letters, and the head is the shortest one after which
+    the prefix has period d to its end.  Period 1 is read off the last
+    run.  Each longer d is tested on the last ``min_repeats * d`` letters,
+    spelled one character a letter, by one string compare; the start of
+    the periodic tail is then found by halving, since a tail with period d
+    keeps it from every later start.  The decomposition is canonical as it
+    stands: the d letters repeat at least twice (with ``min_repeats == 1``
+    period 1 always wins), so they are cyclically reduced and primitive
+    (the root of a power would repeat as often in fewer letters), and the
+    head, shortest, does not end with the period's last letter.
     """
-    letters = list(prefix.letters())
-    n = len(letters)
-    for d in range(1, n // cfg.min_repeats + 1):
-        start = n - d
-        for j in range(n - d - 1, -1, -1):
-            if letters[j] == letters[j + d]:
-                start = j
-            else:
-                break
-        if n - start >= cfg.min_repeats * d:
-            head = Word.from_letters(prefix.alphabet, letters[:start])
-            period = Word.from_letters(prefix.alphabet, letters[start : start + d])
-            return rational_point(head, period)
+    runs, n, m = prefix.runs, len(prefix), cfg.min_repeats
+    if not runs:
+        return None
+    gen, exp = runs[-1]
+    if abs(exp) >= m:
+        letter = Word._make(prefix.alphabet, ((gen, 1 if exp > 0 else -1),), 1)
+        return RationalPoint(prefix.prefix(n - abs(exp)), letter)
+    s = "".join([chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in runs])
+    for d in range(2, n // m + 1):
+        # the last m * d letters have period d
+        if s.startswith(s[n - (m - 1) * d :], n - m * d):
+            lo, hi = 0, n - m * d
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if s.startswith(s[mid + d :], mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return RationalPoint(prefix.prefix(lo), prefix.drop(lo).prefix(d))
     return None
 
 
@@ -860,6 +898,19 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     after the jump is shorter, the iterates jumped over are compared too,
     stepped by a fresh :class:`_Orbit`, so the best prefix is the longest
     common prefix of any step, the last such one, as without the jump.
+
+    A certified prefix that :func:`recognize_rational` reads as ``X = h
+    t^infinity`` (canonical, so t is primitive and cyclically reduced) is
+    reported as that rational point exactly when ``e(u) = u`` for ``u =
+    h t h^-1`` (:func:`element_of`), one application to ``2|h| + |t|``
+    letters.  This is the test ``apply_rational(e, X) == X``: X is the
+    attracting point ``u^infinity`` of u, and its stabiliser in F is the
+    cyclic group ``<u>``, as u is primitive (t is).  The boundary map
+    sends X to ``e(u)^infinity``.  An element fixes its attracting point,
+    so if that point is X, ``e(u)`` lies in ``<u>``, and as a positive
+    power of u, since ``u^-j`` attracts to the other end of the axis.  An
+    automorphism maps the primitive u to a primitive element, so the
+    power is ``e(u) = u`` itself; and ``e(u) = u`` plainly fixes X.
     """
     forward = phi.forward
     budget, window = cfg.max_word_length, cfg.stability_window
@@ -908,7 +959,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             if cp >= cfg.target_prefix and streak >= cfg.stability_window:
                 certified = nxt.prefix(cp)
                 candidate = recognize_rational(certified, cfg)
-                if candidate is not None and apply_rational(forward, candidate) == candidate:
+                if candidate is not None and forward.apply(u := element_of(candidate)) == u:
                     point: LimitPoint = Rational(candidate)
                 else:
                     point = PrefixApprox(certified, cp)
@@ -1074,13 +1125,27 @@ def growth_classify(
     or re-raises the :class:`GrowthOverflowError` when fewer than three
     tail samples are left to fit.  Both lines pass through any two
     points, so two samples cannot tell the growth kinds apart.
+
+    The head is jumped over (:meth:`_Orbit.jump`) to step ``s = min(p_max
+    // 2, q // 2)``, where q is the last step up to ``p_max`` that
+    :func:`_quiet_steps` proves free of overflow (asked from step ``2 *
+    _LONG_JUMP``, the least q that gives such an s), wherever s is at least
+    ``_LONG_JUMP``.  An overflow then comes past step q, after at least
+    ``2s`` samples, so the tail half starts past s either way; the
+    lengths jumped over are counted as samples but never read.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
+    e, budget = phi.forward, cfg.max_word_length
+    orbit = _Orbit(e, g, budget)
     lengths = []
+    quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
+    if quiet is not None and min(p_max, quiet[0]) // 2 >= _LONG_JUMP:
+        s = min(p_max, quiet[0]) // 2
+        lengths = [0] * (s - 1) + [len(orbit.jump(s))]
     overflow = None
     try:
-        for w in islice(_Orbit(phi.forward, g, cfg.max_word_length), p_max):
+        for w in islice(orbit, p_max - len(lengths)):
             lengths.append(len(w))
     except GrowthOverflowError as exc:
         overflow = exc

@@ -110,19 +110,27 @@ Runs = Sequence[tuple[int, int]]
 
 def _power_runs(runs: Runs, k: int) -> Runs:
     """The runs of the ``k``-th power (``k >= 1``) of a reduced block."""
-    if len(runs) < 2:
-        return tuple((gen, exp * k) for gen, exp in runs)
-    if runs[0][0] != runs[-1][0]:
+    # a conjugate w M w^-1 whose w ends in whole runs: its power conjugates
+    # M^k, so the pairs of conjugator runs are stripped first
+    i, j = 0, len(runs) - 1
+    while i < j and runs[i][0] == runs[j][0] and runs[i][1] == -runs[j][1]:
+        i += 1
+        j -= 1
+    core = runs[i : j + 1] if i else runs
+    if len(core) < 2:
+        power = tuple((gen, exp * k) for gen, exp in core)
+    elif core[0][0] != core[-1][0]:
         # no junction can cancel or merge
-        return runs * k
-    # runs = (g, e0) M (g, en): only the two g-runs meet at a junction.
-    # The end runs are reused, not rebuilt: iterates hold millions of them.
-    first, middle, last = runs[0], tuple(runs[1:-1]), runs[-1]
-    gen, merged = first[0], first[1] + last[1]
-    if merged:
-        return (first,) + (middle + ((gen, merged),)) * (k - 1) + middle + (last,)
-    # a conjugate (g, e0) M (g, e0)^-1: its power conjugates M^k
-    return (first,) + _power_runs(middle, k) + (last,)
+        power = core * k
+    else:
+        # core = (g, e0) M (g, en) with e0 + en != 0: only the two g-runs
+        # meet at a junction.  The end runs are reused, not rebuilt:
+        # iterates hold millions of them.
+        first, middle, last = core[0], tuple(core[1:-1]), core[-1]
+        power = (first,) + (middle + ((first[0], first[1] + last[1]),)) * (k - 1) + middle + (last,)
+    if i:
+        return tuple(runs[:i]) + tuple(power) + tuple(runs[j + 1 :])
+    return power
 
 
 def _block_power(runs: Runs, length: int, k: int) -> tuple[Runs, int]:

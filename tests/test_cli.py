@@ -229,6 +229,23 @@ class TestCommands:
             "error": "growth-overflow", "iteration": 1000000, "length": 1000001, "budget": 1000000
         }
 
+    def test_long_conjugator_powers(self, tmp_path, capsys):
+        # the letter iterates of a^-2 are conjugates with thousands of
+        # conjugator runs; the figures are those of letter-level iteration
+        path = tmp_path / "f2.auto"
+        path.write_text(
+            "alphabet: a b\nmap a -> b^-2 a b\nmap b -> a^-1 b a^-1 b^2\n"
+            "inv a -> b a^2 b a b^-1\ninv b -> b a^2\n",
+            encoding="utf-8",
+        )
+        assert main(["iterate", str(path), "a^-2", "30"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "growth-overflow", "iteration": 10, "length": 1048346, "budget": 1000000
+        }
+        assert main(["omega", str(path), "a^-2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["kind"], payload["iterations"], payload["certified_length"]) == ("boundary", 6, 361)
+
     def test_iterate_backward_table(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "--", "-3"]) == 0
         out = capsys.readouterr().out.strip()

@@ -25,6 +25,7 @@ from fgdyn.dynamics import (
     PrefixApprox,
     Rational,
     RationalPoint,
+    apply_rational,
     detect_boundary_period,
     detect_parabolic,
     element_of,
@@ -51,6 +52,7 @@ from fgdyn.words import (
     reduce,
     standard_alphabet,
 )
+from random_maps import random_pair
 
 F2 = standard_alphabet(2)
 F4 = standard_alphabet(4)
@@ -78,6 +80,25 @@ def fib_theta():
 
 def w4(text):
     return parse_word(F4, text)
+
+
+def long_conjugators():
+    # a -> b^-2 a b, b -> a^-1 b a^-1 b^2: the letter iterates are
+    # conjugates whose conjugators grow to thousands of runs
+    return verify_pair(endo(F2, "b^-2 a b", "a^-1 b a^-1 b^2"), endo(F2, "b a^2 b a b^-1", "b a^2"))
+
+
+def letter_apply(e, letters):
+    """``[e(w)]`` letter by letter, reduced on a stack: no run kernel."""
+    images = {x + 1: list(image.letters()) for x, image in enumerate(e.images)}
+    out = []
+    for x in letters:
+        for y in images[x] if x > 0 else [-z for z in reversed(images[-x])]:
+            if out and out[-1] == -y:
+                out.pop()
+            else:
+                out.append(y)
+    return out
 
 
 class TestRationalPoint:
@@ -264,6 +285,15 @@ class TestOmegaLimit:
         assert isinstance(res, Boundary)
         assert res.iterations_used <= 300
 
+    def test_certification_applies_the_map_once_to_the_root_element(self, monkeypatch):
+        # the parabolic orbit of b d^-1 converges to b (a^-1)^infinity; the
+        # candidate is checked by one application, to b a^-1 b^-1
+        calls = apply_calls(monkeypatch)
+        res = omega_limit(make_phi(1), w4("b d^-1"))
+        assert res.point.point == rational_point(w4("b"), w4("a^-1"))
+        assert calls[-1] == element_of(res.point.point) == w4("b a^-1 b^-1")
+        assert w4("b") not in calls
+
 
 class TestOmegaLimitRational:
     def test_fixed_singular_point(self):
@@ -351,7 +381,76 @@ class TestDetectParabolic:
         assert js["forward"]["kind"] == "boundary"
 
 
+class TestLongConjugatorPowers:
+    """A power block whose conjugator has more runs than the recursion
+    limit allows frames, against letter-level iterates."""
+
+    def test_iterates(self):
+        pair, g = long_conjugators(), parse_word(F2, "a^-2")
+        letters = list(g.letters())
+        for n in range(1, 8):
+            letters = letter_apply(pair.forward, letters)
+            assert iterate(pair, g, n) == Word.from_letters(F2, letters)
+        assert len(letters) == 20166
+
+    def test_omega_limit(self):
+        # the certificate of stepping every iterate, by letters: the first
+        # step whose common prefix with the one before reaches
+        # target_prefix, after stability_window steps of growth
+        pair, g = long_conjugators(), parse_word(F2, "a^-2")
+        cfg = DEFAULT_CONFIG
+        prev, cp, streak = list(g.letters()), None, 0
+        for n in count(1):
+            nxt = letter_apply(pair.forward, prev)
+            last, cp = cp, common_prefix_length(Word.from_letters(F2, prev), Word.from_letters(F2, nxt))
+            streak = streak + 1 if last is None or cp > last else 0
+            if cp >= cfg.target_prefix and streak >= cfg.stability_window:
+                break
+            prev = nxt
+        assert (n, cp) == (6, 361)
+        certified = Word.from_letters(F2, nxt[:cp])
+        candidate = recognize_rational(certified)  # (b^-1 a)^infinity after a head
+        assert apply_rational(pair.forward, candidate) != candidate
+        assert omega_limit(pair, g) == Boundary(PrefixApprox(certified, cp), n, cp)
+
+
 class TestGrowth:
+    def test_jump_over_the_head_keeps_every_class(self, monkeypatch):
+        # growth_classify jumps to min(p_max, q) // 2 where that is at
+        # least _LONG_JUMP; stepping every iterate must give the same class
+        # to the last float, overflows included
+        landed = landings(monkeypatch)
+        rng = random.Random(12)
+        maps = [family(name, **params).pair for name, params in (
+            ("phi_k", {"k": 1}), ("phi_k", {"k": 3}), ("alpha_k", {"k": 1}), ("delta", {"n": 1}),
+            ("twist", {"n": 2, "k": 1}), ("beta", {"rank": 6}),
+        )]
+
+        def outcome(pair, g, p_max, cfg):
+            try:
+                return growth_classify(pair, g, p_max, cfg).to_json()
+            except GrowthOverflowError as exc:
+                return (exc.iteration, exc.length)
+
+        jumped = overflowed = 0
+        for _ in range(100):
+            pair = random_pair(rng, F4, rng.randint(1, 3)) if rng.random() < 0.2 else rng.choice(maps)
+            g = reduce(pair.alphabet, [rng.choice(pair.alphabet.signed_letters) for _ in range(rng.randint(1, 5))])
+            if g.is_identity():
+                continue
+            p_max = rng.randint(128, 400) if rng.random() < 0.8 else rng.randint(8, 127)
+            cfg = IterationConfig(max_word_length=rng.choice((150, 300, 3000, 10**6)))
+            before = len(landed)
+            got = outcome(pair, g, p_max, cfg)
+            jumped += len(landed) > before
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_LONG_JUMP", p_max)  # no jump
+                want = outcome(pair, g, p_max, cfg)
+            assert got == want, (str(pair.forward), str(g), p_max, cfg.max_word_length)
+            overflowed += len(landed) > before and isinstance(got, dict) and got["samples"] < p_max
+        # seed 12: 41 of the 100 draws jump, 10 of those overflow after it
+        assert jumped > 30 and overflowed > 5, (jumped, overflowed)
+
     def test_polynomial_degree_two(self):
         phi = make_phi(1)
         cls = growth_classify(phi, w4("d"), 40)
@@ -1415,20 +1514,27 @@ class TestOrbitMechanism:
         outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         # |phi^n(d)| grows quadratically, far below the budget: iterate
-        # jumps, and growth_classify, which needs every iterate, steps.
-        # Steps 1..4 apply, and from step 5 on, where the 7 runs of the
-        # 4th iterate outnumber the 1 + 5 an assembly step reads and
-        # nothing cancels, every step assembles
+        # jumps, and growth_classify over 100 steps, whose tail half starts
+        # short of _LONG_JUMP, steps.  Steps 1..4 apply, and from step 5
+        # on, where the 7 runs of the 4th iterate outnumber the 1 + 5 an
+        # assembly step reads and nothing cancels, every step assembles
         last = iterate(phi, d, 400)
         assert outcomes == [True]
         assert calls == []
-        assert growth_classify(phi, d, 400).kind == "polynomial"
+        assert growth_classify(phi, d, 100).kind == "polynomial"
         assert calls == [d] + stepped[:3]
         assert last == stepped[-1]
+        # over 400 steps it jumps to step 200, where its tail half starts,
+        # and assembles from there
+        assert growth_classify(phi, d, 400).kind == "polynomial"
+        assert outcomes == [True, False, True]
+        assert calls == [d] + stepped[:3]
 
     def test_orbit_of_few_runs_keeps_applying(self, monkeypatch):
         # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step
-        # reads, so growth_classify applies at every step; iterate jumps
+        # reads, so growth_classify applies at every step past the head it
+        # jumps over (to step 150, where its tail half starts); iterate
+        # jumps to the end
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
         outcomes = jump_outcomes(monkeypatch)
@@ -1437,7 +1543,8 @@ class TestOrbitMechanism:
         assert outcomes == [True]
         assert calls == []
         assert growth_classify(delta, b, 300).kind == "polynomial"
-        assert len(calls) == 300
+        assert outcomes == [True, True]
+        assert calls == [parse_word(delta.alphabet, f"b a^{n}") for n in range(150, 300)]
 
 
 class TestJumpBound:

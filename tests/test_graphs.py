@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -361,6 +363,29 @@ class TestLoopsAndOutputs:
             parse_word(alphabet, "b"), parse_word(alphabet, "a^-1")
         )
         assert parse_word(alphabet, "b d^-1") in labels
+
+    @pytest.mark.parametrize(
+        "rank, theta, json_sha, dot_sha",
+        [
+            (6, "trace3", "e690383d80c8a391c4d69948982132f71ee8fb835c106d9ac7872330d3062e8e",
+             "586cc4bc45d4f421b1be434fac55cf836b455f65b0340d802a336d3d9100758b"),
+            (6, "trace4", "d8e0c3bbf0aee9d68ba2f9f54e7c5fc84da09689aac04c1fe0799b45556e1a2d",
+             "74cde9bd0f8dbd081e3e2c55b0725dec08b1c5192ea9e84ae09808dbdeb2c7fc"),
+            (7, "trace3", "695555a6903707cfc50b9111599241cd32e2567179268696764e3e137ff91614",
+             "447bb97693a90e2c255e99e4facfead60ff7d045cd144f0b0f6f8ea02075c66f"),
+            (7, "trace4", "b124bc7e72d45b7fe456f45a6c2384f9901171e9b16c5861d82821a36a6880df",
+             "58e6aeee694ad7f72f0bfc2d1802df48bd96d3cb2d3299019bac1f8d94d9ddf3"),
+        ],
+        ids=["6-trace3", "6-trace4", "7-trace3", "7-trace4"],
+    )
+    def test_beta_graph_outputs_are_pinned(self, rank, theta, json_sha, dot_sha):
+        # the SHA-256 of what `fgdyn graph beta:rank=...,theta=...` prints as
+        # JSON and of its DOT, with the letter-level rational points
+        fam = family("beta", rank=rank, theta=theta)
+        graph = build_graph(fam.pair, fam.fixed_generators)
+        text = json.dumps(graph_to_json(graph), indent=2, ensure_ascii=False) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == json_sha
+        assert hashlib.sha256(emit_dot(graph).encode()).hexdigest() == dot_sha
 
     def test_no_loop_in_north_south(self):
         pair = inner(parse_word(F2, "a"))

@@ -324,6 +324,19 @@ class TestPrefixAndPower:
         assert u**10**9 == parse_word(F2, "b a^1000000000 b^-1")
         assert u**-(10**9) == parse_word(F2, "b a^-1000000000 b^-1")
 
+    @pytest.mark.parametrize("core", ["a", "a^2 b", "a b a^-2"])
+    def test_power_of_a_conjugate_with_many_conjugator_runs(self, core):
+        # the pairs of conjugator runs are stripped in one loop: 3,000 of
+        # them once exceeded the recursion limit
+        rng = random.Random(4)
+        w = Word(F2, tuple(random_runs(rng, 3000, 2)))
+        u = w * parse_word(F2, core) * w.inverse()
+        letters = list(u.letters())
+        for k in (1, 2, 5, -3):
+            want = stack_reduce((letters if k > 0 else [-x for x in reversed(letters)]) * abs(k))
+            assert u**k == Word(F2, runs_of(want))
+            assert len(u**k) == len(want)
+
     @given(letters_strategy(2, max_size=6), st.integers(-20, 20))
     def test_power_matches_repeated_product(self, xs, m):
         u = reduce(F2, xs)
