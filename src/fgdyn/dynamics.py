@@ -103,49 +103,25 @@ class RationalPoint:
 
 
 def rational_point(head: Word, period: Word) -> RationalPoint:
-    """Canonicalize ``head . period^infinity``.
-
-    The head is walked back over its runs and the period is the primitive
-    root turned by a rotation index ``r`` (the point is ``[head * conj]
-    (c[r:] c[:r])^infinity`` for the root's letters ``c``): the head loses
-    its last letter while it cancels against the period's first letter
-    (``r`` goes forward), then while it equals the period's last letter
-    (``r`` goes back).  A one-letter period takes off the head's last run
-    whole where that run is a power of its letter.
-    """
+    """Canonicalize ``head . period^infinity``."""
     if period.is_identity():
         raise EmptyWordError("period must be nonempty")
     conj, core = cyclic_reduce(period)
     root, _ = primitive_root(core)
-    h = head * conj
-    runs, length, k = h.runs, len(h), len(h.runs)
-    if len(root) == 1:
-        if k and runs[-1][0] == root.runs[0][0]:
-            k -= 1
-            length -= abs(runs[-1][1])
-        return RationalPoint(Word._make(h.alphabet, runs[:k], length), root)
+    h = list((head * conj).letters())
     c = list(root.letters())
-    r = 0
-    x = left = 0  # the head's last letter, and its letters in run k - 1
-    if k:
-        gen, exp = runs[-1]
-        x, left = (gen, exp) if exp > 0 else (-gen, -exp)
-    # absorb cancellation of the head into the power block (the period
-    # turns forward), then pull whole trailing periods and partial
-    # rotations back (it turns back): the minimal head
-    for turn in (1, -1):
-        while length and x == (-c[r] if turn > 0 else c[r - 1]):
-            length -= 1
-            left -= 1
-            r = (r + turn) % len(c)
-            if not left and length:
-                k -= 1
-                gen, exp = runs[k - 1]
-                x, left = (gen, exp) if exp > 0 else (-gen, -exp)
-    head = Word(h.alphabet)
-    if length:
-        head = Word._make(h.alphabet, runs[: k - 1] + ((abs(x), left if x > 0 else -left),), length)
-    return RationalPoint(head, root.drop(r) * root.prefix(r) if r else root)
+    # absorb cancellation of the head into the power block
+    while h and h[-1] == -c[0]:
+        h.pop()
+        c = c[1:] + c[:1]
+    # minimal head: pull whole trailing periods and partial rotations back
+    while h and h[-1] == c[-1]:
+        h.pop()
+        c = c[-1:] + c[:-1]
+    alphabet = period.alphabet
+    return RationalPoint(
+        Word.from_letters(alphabet, h), Word.from_letters(alphabet, c)
+    )
 
 
 def rational_from_element(u: Word) -> RationalPoint:
@@ -833,8 +809,8 @@ def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> O
         return RationalPoint(prefix.prefix(n - abs(exp)), letter)
     s = "".join([chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in runs])
     for d in range(2, n // m + 1):
-        # the last m * d letters have period d
-        if s.startswith(s[n - (m - 1) * d :], n - m * d):
+        # the last m * d letters have period d (their last letter first)
+        if s[n - 1] == s[n - 1 - d] and s.startswith(s[n - (m - 1) * d :], n - m * d):
             lo, hi = 0, n - m * d
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -1126,11 +1102,10 @@ def growth_classify(
     tail samples are left to fit.  Both lines pass through any two
     points, so two samples cannot tell the growth kinds apart.
 
-    The head is jumped over (:meth:`_Orbit.jump`) to step ``s = min(p_max
-    // 2, q // 2)``, where q is the last step up to ``p_max`` that
-    :func:`_quiet_steps` proves free of overflow (asked from step ``2 *
-    _LONG_JUMP``, the least q that gives such an s), wherever s is at least
-    ``_LONG_JUMP``.  An overflow then comes past step q, after at least
+    The head is jumped over (:meth:`_Orbit.jump`) to step ``s = q // 2``,
+    where q is the last step up to ``p_max`` that :func:`_quiet_steps`
+    proves free of overflow (asked from step ``2 * _LONG_JUMP``, the least
+    q that gives such an s), wherever s is at least ``_LONG_JUMP``.  An overflow then comes past step q, after at least
     ``2s`` samples, so the tail half starts past s either way; the
     lengths jumped over are counted as samples but never read.
     """
@@ -1140,8 +1115,8 @@ def growth_classify(
     orbit = _Orbit(e, g, budget)
     lengths = []
     quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
-    if quiet is not None and min(p_max, quiet[0]) // 2 >= _LONG_JUMP:
-        s = min(p_max, quiet[0]) // 2
+    s = quiet[0] // 2 if quiet is not None else 0
+    if s >= _LONG_JUMP:
         lengths = [0] * (s - 1) + [len(orbit.jump(s))]
     overflow = None
     try:

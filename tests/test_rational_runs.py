@@ -1,10 +1,10 @@
 """Rational boundary points at run level, against the letter scan.
 
-``recognize_rational`` and ``rational_point`` work on runs; the
-letter-level versions below are the reference they must agree with, field
-for field and for every ``min_repeats``.  The fixed check of
-``omega_limit``, ``e(u) == u`` for the root element u of a candidate, must
-agree with ``apply_rational(e, X) == X``.
+``recognize_rational`` works on runs; the letter-level version below is
+the reference it must agree with, field for field and for every
+``min_repeats``.  The fixed check of ``omega_limit``, ``e(u) == u`` for
+the root element u of a candidate, must agree with
+``apply_rational(e, X) == X``.
 """
 
 import random
@@ -22,24 +22,8 @@ from fgdyn.dynamics import (
     recognize_rational,
     translate,
 )
-from fgdyn.words import Word, cyclic_reduce, parse_word, primitive_root, standard_alphabet
+from fgdyn.words import Word, parse_word, standard_alphabet
 from random_maps import random_pair
-
-
-def letter_rational_point(head, period):
-    """:func:`rational_point` by popping letters off a list and rotating
-    the period's letter list at each pop."""
-    conj, core = cyclic_reduce(period)
-    root, _ = primitive_root(core)
-    h = list((head * conj).letters())
-    c = list(root.letters())
-    while h and h[-1] == -c[0]:
-        h.pop()
-        c = c[1:] + c[:1]
-    while h and h[-1] == c[-1]:
-        h.pop()
-        c = c[-1:] + c[:-1]
-    return RationalPoint(Word.from_letters(period.alphabet, h), Word.from_letters(period.alphabet, c))
 
 
 def letter_recognize(prefix, cfg):
@@ -55,7 +39,7 @@ def letter_recognize(prefix, cfg):
             start = j
         if n - start >= cfg.min_repeats * d:
             head = Word.from_letters(prefix.alphabet, letters[:start])
-            return letter_rational_point(head, Word.from_letters(prefix.alphabet, letters[start : start + d]))
+            return rational_point(head, Word.from_letters(prefix.alphabet, letters[start : start + d]))
     return None
 
 
@@ -96,13 +80,6 @@ def assert_same(got, want):
             assert len(w) == sum(abs(e) for _, e in w.runs)
 
 
-def test_rational_point_agrees_with_the_letter_scan():
-    rng = random.Random(3)
-    for _ in range(3000):
-        head, period = random_point(rng)
-        assert_same(rational_point(head, period), letter_rational_point(head, period))
-
-
 @pytest.mark.parametrize("min_repeats", [1, 2, 3, 5])
 def test_recognize_agrees_with_the_letter_scan(min_repeats):
     rng = random.Random(min_repeats)
@@ -124,15 +101,11 @@ def test_recognize_agrees_with_the_letter_scan(min_repeats):
     assert found > 300 and (none > 100 if min_repeats > 1 else not none), (found, none)
 
 
-def test_one_letter_period_takes_the_run_whole():
+def test_one_letter_period_is_read_off_the_last_run():
     F2 = standard_alphabet(2)
     a, b = parse_word(F2, "a"), parse_word(F2, "b")
-    x = rational_point(b * a ** 10**6, a)
-    assert x == RationalPoint(b, a) and len(x.head) == 1
-    y = rational_point(b * a ** -(10**6), a)
-    assert y == RationalPoint(b, a) and len(y.head) == 1
     z = recognize_rational(b * a ** 10**6)
-    assert z == RationalPoint(b, a)
+    assert z == RationalPoint(b, a) and len(z.head) == 1
 
 
 def inversion(alphabet):
