@@ -159,19 +159,44 @@ def cancellation_bound(e: Endomorphism) -> int:
     two different cones.  A reachable cycle in that product would make C
     infinite: that raises :class:`UnboundedCancellationError`.
 
-    Computed on first use and kept on ``e``.
+    Computed on first use and kept on ``e``, with the per-junction table
+    of :func:`_junction_bounds`.
 
     >>> from .words import standard_alphabet, parse_word
     >>> F2 = standard_alphabet(2)
     >>> cancellation_bound(Endomorphism(F2, [parse_word(F2, "a"), parse_word(F2, "b a")]))
     1
     """
+    return _junction_bounds(e)[0]
+
+
+def _junction_bounds(e: Endomorphism) -> tuple[int, dict, dict]:
+    """C, with C(x, y) for each junction and the first-letter sets F(y),
+    as ``(C, bounds, firsts)``; computed with C and kept on ``e``.
+
+    ``bounds[x, y]``, for signed letters with ``y != -x``, is the most
+    letters that cancel between ``[e(u)]`` and ``[e(v)]`` over nonempty
+    ``u`` ending in x and ``v`` starting with y: the longest path of the
+    product of :func:`cancellation_bound` started at the cones of ``x^-1``
+    and y.  C is the largest of them.  ``firsts[y]`` is the set of first
+    letters of the reduced images ``[e(v)]`` of the cone ``y F``, the
+    letters read from the start of the cone automaton of y toward an
+    image.
+
+    >>> from .words import standard_alphabet, parse_word
+    >>> F2 = standard_alphabet(2)
+    >>> c, bounds, firsts = _junction_bounds(Endomorphism(F2, [parse_word(F2, "a"), parse_word(F2, "b a")]))
+    >>> {xy: k for xy, k in sorted(bounds.items()) if k}  # b|a^-1 and a|b^-1 cancel the a of b a
+    {(1, -2): 1, (2, -1): 1}
+    >>> {y: sorted(f) for y, f in sorted(firsts.items())}  # [e(a b^-1)] = b^-1
+    {-2: [-1], -1: [-1], 1: [-2, 1], 2: [2]}
+    """
     if e._cancellation_bound is None:
         e._cancellation_bound = _longest_common_cone_prefix(e)
     return e._cancellation_bound
 
 
-def _longest_common_cone_prefix(e: Endomorphism) -> int:
+def _longest_common_cone_prefix(e: Endomorphism) -> tuple[int, dict, dict]:
     letters = e.alphabet.signed_letters
     n = len(letters)
     # states: 0..n-1 start the cone of a letter, n..2n-1 are the cone
@@ -272,7 +297,6 @@ def _longest_common_cone_prefix(e: Endomorphism) -> int:
     # longest path by depth-first search; a node met again while still
     # open closes a cycle
     depth: dict[tuple[int, int, int], int] = {}
-    best = 0
     for i, x in enumerate(letters):
         for y in letters[i + 1 :]:
             root = (start[x], start[y], 0)
@@ -298,8 +322,17 @@ def _longest_common_cone_prefix(e: Endomorphism) -> int:
                     )
                 else:
                     stack[-1] = (node, rest, max(deepest, seen + 1))
-            best = max(best, depth[root])
-    return best
+    bounds = {}
+    for x in letters:
+        for y in letters:
+            if y != -x:
+                p, q = start[-x], start[y]
+                bounds[x, y] = depth[min(p, q), max(p, q), 0]
+    firsts = {
+        y: {a for a, targets in step[start[y]].items() if any(live(t, a) for t in targets)}
+        for y in letters
+    }
+    return max(bounds.values(), default=0), bounds, firsts
 
 
 class AutoPair:

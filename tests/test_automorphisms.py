@@ -25,6 +25,7 @@ from fgdyn.automorphisms import (
     squarefree_part,
     verify_pair,
 )
+from fgdyn.automorphisms import _junction_bounds
 from fgdyn import words
 from fgdyn.families import family, make_delta, stock_theta
 from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
@@ -240,7 +241,7 @@ class TestCancellationBound:
         e = endo(F2, "a", "b a")
         assert e._cancellation_bound is None  # not at construction
         assert cancellation_bound(e) == 1
-        assert e._cancellation_bound == 1
+        assert e._cancellation_bound[0] == 1
         assert cancellation_bound(Endomorphism.identity(F2)) == 0
         assert cancellation_bound(endo(F2, "a^-1", "b^-1")) == 0
 
@@ -254,6 +255,75 @@ class TestCancellationBound:
         # a -> 1: [e(a b^k)] and [e(a^-1 b^k)] are both b^k
         with pytest.raises(UnboundedCancellationError):
             cancellation_bound(endo(F2, *images))
+
+
+def _cone_images(e, max_len):
+    """The reduced images, as letter tuples, of the reduced words of at
+    most ``max_len`` letters, by first letter."""
+    alphabet = e.alphabet
+    cones = {x: [] for x in alphabet.signed_letters}
+    frontier = [[x] for x in alphabet.signed_letters]
+    for _ in range(max_len):
+        for xs in frontier:
+            cones[xs[0]].append(tuple(e.apply(reduce(alphabet, xs)).letters()))
+        frontier = [xs + [y] for xs in frontier for y in alphabet.signed_letters if y != -xs[-1]]
+    return cones
+
+
+def _brute_junction_bounds(e, max_len):
+    """C(x, y) and F(y) of :func:`automorphisms._junction_bounds` over the
+    reduced words of at most ``max_len`` letters: the letters cancelled
+    between [e(u)] and [e(v)] are the common prefix of [e(u^-1)] and
+    [e(v)], and sorted images put the best pair next to each other."""
+    cones = _cone_images(e, max_len)
+    bounds = {}
+    for x in cones:
+        for y in cones:
+            if y != -x:
+                tagged = sorted([(u, 0) for u in cones[-x]] + [(v, 1) for v in cones[y]])
+                bounds[x, y] = max(
+                    (next((i for i, (p, q) in enumerate(zip(u, v)) if p != q), min(len(u), len(v)))
+                     for (u, s), (v, t) in zip(tagged, tagged[1:]) if s != t),
+                    default=0,
+                )
+    return bounds, {y: {image[0] for image in images} for y, images in cones.items()}
+
+
+class TestJunctionBounds:
+    CATALOG = [("phi_k", {"k": k}) for k in range(6)] + [("alpha_k", {"k": k}) for k in (1, 2, 3)] + [
+        ("beta", {"rank": 6}), ("beta", {"rank": 7, "theta": "trace4"}), ("delta", {"n": 1}),
+        ("sigma", {}), ("twist", {"n": 2, "k": 1}), ("inner", {"u": "a b"}),
+    ]
+
+    @pytest.mark.parametrize("name, params", CATALOG)
+    def test_largest_is_c(self, name, params):
+        # C is the largest junction bound, and every junction and cone has
+        # its entry
+        pair = family(name, **params).pair
+        letters = pair.alphabet.signed_letters
+        for e in (pair.forward, pair.backward):
+            c, bounds, firsts = _junction_bounds(e)
+            assert max(bounds.values()) == c == cancellation_bound(e)
+            assert set(bounds) == {(x, y) for x in letters for y in letters if y != -x}
+            assert set(firsts) == set(letters) and all(firsts.values())
+
+    def test_random_maps_against_enumeration(self):
+        # over these draws the short words attain every bound and every
+        # first letter
+        rng = random.Random(11)
+        for _ in range(12):
+            alphabet = rng.choice((F2, F3))
+            pair = random_pair(rng, alphabet, rng.randint(1, 4))
+            for e in (pair.forward, pair.backward):
+                _, bounds, firsts = _junction_bounds(e)
+                assert _brute_junction_bounds(e, 6 if alphabet is F2 else 4) == (bounds, firsts), e
+
+    def test_first_letter_of_a_long_word(self):
+        # a first letter of F(a) that only words of 7 letters or more show
+        e = endo(F2, "b^2 a", "b^2 a b^3 a")
+        assert _junction_bounds(e)[2][1] == {1, 2, -2}
+        assert {image[0] for image in _cone_images(e, 6)[1]} == {2, -2}
+        assert {image[0] for image in _cone_images(e, 7)[1]} == {1, 2, -2}
 
 
 class TestVerifyPair:

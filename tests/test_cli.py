@@ -90,8 +90,9 @@ class TestExitCodes:
         assert main(["parabolic", "phi_k:k=1", "d"]) == 1
 
     def test_parabolic_over_a_deep_held_chain(self, capsys):
-        # each orbit is held for about 1,400 steps, every held level read
-        # from the one before it
+        # both orbits are jumped to steps 1,502 and 1,500; stepped, each is
+        # held for about 1,400 steps, every held level read from the one
+        # before it (test_deep_chain_of_held_levels keeps that chain)
         assert main(["parabolic", "beta:rank=6", "b d^-1", "--max-iter", "3000", "--prefix", "1500"]) == 0
         out = capsys.readouterr()
         assert json.loads(out.out)["verdict"] == "parabolic"

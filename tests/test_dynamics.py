@@ -289,10 +289,10 @@ class TestOmegaLimit:
         # the parabolic orbit of b d^-1 converges to b (a^-1)^infinity; the
         # candidate is checked by one application, to b a^-1 b^-1
         calls = apply_calls(monkeypatch)
+        monkeypatch.setattr(dynamics, "apply_rational", lambda *args: pytest.fail("apply_rational called"))
         res = omega_limit(make_phi(1), w4("b d^-1"))
         assert res.point.point == rational_point(w4("b"), w4("a^-1"))
         assert calls[-1] == element_of(res.point.point) == w4("b a^-1 b^-1")
-        assert w4("b") not in calls
 
 
 class TestOmegaLimitRational:
@@ -704,10 +704,11 @@ class SteppedOrbit:
 
 
 def whole_word_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
-    """``omega_limit`` over :class:`SteppedOrbit`: the reference the
-    held-prefix engine must agree with."""
+    """``omega_limit`` over :class:`SteppedOrbit`, with no affine jump:
+    the reference the held-prefix engine must agree with."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_Orbit", SteppedOrbit)
+        m.setattr(dynamics, "_affine_jump", lambda *args: None)
         return omega_limit(phi, g, cfg)
 
 
@@ -743,9 +744,10 @@ class EagerHeldOrbit(dynamics._Orbit):
 
 
 def eager_held_omega(monkeypatch, phi, g, cfg=DEFAULT_CONFIG):
-    """``omega_limit`` over :class:`EagerHeldOrbit`."""
+    """``omega_limit`` over :class:`EagerHeldOrbit`, with no affine jump."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_Orbit", EagerHeldOrbit)
+        m.setattr(dynamics, "_affine_jump", lambda *args: None)
         return omega_limit(phi, g, cfg)
 
 
@@ -821,6 +823,31 @@ PERIODIC_PAST_CAP = [
 ]
 
 
+def random_config_cases():
+    """Orbits under random ``IterationConfig`` draws, with small caps, so
+    that about a third of them are held."""
+    rng = random.Random(14)
+    pairs = [family(name, **params).pair for name, params in (
+        ("beta", {"rank": 6}), ("alpha_k", {"k": 1}), ("phi_k", {"k": 1}),
+        ("delta", {"n": 1}), ("inner", {"u": "a b"}))]
+    pairs += [stock_theta("trace3"), stock_theta("trace4")]
+    cases = []
+    for _ in range(120):
+        pair = rng.choice(pairs)
+        phi = pair if rng.random() < 0.5 else pair.inverse()
+        letters = phi.alphabet.signed_letters
+        g = reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+        cfg = IterationConfig(
+            max_iterations=rng.randint(1, 120),
+            target_prefix=rng.randint(1, 100),
+            stability_window=rng.randint(1, 6),
+            min_repeats=rng.randint(1, 4),
+        )
+        if not g.is_identity():
+            cases.append((phi, g, cfg))
+    return cases
+
+
 class TestHeldPrefixEngine:
     def test_agrees_with_whole_words_where_they_converge(self, monkeypatch):
         # a 20k-letter budget stops whole-word iteration early where it
@@ -859,7 +886,7 @@ class TestHeldPrefixEngine:
             outgrown = outgrown or len(w) > cap
         assert outgrown and isinstance(steps[-1][1], dynamics._Held)
 
-    def test_orbit_keeps_the_whole_iterate_it_held_from(self, monkeypatch):
+    def test_orbit_keeps_the_whole_iterate_it_held_from(self, monkeypatch, no_jump):
         # the held levels of b e start from its 8th iterate, and the orbit
         # keeps that word while it steps the held levels to 200
         pair = family("beta", rank=6).pair
@@ -911,7 +938,7 @@ class TestHeldPrefixEngine:
         assert res.diagnostics["reason"] == "growth-overflow"
 
     @pytest.mark.parametrize("group", ["catalog", "beta-rank-7", "held-seeds", "beta-powers", "random-configs"])
-    def test_lazy_agrees_with_eager_held(self, monkeypatch, group):
+    def test_lazy_agrees_with_eager_held(self, monkeypatch, no_jump, group):
         # held levels read only as far as the comparisons need give the
         # result of stepping every held prefix whole, to the last field,
         # wherever an orbit is held
@@ -936,26 +963,7 @@ class TestHeldPrefixEngine:
             cases = [(power(beta, q), parse_word(beta.alphabet, text), cfg)
                      for q in (2, 3, 4) for text in ("e", "f", "b e", "d f")]
         else:
-            # small caps, so that about a third of the orbits are held
-            rng = random.Random(14)
-            pairs = [family(name, **params).pair for name, params in (
-                ("beta", {"rank": 6}), ("alpha_k", {"k": 1}), ("phi_k", {"k": 1}),
-                ("delta", {"n": 1}), ("inner", {"u": "a b"}))]
-            pairs += [stock_theta("trace3"), stock_theta("trace4")]
-            cases = []
-            for _ in range(120):
-                pair = rng.choice(pairs)
-                phi = pair if rng.random() < 0.5 else pair.inverse()
-                letters = phi.alphabet.signed_letters
-                g = reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
-                cfg = IterationConfig(
-                    max_iterations=rng.randint(1, 120),
-                    target_prefix=rng.randint(1, 100),
-                    stability_window=rng.randint(1, 6),
-                    min_repeats=rng.randint(1, 4),
-                )
-                if not g.is_identity():
-                    cases.append((phi, g, cfg))
+            cases = random_config_cases()
         held = []
         for phi, g, cfg in cases:
             with monkeypatch.context() as m:
@@ -968,7 +976,7 @@ class TestHeldPrefixEngine:
         assert 5 * sum(held) >= len(cases)
 
     @pytest.mark.parametrize("name, params", [("beta", {"rank": 6}), ("alpha_k", {"k": 1})])
-    def test_deep_chain_of_held_levels(self, monkeypatch, name, params):
+    def test_deep_chain_of_held_levels(self, monkeypatch, no_jump, name, params):
         # about 1,400 held levels, each read from the one before it: reads
         # must not recurse once per level
         pair = family(name, **params).pair
@@ -984,7 +992,7 @@ class TestHeldPrefixEngine:
             assert isinstance(got, Boundary)
         assert sum(held) > 2 * 1000
 
-    def test_held_phase_reads_what_the_comparisons_need(self, monkeypatch):
+    def test_held_phase_reads_what_the_comparisons_need(self, monkeypatch, no_jump):
         # c^-1 f^-1 certifies a^-inf after about 100 held steps whose common
         # prefixes are the a-runs; stepping held prefixes whole makes about
         # 100,000 letters (cap = 1,100 a step)
@@ -1005,7 +1013,7 @@ class TestHeldPrefixEngine:
         assert lazy_calls <= 93 and lazy_letters <= 11_811
 
     @pytest.mark.parametrize("case", ["mixed", "chain", "contact", "few_run_beta", "few_run_alpha"])
-    def test_held_steps_read_each_level_about_once(self, monkeypatch, case):
+    def test_held_steps_read_each_level_about_once(self, monkeypatch, no_jump, case):
         # the eager step reads each held level with one kernel call.  The
         # first ask of each comparison, the previous common prefix and two
         # letters more, reads a fresh level of the mixed seed b e once (192
@@ -1042,6 +1050,113 @@ class TestHeldPrefixEngine:
             assert lazy_calls <= 411 and lazy_letters <= 145_481
         else:
             assert lazy_calls <= 2 * steps
+
+
+def affine_jump_cases(group):
+    """Orbits, both directions, on which the affine jump is checked
+    against stepping."""
+    if group == "catalog":
+        specs = [("beta", {"rank": r, "theta": t}) for r in (6, 7) for t in ("trace3", "trace4")]
+        specs += [("phi_k", {"k": k}) for k in range(6)] + [("alpha_k", {"k": k}) for k in (1, 2, 3)]
+        specs += [("delta", {"n": 1}), ("sigma", {})]
+        specs += [("twist", {"n": n, "k": k}) for n in (1, 2, 3) for k in range(-2, n + 3)]
+        for name, params in specs:
+            fam = family(name, **params)
+            for g in fam.default_seeds or default_seeds(fam.pair.alphabet):
+                yield from ((phi, g, DEFAULT_CONFIG) for phi in (fam.pair, fam.pair.inverse()))
+    elif group == "random-maps":
+        rng = random.Random(23)
+        for _ in range(100):
+            alphabet = standard_alphabet(rng.randint(2, 4))
+            pair = random_pair(rng, alphabet, rng.randint(2, 6))
+            g = reduce(alphabet, [rng.choice(alphabet.signed_letters) for _ in range(rng.randint(1, 5))])
+            if not g.is_identity():
+                yield from ((phi, g, DEFAULT_CONFIG) for phi in (pair, pair.inverse()))
+    else:
+        yield from random_config_cases()
+
+
+class TestAffineJump:
+    # orbits, orbits the jump tried at, and orbits that jumped: catalog
+    # 2,848, 976 and 926; random-maps 198, 64 and 46; random-configs
+    # 115, 25 and 15
+    JUMPS = {"catalog": 900, "random-maps": 40, "random-configs": 12}
+
+    @pytest.mark.parametrize("group", list(JUMPS))
+    def test_same_result_as_stepping(self, monkeypatch, group):
+        # a jump gives the Boundary of stepping, to the last byte of its
+        # JSON; an orbit the jump never tried at is stepped either way
+        affine_jump, jumped = dynamics._affine_jump, 0
+
+        def recording(*args):
+            tried.append(affine_jump(*args))
+            return tried[-1]
+
+        for phi, g, cfg in affine_jump_cases(group):
+            tried = []
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_affine_jump", recording)
+                got = omega_limit(phi, g, cfg)
+            if tried:
+                jumped += tried[-1] is not None
+                with monkeypatch.context() as m:
+                    m.setattr(dynamics, "_affine_jump", lambda *args: None)
+                    assert got.to_json() == omega_limit(phi, g, cfg).to_json(), (str(phi.forward), str(g), cfg)
+        assert jumped >= self.JUMPS[group]
+
+    def test_parabolic_orbit_jumps_to_the_certifying_step(self, monkeypatch):
+        # b d^-1 under phi_k:k=1 is b a^-(n-2) c^-1 a^-1 y ... with y not a:
+        # Z = c^-1, psi(Z) = a^-1 c^-1, so d = 1 and S is empty; the jump
+        # lands at step 202 as stepping does
+        phi, g = make_phi(1), w4("b d^-1")
+        prev, w = iterate(phi, g, 19), iterate(phi, g, 20)
+        cp = common_prefix_length(prev, w)
+        assert cp == 18 and w.prefix(21) == w4("b a^-18 c^-1 a^-1")
+        n, certified_cp, certified = dynamics._affine_jump(phi.forward, w, cp, 1, 15, 20, DEFAULT_CONFIG)
+        monkeypatch.setattr(dynamics, "_affine_jump", lambda *args: None)
+        stepped = omega_limit(phi, g)
+        assert (n, certified_cp) == (stepped.iterations_used, stepped.certified_length) == (202, 200)
+        assert certified == w4("b a^-199")
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_wrong_growth_is_declined(self, step):
+        # the common prefix of the orbit above grows by one letter a step,
+        # so t^d Z with d = step does not start psi(Z) for any short Z
+        phi, g = make_phi(1), w4("b d^-1")
+        w = iterate(phi, g, 20)
+        assert dynamics._affine_jump(phi.forward, w, 18, step, 15, 20, DEFAULT_CONFIG) is None
+
+    # (generator images, word w, its common prefix cp with the iterate
+    # before, the growth, and the jump from step 1 with a streak of 3 to a
+    # 50-letter prefix, or None)
+    AFFINE_CASES = [
+        # psi(Z) = [e(Z)] is not a^d Z S for any Z of at most two letters
+        # after a^10: psi(b) = b a
+        (("a", "b a"), "a^10 b^2 a", 9, 1, None),
+        (("a", "a b"), "a^10 b^2 a", 9, 1, (42, 50, "a^50")),
+        # psi(b) = a b a, so S = a, and C(b, a^-1) = 1: the a of S may
+        # cancel, and Y = {a^-1} is not closed; from y = b it is
+        (("a", "a b a"), "a^10 b a^-1 b", 9, 1, None),
+        (("a", "a b a"), "a^10 b^2 a", 9, 1, (42, 50, "a^50")),
+        # h = b, Z empty: psi(Z) = a^3 is t^d S with S = a^2 for d = 1, so
+        # a joins Y, and C(a, a) = 2 ([e(a b^-1)] = a^-2 b^-1): Y is not
+        # closed.  The growth is 3, and with d = 3, S is empty and Y = {b}
+        (("a", "b a^3"), "b a^10 b", 10, 1, None),
+        (("a", "b a^3"), "b a^10 b", 10, 3, (15, 50, "b a^49")),
+        # psi(b) = c b and S is empty, but F(c^-1) holds a, and C(b, a) =
+        # 1: [e(c^10 b c^-1 b a)] = c^11 b a ..., and its image c^12 a ...
+        # no longer has b after the c-run
+        (("b^-1 a", "c b", "c"), "c^10 b c^-1 b a", 9, 1, None),
+        (("b^-1 a", "c b", "c"), "c^10 b c b", 9, 1, (42, 50, "c^50")),
+    ]
+
+    @pytest.mark.parametrize("images, text, cp, step, want", AFFINE_CASES)
+    def test_fabricated_words(self, images, text, cp, step, want):
+        alphabet = standard_alphabet(len(images))
+        got = dynamics._affine_jump(
+            endo(alphabet, *images), parse_word(alphabet, text), cp, step, 3, 1, IterationConfig(target_prefix=50)
+        )
+        assert got == (want and (*want[:2], parse_word(alphabet, want[2])))
 
 
 def read_level(e, w, cap, c, reveal):

@@ -17,7 +17,9 @@ the letters both have.  Budgets count letters, and conjugation changes
 lengths, so a triple where only one side certifies is counted, not
 failed.
 
-The draw has ``FGDYN_EQUIVARIANCE_TRIPLES`` triples (120 by default).
+The draw has ``FGDYN_EQUIVARIANCE_TRIPLES`` triples (120 by default),
+and runs twice: with the affine jump of ``omega_limit``, and with it
+declined, so that the held engine is checked on its own.
 """
 
 import os
@@ -77,18 +79,28 @@ def agree(a, b):
     return first(a, n) == first(b, n)
 
 
-def test_boundary_map_is_equivariant(monkeypatch):
-    held = []  # for each omega_limit call, whether its orbit was held
-    original = dynamics._Orbit.hold
+def check_equivariance(monkeypatch):
+    """Check the identities over the draw, and give for each
+    ``omega_limit`` call whether its orbit was held and whether it took
+    the affine jump."""
+    held, jumped = [], []
+    hold, affine_jump = dynamics._Orbit.hold, dynamics._affine_jump
 
-    def recording(orbit, cap, c):
+    def holding(orbit, cap, c):
         held[-1] = True
-        original(orbit, cap, c)
+        hold(orbit, cap, c)
 
-    monkeypatch.setattr(dynamics._Orbit, "hold", recording)
+    def jumping(*args):
+        result = affine_jump(*args)
+        jumped[-1] = jumped[-1] or result is not None
+        return result
+
+    monkeypatch.setattr(dynamics._Orbit, "hold", holding)
+    monkeypatch.setattr(dynamics, "_affine_jump", jumping)
 
     def limit(phi, g):
         held.append(False)
+        jumped.append(False)
         return omega_limit(phi, g)
 
     rng = random.Random(21)
@@ -119,6 +131,20 @@ def test_boundary_map_is_equivariant(monkeypatch):
             seen["shift"] += 1
     # over the 120 triples of seed 21: 92 conjugations and 93 shifts
     # compared, 47 inverse checks, 10 fixed, 2 with one side certified
-    # and 16 with neither; 94 of 350 omega_limit calls held
+    # and 16 with neither
     assert seen["conjugation"] >= TRIPLES // 4 and seen["shift"] >= TRIPLES // 4, seen
+    return held, jumped
+
+
+def test_boundary_map_is_equivariant(monkeypatch):
+    # 82 of the 350 omega_limit calls jump (542 of 2,879 over 1,000
+    # triples) and 46 are held
+    _, jumped = check_equivariance(monkeypatch)
+    assert 8 * sum(jumped) >= len(jumped), (sum(jumped), len(jumped))
+
+
+def test_boundary_map_is_equivariant_stepped(monkeypatch, no_jump):
+    # with the jump declined, the held engine is checked on its own: 94 of
+    # the 350 omega_limit calls are held
+    held, _ = check_equivariance(monkeypatch)
     assert 5 * sum(held) >= len(held), (sum(held), len(held))
