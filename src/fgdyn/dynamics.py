@@ -396,9 +396,13 @@ def _quiet_steps(
 # A level reads all its source knows once at most this many runs of the
 # source's product lie past its place: a kernel call over a few runs
 # costs less than the reads it saves when the levels below each lack a
-# few letters at every step.  Over both directions of every default seed
-# of beta:rank=6 (8,653 held levels), the held reader executes 4.67,
-# 2.57, 2.81 and 3.24 million lines with 4, 8, 16 and 32 runs here.
+# few letters at every step.  It was tuned on the stepped engine, every
+# affine jump declined (the tests' no_jump fixture, whose held counts pin
+# it): over both directions of every default seed of beta:rank=6 (8,653
+# held levels), the held reader executes 4.67, 2.57, 2.81 and 3.24
+# million lines with 4, 8, 16 and 32 runs here.  With the jump those
+# orbits hold 60 levels, and no read in 8 rounds of the orbit_beta
+# benchmark takes this branch.
 _FEW_RUNS = 8
 
 
@@ -413,9 +417,8 @@ class _Held:
     of its run ``k`` are read, ``pos`` letters in all.  ``step`` holds
     the image blocks of the map, ``cap`` and C.  A read ends at a count
     of source letters; the run it ends in is found by walking the
-    source's runs from run ``k``, or back from their end where that is
-    nearer (a read to all the source knows), so a read costs about the
-    runs it reads.  A level that has stopped reading drops its source, so
+    source's runs from run ``k``, so a read costs about the runs it
+    reads.  A level that has stopped reading drops its source, so
     a finished chain can be freed.
     """
 
@@ -469,32 +472,14 @@ class _Held:
             if stop > bound:
                 stop = bound
         # the read ends rs letters into run ks, counted from the start of
-        # the run, 0 < rs <= its size: the first run from k that reaches
-        # stop, found from whichever end of the runs is nearer to stop.
-        # A read to all a long source knows walks back over a few runs
-        # where a walk from k would cross every run it reads: e under
-        # power(beta:rank=6, 3) at max_iterations=40 reads 1,100 runs a
-        # step and takes 1.5 times as long walking forward only, and the
-        # orbit_beta benchmark's task_tail_ms is 1.05 times as long
-        rest = source.length - stop
-        if rest < stop - pos:
-            ks = len(runs)
-            while True:
-                ks -= 1
-                gen, exp = runs[ks]
-                size = exp if exp > 0 else -exp
-                if rest < size:
-                    rs = size - rest
-                    break
-                rest -= size
-        else:
-            ks, rs = k, stop - pos + r
-            while True:
-                gen, exp = runs[ks]
-                if rs <= exp or rs <= -exp:
-                    break
-                rs -= exp if exp > 0 else -exp
-                ks += 1
+        # the run, 0 < rs <= its size: the first run from k that reaches stop
+        ks, rs = k, stop - pos + r
+        while True:
+            gen, exp = runs[ks]
+            if rs <= exp or rs <= -exp:
+                break
+            rs -= exp if exp > 0 else -exp
+            ks += 1
         pieces = [*runs[k:ks], (gen, rs if exp > 0 else -rs)]
         if r:  # the rest of run k
             g, e = pieces[0]
@@ -530,10 +515,13 @@ def _pull(held: _Held, n: int) -> None:
     ``beta:rank=6`` is refilled late and deep and takes about 1.2 times
     as long as under doubling, while doubling, even for sources of few
     runs only, makes ``d^-1 e`` and the chain of ``b d^-1`` under the
-    inverse of ``alpha_k:k=1`` take 1.4-1.6 times as long.  The asks go
-    on a stack, not down the call stack: a chain has a level per held
-    step.  The stack starts with ``held`` itself, so a level whose source
-    knows the letters reads at the first turn.
+    inverse of ``alpha_k:k=1`` take 1.4-1.6 times as long.  These times
+    are of the stepped engine, every affine jump declined (the tests'
+    ``no_jump`` fixture, whose held counts pin the margin); with the jump
+    these three chains hold no level.  The asks go on a stack, not down
+    the call stack: a chain has a level per held step.  The stack starts
+    with ``held`` itself, so a level whose source knows the letters reads
+    at the first turn.
     """
     todo = [(held, n)]
     margin = n
@@ -556,18 +544,16 @@ def _held_prefix(u: Union[Word, _Held], v: _Held, ask: int) -> int:
 
     The runs read so far give a common prefix; it is final where it ends
     below both known bounds, since a run that reaches a bound may still
-    grow.  Else the sides that know fewest letters read on, at least to
-    the end of the longer of the runs where the two differ and to
-    ``ask``, the letters the caller expects the comparison to need:
+    grow.  Else the sides that know fewest letters read on, to the larger
+    of ``ask``, the letters the caller expects the comparison to need,
+    and one letter past the end of the longer of the runs where the two
+    differ, which lies past the common prefix and so past what they know:
     :func:`omega_limit` asks for the previous step's common prefix and
     two letters more, so a fresh level is read once, for about what the
-    comparison takes.  A side that already knows ``ask`` letters reads
-    on to twice as many letters past ``ask`` as it knows, so the asks
-    grow geometrically from the caller's guess.  The comparison then
-    resumes at the first run that does not end below both bounds: a run
-    that differs or touches a bound is compared again.  The letters
-    before the run compared are counted as the comparison moves on and
-    backs off, never summed again.
+    comparison takes.  The comparison then resumes at the first run that
+    does not end below both bounds: a run that differs or touches a bound
+    is compared again.  The letters before the run compared are counted
+    as the comparison moves on and backs off, never summed again.
     """
     if isinstance(u, Word):
         u = _Held.whole(u)
@@ -601,7 +587,7 @@ def _held_prefix(u: Union[Word, _Held], v: _Held, ask: int) -> int:
             i -= 1
             start -= abs(a[i][1])
         for x in [x for x in (u, v) if x.known == known]:
-            _pull(x, max(reach, ask, 2 * known - ask))
+            _pull(x, max(reach, ask))
 
 
 class _Orbit(Iterator[Union[Word, _Held]]):
@@ -745,13 +731,9 @@ class _Orbit(Iterator[Union[Word, _Held]]):
 
 # The longest Z that :func:`_affine_jump` tries after ``h t^m``: over both
 # directions of the default seeds of the catalog families and of 300
-# random maps (3,388 orbits), Z of at most one letter gave 1,002 jumps, of
-# at most two 1,006, and longer Z no more.
+# random maps (3,428 orbits), Z of at most one letter gave 1,144 jumps, of
+# at most two 1,145, and longer Z no more.
 _AFFINE_Z = 2
-# The affine jump is tried only where it would skip at least this many
-# steps; from 2 to 32, the time over the orbits of beta:rank=6, alpha_k:k=1
-# and phi_k:k=2 does not move beyond noise.
-_AFFINE_PAYS = 8
 
 # A jump short of p pays only where it saves at least this many steps:
 # stepping a few-run orbit this far costs about as much as the block
@@ -851,8 +833,11 @@ def _affine_jump(
        ``_AFFINE_Z`` letters after them that passes 3, and ``y`` the
        letter after Z.
     3. ``psi(Z) = [h^-1 e(h Z)]`` is ``t^d Z S`` letter for letter, with
-       ``d |t| = step``.  As ``e(h t^m h^-1) = u^m``, ``[e(h t^m Z)] = h
-       t^(m+d) Z S``, reduced (h t, t^(m+d) and ``t^d Z S`` are).
+       ``d |t| = step``.  ``T = t^d Z`` is reduced as written: m >= 1, as
+       the first cp letters hold ``min_repeats`` copies of t after h, so
+       ``t Z`` is part of the reduced word w, and t is cyclically reduced.
+       As ``e(h t^m h^-1) = u^m``, ``[e(h t^m Z)] = h t^(m+d) Z S``,
+       reduced (h t, t^(m+d) and ``t^d Z S`` are).
     4. Let x be the last letter of Z (of t if Z is empty), and close
        ``Y = {y}`` under: ``S[0]`` where ``C(x, y) < |S|``, else
        ``F(y)`` (less ``x^-1``) where S is empty and ``C(x, y) = 0``,
@@ -867,10 +852,25 @@ def _affine_jump(
        step ``n + k`` is ``h t^(m+dk) Z y_k ...`` with ``y_k`` in Y.
     5. So the common prefix of steps ``n' - 1`` and ``n' > n`` is ``|h| +
        |t| (m + d (n' - 1 - n)) + L``, with L the common prefix of ``Z
-       y_k ...`` and ``t^d Z y_(k+1) ...``: that of Z and ``T = t^d Z``
-       where it is shorter than Z, else ``|Z|`` where no letter of Y is
-       ``T[|Z|]``; else fail.  The first L letters of Z are those of
-       ``t^infinity``, so every such common prefix is a prefix of X.
+       y_k ...`` and ``T y_(k+1) ...``: that of Z and T, since where it
+       is all of Z, no letter of Y is ``a = T[|Z|]``.  For then Z is a
+       prefix of ``t^infinity``, shorter than t as m is the most copies,
+       and ``a = t[|Z|]``.  ``A = h t Z`` ends in x, ``B_j = t[|Z|:]
+       t^(j-1) h^-1`` (j >= 1) starts with a, and ``A B_j = u^(j+1)`` is
+       reduced (h does not end with the last letter of t).  For j >= d,
+       ``[e(A)] = h t^(1+d) Z S`` and ``[e(B_j)]`` cancel the letters of
+       ``[e(A)]`` past its common prefix with ``[e(A B_j)] = h t^(1+d)
+       t^(j-d) h^-1``: ``|Z S| - p`` of them, p the common prefix of ``Z
+       S`` and ``t^(j-d) h^-1``.  h t is reduced, so p = 0 where ``Z S``
+       starts with ``t[0]`` and j = d, or does not and j = d + 1.  Where Z
+       or S is nonempty, then, ``C(x, a) >= |S|``, and more where Z is,
+       so a fails both rules of 4.  Where both are empty, ``[e(h)] = h
+       t^d``, so h is nonempty, and ``[e(B_d)] = h^-1``: its first letter
+       b, not ``x^-1``, is in ``F(a)``, and ``C(x, b) >= d |t|``, the
+       letters ``[e(h t)] = h t^(1+d)`` and ``[e(h^-1)]`` cancel as ``e(h
+       t h^-1) = u``; so if a joins Y, b does and fails 4.  The first L
+       letters of Z are those of ``t^infinity``, so every such common
+       prefix is a prefix of X.
     6. The streak of stepping grows by one at each step past n + 1, so N
        is the first step, if any up to ``max_iterations``, where the
        prefix reaches ``target_prefix`` and the streak
@@ -899,7 +899,7 @@ def _affine_jump(
         Z = rest.prefix(z)
         T = td * Z
         psi = hinv * e.apply(h * Z)
-        if len(T) != len(td) + z or psi.prefix(len(T)) != T:
+        if psi.prefix(len(T)) != T:
             continue
         S = psi.drop(len(T))
         x = Z.last_letter() if z else t.last_letter()
@@ -915,11 +915,8 @@ def _affine_jump(
                 return None
             todo += new - Y
             Y |= new
-        L = common_prefix_length(Z, T)
-        if L == z and T.drop(z).first_letter() in Y:
-            return None
         # cp(n + 1 + j) = first + step * j, growing at every step
-        first = start + L
+        first = start + common_prefix_length(Z, T)
         grown = streak + 1 if first > cp else 0
         j = max(0, -(-(cfg.target_prefix - first) // step), cfg.stability_window - grown)
         if n + 1 + j > cfg.max_iterations:
@@ -988,10 +985,10 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     later step), with the common prefix and certified prefix that
     stepping reaches there; recognition then runs as at any other step.
     The jump is tried only once C is known, so C is computed no sooner
-    for it; at a step where the last two growths of the common prefix are
-    equal and positive, and at least ``_AFFINE_PAYS`` steps would be
-    skipped; and after a step where it fails, only 1, 2, 4, ... steps
-    later.  While iterates are whole it is tried only where the longest
+    for it, and at each step where the last two growths of the common
+    prefix are equal and positive.  After a step where it fails it is not
+    tried again until the orbit is held, and a held orbit does not try it
+    again.  While iterates are whole it is tried only where the longest
     generator image times ``cap`` is within ``max_word_length``: each
     whole iterate is then the image of one of at most ``cap`` letters, so
     no step jumped over can overflow before the orbit is held, and held
@@ -1030,7 +1027,6 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     prev = orbit.jump(s) if s else g
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
     jumps = False  # whether the affine jump may be tried
-    retry, wait = 0, 1  # the next step it is tried at, and the back-off
     prev_cp: Optional[int] = None
     grew = None  # the last growth of the common prefix
     streak = 0
@@ -1064,16 +1060,10 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             certified = None
             if cp >= cfg.target_prefix and streak >= cfg.stability_window:
                 certified = nxt.prefix(cp)
-            elif (
-                jumps
-                and iterations >= retry
-                and prev_cp is not None
-                and cp - prev_cp == grew > 0
-                and min(cfg.max_iterations - iterations, (cfg.target_prefix - cp) // grew) >= _AFFINE_PAYS
-            ):
+            elif jumps and prev_cp is not None and cp - prev_cp == grew > 0:
                 jumped = _affine_jump(forward, nxt, cp, grew, streak, iterations, cfg)
                 if jumped is None:
-                    retry, wait = iterations + wait, 2 * wait
+                    jumps = False  # until the orbit is held
                 else:
                     iterations, cp, certified = jumped
             if certified is not None:

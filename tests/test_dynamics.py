@@ -1078,8 +1078,8 @@ def affine_jump_cases(group):
 
 class TestAffineJump:
     # orbits, orbits the jump tried at, and orbits that jumped: catalog
-    # 2,848, 976 and 926; random-maps 198, 64 and 46; random-configs
-    # 115, 25 and 15
+    # 2,848, 1,064 and 1,013; random-maps 198, 68 and 50; random-configs
+    # 115, 36 and 20
     JUMPS = {"catalog": 900, "random-maps": 40, "random-configs": 12}
 
     @pytest.mark.parametrize("group", list(JUMPS))
@@ -1365,6 +1365,22 @@ class TestQuietBoundWork:
         assert len(products) == 3
         assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
         assert len(products) == 3
+
+    def test_long_seed_past_the_bound_reads_a_few_runs(self):
+        # U_6(a d) = 1 + 37, so (a d)^10000 reaches the bound 200 in its
+        # first 12 of 20,000 runs, and no run past them is read
+        e, g = make_phi(1).forward, w4("a d") ** 10000
+        read = []
+
+        class Runs(tuple):
+            def __iter__(self):
+                for run in tuple.__iter__(self):
+                    read.append(run)
+                    yield run
+
+        seed = Word._make(g.alphabet, Runs(g.runs), len(g))
+        assert dynamics._quiet_steps(e, seed, 6, 298, 200, 10**6) is None
+        assert len(read) == 12
 
     def test_one_count_table_per_map(self):
         # the weighing of assembly in the orbit and the jump bound read one
