@@ -538,36 +538,30 @@ def _pull(held: _Held, n: int) -> None:
             todo.append((source, max(need, source.known + max(margin, c * len(todo)))))
 
 
-def _held_prefix(u: Union[Word, _Held], v: _Held, ask: int) -> int:
-    """:func:`common_prefix_length` of ``u`` and the level ``v``, each
-    read only as far as the comparison needs.
+def _held_prefix(u: _Held, v: _Held, ask: int) -> int:
+    """:func:`common_prefix_length` of the levels ``u`` and ``v``, each
+    read only as far as the comparison needs; a whole word is a level
+    that has ended (:meth:`_Held.whole`), so it is never read.
 
     The runs read so far give a common prefix; it is final where it ends
     below both known bounds, since a run that reaches a bound may still
-    grow.  Else the sides that know fewest letters read on, to the larger
-    of ``ask``, the letters the caller expects the comparison to need,
-    and one letter past the end of the longer of the runs where the two
+    grow, or where it reaches the end of a level that has ended.  Else
+    the sides that know fewest letters read on, to the larger of
+    ``ask``, the letters the caller expects the comparison to need, and
+    one letter past the end of the longer of the runs where the two
     differ, which lies past the common prefix and so past what they know:
     :func:`omega_limit` asks for the previous step's common prefix and
     two letters more, so a fresh level is read once, for about what the
-    comparison takes.  The comparison then resumes at the first run that
-    does not end below both bounds: a run that differs or touches a bound
-    is compared again.  The letters before the run compared are counted
-    as the comparison moves on and backs off, never summed again.
+    comparison takes.  Each round compares the runs from the first one.
     """
-    if isinstance(u, Word):
-        u = _Held.whole(u)
-    # the runs before i agree and end below both known bounds, and hold
-    # start letters
-    i = start = 0
     while True:
         a, b = u.runs, v.runs
         n = len(a) if len(a) < len(b) else len(b)
+        i = cp = 0
         while i < n and a[i] == b[i]:  # on to the first run that differs
             e = a[i][1]
-            start += e if e > 0 else -e
+            cp += e if e > 0 else -e
             i += 1
-        cp = start
         if i < n:
             (g1, e1), (g2, e2) = a[i], b[i]
             reach = cp + 1
@@ -583,9 +577,6 @@ def _held_prefix(u: Union[Word, _Held], v: _Held, ask: int) -> int:
             return cp
         if u.end == known or v.end == known:
             return known
-        while i and start >= known:
-            i -= 1
-            start -= abs(a[i][1])
         for x in [x for x in (u, v) if x.known == known]:
             _pull(x, max(reach, ask))
 
@@ -815,20 +806,22 @@ def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> O
 
 
 def _affine_jump(
-    e: Endomorphism, w: Union[Word, _Held], cp: int, step: int, streak: int, n: int, cfg: IterationConfig
+    e: Endomorphism, w: _Held, cp: int, step: int, streak: int, n: int, cfg: IterationConfig
 ) -> Optional[tuple[int, int, Word]]:
     """The step N at which stepping the orbit certifies, with the common
     prefix there and the certified prefix, proved from step ``n`` without
     building iterates n + 1..N; ``None`` where the proof below fails.
-    ``w`` is the iterate of step n (a whole word or a held level), ``cp``
-    its common prefix with the iterate before it, grown by ``step``
-    letters at the last step, and ``streak`` the steps it has grown.
+    ``w`` is the iterate of step n as a level (a whole iterate is one
+    that has ended), ``cp`` its common prefix with the iterate before it,
+    grown by ``step`` letters at the last step, and ``streak`` the steps
+    it has grown.
 
     1. The first ``cp`` letters read as ``X = h t^infinity``
        (:func:`recognize_rational`), and ``e(u) = u`` for ``u = h t
        h^-1``, the check that certification makes.
-    2. ``w = h t^m Z y ...``, read from letters of w that are known (a
-       held level is pulled to ``|h t^m Z| + 1`` letters): m is the most
+    2. ``w = h t^m Z y ...``, read from letters of w that are known (w
+       is pulled to ``|h t^m Z| + 1`` letters, at once where it has
+       ended): m is the most
        copies of t after h among them, Z the shortest word of at most
        ``_AFFINE_Z`` letters after them that passes 3, and ``y`` the
        letter after Z.
@@ -887,10 +880,8 @@ def _affine_jump(
     # the letters of w read: cp covers h t^(m-d) where the orbit is already
     # affine, so h t^m Z y lies within cp + step + |Z| + 1 of them
     need = cp + step + _AFFINE_Z + 1
-    if isinstance(w, _Held):
-        _pull(w, need)
-        need = min(need, w.known)
-    v = w.prefix(need)
+    _pull(w, need)
+    v = w.prefix(min(need, w.known))
     # |h t^m|, with m >= 1: the first cp letters end in a whole period
     start = len(h) + (common_prefix_length(v, prefix_of(candidate, len(v))) - len(h)) // len(t) * len(t)
     _, bounds, firsts = _junction_bounds(e)
@@ -938,20 +929,22 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     the certifying prefixes stay below the held lengths.  Only the whole
     iterates are checked against ``max_word_length``.
 
-    A held prefix comes as a level that is read only as far as the common
-    prefix, the certified prefix and the best prefix need: up to the first
-    letter where two consecutive levels differ, or to the end of one of
-    them (:func:`_held_prefix`).  Each comparison first asks for the
-    previous step's common prefix and two letters more, which is what an
-    orbit whose prefix grows a letter a step needs, so a fresh level is
-    mostly read once.  A level exposes only letters below
-    ``min(cap, |P_t| - 2C)`` for its partial product ``P_t``, which the
-    rest of its read can neither change nor cut off, so every result is
-    the one of stepping each held prefix whole.  Whole iterates are
-    compared whole.
+    Every iterate is compared as a level: a whole iterate, and the word
+    the comparisons start from, as a level that has ended
+    (:meth:`_Held.whole`), and a held prefix as a level that is read only
+    as far as the common prefix, the certified prefix and the best prefix
+    need: up to the first letter where two consecutive levels differ, or
+    to the end of one of them (:func:`_held_prefix`).  Each comparison
+    first asks for the previous step's common prefix and two letters
+    more, which is what an orbit whose prefix grows a letter a step
+    needs, so a fresh level is mostly read once.  A level exposes only
+    letters below ``min(cap, |P_t| - 2C)`` for its partial product
+    ``P_t``, which the rest of its read can neither change nor cut off,
+    so every result is the one of stepping each held prefix whole.
 
     The orbit is one :class:`_Orbit`, stepped once an iteration.  Before
-    each step the cap rule runs on the last whole iterate: past
+    each step the cap rule runs on the last iterate, if it is whole (a
+    held level knows at most ``cap`` letters): past
     ``target_prefix`` letters, C is computed (once per map) and ``cap =
     target_prefix + C * max_iterations``; past ``cap``, the orbit is held
     from that iterate on.  So C is not computed for an orbit that
@@ -1024,7 +1017,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
         quiet = _quiet_steps(forward, g, window + 1, cfg.max_iterations - 2, bound, budget)
     s = 0 if quiet is None else quiet[0] + 1 - window
     orbit = _Orbit(forward, g, budget)
-    prev = orbit.jump(s) if s else g
+    prev = _Held.whole(orbit.jump(s) if s else g)
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
     jumps = False  # whether the affine jump may be tried
     prev_cp: Optional[int] = None
@@ -1034,25 +1027,26 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     best_word = g
     try:
         for iterations in range(s + 1, cfg.max_iterations + 1):
-            # hold from the first whole iterate past cap; C is computed
-            # (and kept on the map) only once an iterate is past
-            # target_prefix and a step is asked for
-            if iterations > 1 and isinstance(prev, Word) and len(prev) > cap:
+            # hold from the first whole iterate past cap (a held level
+            # knows at most cap letters); C is computed (and kept on the
+            # map) only once an iterate is past target_prefix and a step
+            # is asked for
+            if iterations > 1 and prev.known > cap:
                 c = cancellation_bound(forward)
                 cap = cfg.target_prefix + c * cfg.max_iterations
-                if len(prev) > cap:
+                if prev.known > cap:
                     orbit.hold(cap, c)
                 # once C is known: held iterates are never checked against
                 # the budget, and a whole iterate of at most cap letters
                 # has an image of at most cap times the longest image
-                jumps = len(prev) > cap or max(map(len, forward.images)) * cap <= budget
+                jumps = prev.known > cap or max(map(len, forward.images)) * cap <= budget
             nxt = next(orbit)
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
-            if isinstance(nxt, Word):
-                cp = common_prefix_length(prev, nxt)
-            else:  # the letter after a common prefix one longer than the last
-                cp = _held_prefix(prev, nxt, 0 if prev_cp is None else prev_cp + 2)
+            if isinstance(nxt, Word):  # a whole iterate, as a level that has ended
+                nxt = _Held.whole(nxt)
+            # the letter after a common prefix one longer than the last
+            cp = _held_prefix(prev, nxt, 0 if prev_cp is None else prev_cp + 2)
             streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
             if cp >= best_cp:
                 best_cp = cp

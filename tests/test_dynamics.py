@@ -1112,7 +1112,7 @@ class TestAffineJump:
         prev, w = iterate(phi, g, 19), iterate(phi, g, 20)
         cp = common_prefix_length(prev, w)
         assert cp == 18 and w.prefix(21) == w4("b a^-18 c^-1 a^-1")
-        n, certified_cp, certified = dynamics._affine_jump(phi.forward, w, cp, 1, 15, 20, DEFAULT_CONFIG)
+        n, certified_cp, certified = dynamics._affine_jump(phi.forward, dynamics._Held.whole(w), cp, 1, 15, 20, DEFAULT_CONFIG)
         monkeypatch.setattr(dynamics, "_affine_jump", lambda *args: None)
         stepped = omega_limit(phi, g)
         assert (n, certified_cp) == (stepped.iterations_used, stepped.certified_length) == (202, 200)
@@ -1124,7 +1124,7 @@ class TestAffineJump:
         # so t^d Z with d = step does not start psi(Z) for any short Z
         phi, g = make_phi(1), w4("b d^-1")
         w = iterate(phi, g, 20)
-        assert dynamics._affine_jump(phi.forward, w, 18, step, 15, 20, DEFAULT_CONFIG) is None
+        assert dynamics._affine_jump(phi.forward, dynamics._Held.whole(w), 18, step, 15, 20, DEFAULT_CONFIG) is None
 
     # (generator images, word w, its common prefix cp with the iterate
     # before, the growth, and the jump from step 1 with a streak of 3 to a
@@ -1154,7 +1154,8 @@ class TestAffineJump:
     def test_fabricated_words(self, images, text, cp, step, want):
         alphabet = standard_alphabet(len(images))
         got = dynamics._affine_jump(
-            endo(alphabet, *images), parse_word(alphabet, text), cp, step, 3, 1, IterationConfig(target_prefix=50)
+            endo(alphabet, *images), dynamics._Held.whole(parse_word(alphabet, text)), cp, step, 3, 1,
+            IterationConfig(target_prefix=50),
         )
         assert got == (want and (*want[:2], parse_word(alphabet, want[2])))
 
