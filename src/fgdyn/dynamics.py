@@ -628,6 +628,13 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.period, self.replay = 0, []  # set at the first return
         self.held: Optional[_Held] = None  # the held level, once held
 
+    def _reach(self) -> set[int]:
+        """Find the letters reachable from ``g``, and the runs an assembly
+        reads: those of ``g`` and of the images of the letters."""
+        self.letters = _reachable_letters(self.e, self.g)
+        self.reads = len(self.g.runs) + sum(len(self.e._image_blocks[x][0]) for x in self.letters)
+        return self.letters
+
     def jump(self, n: int) -> Word:
         """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
 
@@ -640,8 +647,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         goes on from those letter iterates, and assembles at every step
         where the iterate has more runs than an assembly reads.
         """
-        self.letters = letters = _reachable_letters(self.e, self.g)
-        self.reads = len(self.g.runs) + sum(len(self.e._image_blocks[x][0]) for x in letters)
+        letters = self._reach()
         images = {x: self.e._image_blocks[x] for x in letters}
         blocks = _square_and_multiply(images, n - 1, _compose_blocks, images)
         self.letter_orbit = _letter_orbits(self.e, letters, self.budget, blocks)
@@ -694,8 +700,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         e, g, w, budget = self.e, self.g, self.w, self.budget
         blocks = None
         if self.letters is None and len(w.runs) > len(g.runs):
-            self.letters = letters = _reachable_letters(e, g)
-            self.reads = len(g.runs) + sum(len(e._image_blocks[x][0]) for x in letters)
+            self._reach()
             self.unreduced = _unreduced_lengths(e, 2 * budget + 1)
         if self.unreduced is not None and len(w.runs) > self.reads:
             lengths = next(islice(self.unreduced, n - 1 - self.taken, None))  # of e^(n-1)(x)
@@ -805,6 +810,32 @@ def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> O
     return None
 
 
+def _fixed_limit(e: Endomorphism, prefix: Word, cfg: IterationConfig) -> Optional[RationalPoint]:
+    """The rational point ``X = h t^infinity`` that ``prefix`` is a
+    prefix of and ``e`` fixes, as far as :func:`recognize_rational` reads
+    it, or ``None``.  X is fixed exactly when ``e(u) = u`` for ``u = h t
+    h^-1`` (:func:`element_of`; see :func:`omega_limit`).
+
+    A prefix of ``(a b^4)^infinity`` may end in ``min_repeats`` copies of
+    b, which recognition reads as period 1.  So where a period-1
+    candidate is not fixed, its head (the prefix without that last run)
+    is recognized once more, and that candidate is taken where it is
+    fixed and ``prefix`` is its first letters.
+    """
+    candidate = recognize_rational(prefix, cfg)
+    if candidate is None or e.apply(u := element_of(candidate)) == u:
+        return candidate
+    if len(candidate.period) == 1:
+        candidate = recognize_rational(candidate.head, cfg)
+        if (
+            candidate is not None
+            and e.apply(u := element_of(candidate)) == u
+            and prefix_of(candidate, len(prefix)) == prefix
+        ):
+            return candidate
+    return None
+
+
 def _affine_jump(
     e: Endomorphism, w: _Held, cp: int, step: int, streak: int, n: int, cfg: IterationConfig
 ) -> Optional[tuple[int, int, Word]]:
@@ -816,9 +847,9 @@ def _affine_jump(
     grown by ``step`` letters at the last step, and ``streak`` the steps
     it has grown.
 
-    1. The first ``cp`` letters read as ``X = h t^infinity``
-       (:func:`recognize_rational`), and ``e(u) = u`` for ``u = h t
-       h^-1``, the check that certification makes.
+    1. The first ``cp`` letters are a prefix of ``X = h t^infinity``,
+       and ``e(u) = u`` for ``u = h t h^-1``: :func:`_fixed_limit`, as
+       certification reads them.
     2. ``w = h t^m Z y ...``, read from letters of w that are known (w
        is pulled to ``|h t^m Z| + 1`` letters, at once where it has
        ended): m is the most
@@ -870,8 +901,8 @@ def _affine_jump(
        ``stability_window``, and the certified prefix is the first
        ``cp(N)`` letters of X.
     """
-    candidate = recognize_rational(w.prefix(cp), cfg)
-    if candidate is None or e.apply(u := element_of(candidate)) != u:
+    candidate = _fixed_limit(e, w.prefix(cp), cfg)
+    if candidate is None:
         return None
     h, t = candidate.head, candidate.period
     d, r = divmod(step, len(t))
@@ -999,6 +1030,9 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     power of u, since ``u^-j`` attracts to the other end of the axis.  An
     automorphism maps the primitive u to a primitive element, so the
     power is ``e(u) = u`` itself; and ``e(u) = u`` plainly fixes X.
+    Where a period-1 candidate is not fixed, the prefix without its last
+    run is read once more (:func:`_fixed_limit`): the certified prefix of
+    ``(a b^4)^infinity`` may end in ``b^4``.
     """
     forward = phi.forward
     budget, window = cfg.max_word_length, cfg.stability_window
@@ -1061,11 +1095,8 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
                 else:
                     iterations, cp, certified = jumped
             if certified is not None:
-                candidate = recognize_rational(certified, cfg)
-                if candidate is not None and forward.apply(u := element_of(candidate)) == u:
-                    point: LimitPoint = Rational(candidate)
-                else:
-                    point = PrefixApprox(certified, cp)
+                candidate = _fixed_limit(forward, certified, cfg)
+                point: LimitPoint = PrefixApprox(certified, cp) if candidate is None else Rational(candidate)
                 return Boundary(point, iterations, cp)
             if prev_cp is not None:
                 grew = cp - prev_cp

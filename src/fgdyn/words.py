@@ -108,14 +108,13 @@ def standard_alphabet(rank: int) -> Alphabet:
 Runs = Sequence[tuple[int, int]]
 
 
-def _power_runs(runs: Runs, k: int) -> Runs:
-    """The runs of the ``k``-th power (``k >= 1``) of a reduced block."""
+def _power_runs(runs: Runs, k: int, i: int) -> Runs:
+    """The runs of the ``k``-th power (``k >= 1``) of a reduced block
+    whose first ``i`` runs pair off with its last ``i`` as a conjugator
+    (:func:`_conjugator`)."""
     # a conjugate w M w^-1 whose w ends in whole runs: its power conjugates
     # M^k, so the pairs of conjugator runs are stripped first
-    i, j = 0, len(runs) - 1
-    while i < j and runs[i][0] == runs[j][0] and runs[i][1] == -runs[j][1]:
-        i += 1
-        j -= 1
+    j = len(runs) - 1 - i
     core = runs[i : j + 1] if i else runs
     if len(core) < 2:
         power = tuple((gen, exp * k) for gen, exp in core)
@@ -140,8 +139,8 @@ def _block_power(runs: Runs, length: int, k: int) -> tuple[Runs, int]:
     inner junctions, so it has ``2|w| + k(length - 2|w|)`` letters."""
     if not k:
         return (), 0
-    t = _conjugator_length(runs)
-    return _power_runs(runs, k), 2 * t + k * (length - 2 * t)
+    i, t = _conjugator(runs)
+    return _power_runs(runs, k, i), 2 * t + k * (length - 2 * t)
 
 
 # A long product is cut into windows of this many runs: long enough that
@@ -267,9 +266,10 @@ def _block_product(
     return out, length
 
 
-def _conjugator_length(runs: Runs) -> int:
-    """``|w|`` for the reduced block ``w c w^-1`` with ``c`` cyclically
-    reduced."""
+def _conjugator(runs: Runs) -> tuple[int, int]:
+    """``(i, |w|)`` for the reduced block ``w c w^-1`` with ``c``
+    cyclically reduced: the first i runs of the block are whole runs of
+    w, each the inverse of its mirror run at the end."""
     t, i, j = 0, 0, len(runs) - 1
     while i < j:
         (g, e), (h, f) = runs[i], runs[j]
@@ -280,7 +280,7 @@ def _conjugator_length(runs: Runs) -> int:
             break
         i += 1
         j -= 1
-    return t
+    return i, t
 
 
 def _cut(runs: Runs, n: int, length: int) -> tuple[int, int]:
@@ -507,7 +507,7 @@ def cyclic_reduce(u: Word) -> CyclicDecomposition:
     """
     if u.is_identity():
         raise EmptyWordError("identity word has no cyclic core")
-    t = _conjugator_length(u.runs)
+    t = _conjugator(u.runs)[1]
     return CyclicDecomposition(u.prefix(t), u.drop(t).prefix(len(u) - 2 * t))
 
 

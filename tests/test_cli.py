@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fgdyn import cli
 from fgdyn.autofiles import AutoFileError, parse_autofile, parse_word_list
 from fgdyn.cli import main
 from fgdyn.words import parse_word, standard_alphabet
@@ -111,6 +112,12 @@ class TestExitCodes:
         assert "search bound" in capsys.readouterr().err
         assert main(["twist-reduce", "b", "1", "--bound", "-3"]) == 3
         assert "search bound" in capsys.readouterr().err
+
+    def test_parabolic_inconclusive_exits_2(self, capsys):
+        assert main(["parabolic", "phi_k:k=1", "b d^-1", "--max-iter", "10"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "inconclusive"
+        assert payload["forward"]["kind"] == payload["backward"]["kind"] == "not-converged"
 
     def test_inconclusive_on_overflow(self, capsys):
         # the budget bites before a 200-letter prefix can certify
@@ -247,6 +254,17 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["kind"], payload["iterations"], payload["certified_length"]) == ("boundary", 6, 361)
 
+    def test_iterate_json(self, capsys):
+        assert main(["iterate", "phi_k:k=1", "b d^-1", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"word": "b c^-2 d^-1", "length": 4}
+
+    def test_omega_window_flag(self, capsys):
+        # a 300-step window certifies b a^299, where the default takes 200
+        assert main(["omega", "phi_k:k=1", "b", "--window", "300"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["iterations"], payload["certified_length"]) == (300, 300)
+        assert payload["point"] == {"type": "rational", "head": "b", "period": "a"}
+
     def test_iterate_backward_table(self, capsys):
         assert main(["iterate", "phi_k:k=1", "b d^-1", "--", "-3"]) == 0
         out = capsys.readouterr().out.strip()
@@ -365,6 +383,19 @@ class TestRepro:
 
     def test_unknown_id(self, capsys):
         assert main(["repro", "fig9"]) == 3
+
+    def test_missing_id(self, capsys):
+        assert main(["repro"]) == 3
+        assert "scenario id" in capsys.readouterr().err
+
+    def test_mismatching_golden_prints_a_diff(self, monkeypatch, capsys):
+        golden = cli._golden_text("sec2.txt")
+        line = golden.splitlines(keepends=True)[0]
+        monkeypatch.setattr(cli, "_golden_text", lambda filename: golden.replace(line, "changed\n", 1))
+        assert main(["repro", "sec2"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("--- golden/sec2.txt\n+++ produced\n")
+        assert "\n-changed\n" in out and f"\n+{line}" in out
 
     def test_sec2_table_content(self, capsys):
         from fgdyn.cli import _golden_text

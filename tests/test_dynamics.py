@@ -18,6 +18,7 @@ from fgdyn.dynamics import (
     Boundary,
     FixedElement,
     GrowthOverflowError,
+    INCONCLUSIVE,
     IterationConfig,
     NOT_PARABOLIC,
     NotConverged,
@@ -294,6 +295,26 @@ class TestOmegaLimit:
         assert res.point.point == rational_point(w4("b"), w4("a^-1"))
         assert calls[-1] == element_of(res.point.point) == w4("b a^-1 b^-1")
 
+    @pytest.mark.parametrize(
+        "u, seed", [("a b^4", "a^-1"), ("a b^4", "b a^-1"), ("a^4 b", "b^-1"), ("a^3 b", "b^-1"), ("a^5 b^2", "b^-1")]
+    )
+    def test_rational_limit_whose_certified_prefix_ends_in_a_run(self, u, seed):
+        # the certified prefix of (a b^4)^infinity ends in b^4, read as
+        # period 1; b^infinity is not fixed, and the prefix without the b^4
+        # reads as (a b^4)^infinity, which is
+        u = parse_word(F2, u)
+        res = omega_limit(inner(u), parse_word(F2, seed))
+        assert isinstance(res, Boundary) and isinstance(res.point, Rational)
+        assert res.point.point == rational_from_element(u)
+
+    def test_retry_keeps_only_a_limit_the_prefix_follows(self):
+        # (a b^4)^infinity is fixed, but a prefix that goes on with b^7
+        # after its last a is not a prefix of it
+        u = parse_word(F2, "a b^4")
+        e = inner(u).forward
+        assert dynamics._fixed_limit(e, u**40, DEFAULT_CONFIG) == rational_from_element(u)
+        assert dynamics._fixed_limit(e, u**39 * parse_word(F2, "a b^7"), DEFAULT_CONFIG) is None
+
 
 class TestOmegaLimitRational:
     def test_fixed_singular_point(self):
@@ -372,6 +393,27 @@ class TestDetectParabolic:
     def test_identity_seed_rejected(self):
         with pytest.raises(Exception):
             detect_parabolic(make_phi(1), identity(F4))
+
+    def test_limit_that_does_not_certify_is_inconclusive(self):
+        report = detect_parabolic(make_phi(1), w4("b d^-1"), IterationConfig(max_iterations=10))
+        assert report.verdict == INCONCLUSIVE and report.certification is None
+        assert report.reason == "orbit limit did not certify within budgets"
+        assert isinstance(report.forward, NotConverged) and isinstance(report.backward, NotConverged)
+
+    def test_agreeing_prefix_limits_are_inconclusive(self):
+        # 200 repeats of a^-1 are more than either certified prefix holds
+        report = detect_parabolic(make_phi(1), w4("b d^-1"), IterationConfig(min_repeats=200))
+        assert report.verdict == INCONCLUSIVE and report.certification == "prefix"
+        assert report.reason == "certified prefixes agree but neither limit is recognized rational"
+        assert isinstance(report.forward.point, PrefixApprox) and isinstance(report.backward.point, PrefixApprox)
+
+    def test_one_rational_side_gives_a_prefix_grade_verdict(self):
+        # under phi_k:k=3 the forward limit certifies b a^-200 and the
+        # backward one b a^-199: only the first holds 200 repeats
+        report = detect_parabolic(make_phi(3), w4("b d^-1"), IterationConfig(min_repeats=200))
+        assert report.verdict == PARABOLIC and report.certification == "prefix"
+        assert report.point == rational_point(w4("b"), w4("a^-1"))
+        assert isinstance(report.forward.point, Rational) and isinstance(report.backward.point, PrefixApprox)
 
     def test_json_round(self):
         report = detect_parabolic(make_phi(1), w4("b d^-1"))

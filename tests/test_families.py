@@ -288,6 +288,15 @@ class TestExpectedGraphs:
         template = expected_graph("inner", u="a")
         assert template.mismatches(graph) == []
 
+    @pytest.mark.parametrize("u", ["a b^4", "a^4 b", "a^3 b", "a^5 b^2"])
+    def test_inner_templates_whose_prefixes_end_in_a_run(self, u):
+        # certified prefixes of (b^-4 a^-1)^infinity and the like end in
+        # min_repeats copies of one letter
+        fam = family("inner", u=u)
+        graph = build_graph(fam.pair, fam.fixed_generators)
+        assert expected_graph("inner", u=u).mismatches(graph) == []
+        assert not any(cls.approximate for cls in graph.vertices)
+
     def test_unknown_template(self):
         with pytest.raises(UnknownFamilyError):
             expected_graph("sigma")

@@ -95,6 +95,11 @@ class TestIsogloss:
         a_minus = rational_point(identity(F4), w4("a^-1"))
         assert not isogloss(fix_graph(), a_plus, a_minus)
 
+    def test_periods_of_one_length_that_are_not_rotations(self):
+        x = rational_point(identity(F4), w4("a b"))
+        y = rational_point(identity(F4), w4("a b^-1"))
+        assert not isogloss(fix_graph(), x, y)
+
     def test_equivalence_on_figure_vertices(self):
         H = fix_graph()
         base = [
@@ -311,6 +316,21 @@ class TestBuildGraph:
         assert graph.edges == []
         assert graph.vertices == []
         assert len(graph.diagnostics["fixed_seeds"]) == len(default_seeds(F4))
+
+    def test_seed_whose_limits_do_not_certify_is_unresolved(self):
+        cfg = IterationConfig(max_iterations=10)
+        phi, b = make_phi(1), w4("b")
+        graph = build_graph(phi, fix_words(), seeds=[b], cfg=cfg)
+        assert graph.vertices == [] and graph.edges == []
+        assert graph.diagnostics["unresolved"] == [
+            {
+                "seed": "b",
+                "forward": omega_limit(phi, b, cfg).to_json(),
+                "backward": omega_limit(phi.inverse(), b, cfg).to_json(),
+            }
+        ]
+        assert graph.diagnostics["unresolved"][0]["forward"]["kind"] == "not-converged"
+        assert graph.diagnostics["unresolved"][0]["backward"]["kind"] == "not-converged"
 
     def test_bad_fixed_generator_aborts(self):
         with pytest.raises(ValueError):
