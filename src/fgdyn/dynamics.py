@@ -913,7 +913,7 @@ def _affine_jump(
     need = cp + step + _AFFINE_Z + 1
     _pull(w, need)
     v = w.prefix(min(need, w.known))
-    # |h t^m|, with m >= 1: the first cp letters end in a whole period
+    # |h t^m|, with m >= 1: the first cp letters hold a copy of t after h
     start = len(h) + (common_prefix_length(v, prefix_of(candidate, len(v))) - len(h)) // len(t) * len(t)
     _, bounds, firsts = _junction_bounds(e)
     hinv, td, rest = h.inverse(), t**d, v.drop(start)
