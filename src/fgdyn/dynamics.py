@@ -556,20 +556,20 @@ def _held_prefix(u: _Held, v: _Held, ask: int) -> int:
     """
     while True:
         a, b = u.runs, v.runs
-        n = len(a) if len(a) < len(b) else len(b)
-        i = cp = 0
-        while i < n and a[i] == b[i]:  # on to the first run that differs
-            e = a[i][1]
+        cp = 0
+        for x, y in zip(a, b):
+            if x != y:  # the first run that differs
+                (g1, e1), (g2, e2) = x, y
+                reach = cp + 1
+                if g1 == g2 and (e1 > 0) == (e2 > 0):
+                    s1, s2 = abs(e1), abs(e2)
+                    reach += s1 if s1 > s2 else s2
+                    cp += s2 if s1 > s2 else s1
+                break
+            e = x[1]
             cp += e if e > 0 else -e
-            i += 1
-        if i < n:
-            (g1, e1), (g2, e2) = a[i], b[i]
-            reach = cp + 1
-            if g1 == g2 and (e1 > 0) == (e2 > 0):
-                s1, s2 = abs(e1), abs(e2)
-                reach += s1 if s1 > s2 else s2
-                cp += s2 if s1 > s2 else s1
-        else:
+        else:  # the runs of one are the first runs of the other
+            n = len(a) if len(a) < len(b) else len(b)
             rest = a if n < len(a) else b
             reach = cp + 1 + (abs(rest[n][1]) if n < len(rest) else 0)
         known = u.known if u.known < v.known else v.known
