@@ -29,6 +29,7 @@ from .words import (
     EmptyWordError,
     Word,
     _block_product,
+    _spelling,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -795,7 +796,7 @@ def recognize_rational(prefix: Word, cfg: IterationConfig = DEFAULT_CONFIG) -> O
     if abs(exp) >= m:
         letter = Word._make(prefix.alphabet, ((gen, 1 if exp > 0 else -1),), 1)
         return RationalPoint(prefix.prefix(n - abs(exp)), letter)
-    s = "".join([chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in runs])
+    s = _spelling(runs)
     for d in range(2, n // m + 1):
         # the last m * d letters have period d (their last letter first)
         if s[n - 1] == s[n - 1 - d] and s.startswith(s[n - (m - 1) * d :], n - m * d):

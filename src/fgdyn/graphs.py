@@ -34,7 +34,7 @@ from .subgroups import (
     build_core_graph,
     coset_power_membership,
 )
-from .words import Alphabet, Word, common_prefix_length, format_word
+from .words import Alphabet, Word, _spelling, common_prefix_length, format_word
 
 COMPLETENESS_FLAG = "sample-based under-approximation"
 
@@ -75,13 +75,14 @@ def isogloss(
     if isinstance(x, RationalPoint) and isinstance(y, RationalPoint):
         if len(x.period) != len(y.period):
             return False
-        for i in range(len(y.period)):
-            tail = y.period.drop(i)
-            if tail * y.period.prefix(i) == x.period:
-                # X = head_x . (tail . y-period[:i])^inf = (head_x . tail) . y-period^inf
-                k = coset_power_membership(H, x.head * tail, y.period, y.head.inverse())
-                return k is not None
-        return False
+        # the first i with x-period = y-period[i:] y-period[:i], by one search
+        spelled = _spelling(y.period.runs)
+        i = (spelled + spelled).find(_spelling(x.period.runs))
+        if i < 0:
+            return False
+        # X = head_x . (y-period[i:] y-period[:i])^inf = (head_x . y-period[i:]) . y-period^inf
+        k = coset_power_membership(H, x.head * y.period.drop(i), y.period, y.head.inverse())
+        return k is not None
     wx, nx = _point_prefix(x, search_bound, cfg)
     wy, ny = _point_prefix(y, search_bound, cfg)
     floor = max(1, min(nx, ny) - search_bound)

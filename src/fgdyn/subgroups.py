@@ -17,7 +17,8 @@ the first time it is compared, hashed or printed, and then keeps.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import zip_longest
+from typing import Iterable, Optional, Sequence
 
 from .words import Alphabet, AlphabetMismatchError, Letter, Word
 
@@ -297,41 +298,93 @@ def coset_power_membership(
 ) -> Optional[int]:
     """Smallest |k| (positive preferred on ties) with ``[p c^k q]`` in H.
 
-    Past the cancellation depth of p and q into the power block, the
-    reduced word is a fixed head, a growing c-block and a fixed tail with
-    no cancellation between them (c is cyclically reduced).  The state
-    after the head and m more periods is then an orbit of the deterministic
-    map "read c" on H's states, which dies or repeats within ``n_states``
-    steps; stepping it that far, for +k and -k in lockstep, decides every
-    larger |k|.
+    One walk of H's Schreier graph, whose vertices are the right cosets
+    H w: the core graph with a tree hung at every missing edge
+    (Kapovich-Myasnikov 2002).  A vertex is a position: a core state and
+    the reduced word that hangs off the core there, kept as a stack (its
+    first letter has no edge at the state).  ``[p c^k q]`` is in H
+    exactly when H p c^k = H q^-1, that is, when reading c k times from
+    the position of p reaches the position of q^-1.  The blocks c and
+    c^-1 are read one at a time in lockstep, +k before -k, so the first
+    hit is the answer.
+
+    A direction stops where no later block can reach the target:
+
+    - its stack is empty at a block start and its core state was already
+      seen there: the walk is deterministic, so it repeats positions
+      already compared;
+    - its stack is not empty at a block start, its top does not cancel
+      the block's first letter, and it is longer than the target's: c
+      is cyclically reduced, so from then on every letter is pushed and
+      the stack only grows.
+
+    Every direction stops.  While its stack is not empty a walk pops
+    until the stack empties or a letter is pushed; after a push, and
+    after leaving the core from an empty stack, the next letters of the
+    power never cancel the top, so the second rule applies within
+    ``len(target stack) / |c| + 2`` blocks.  Pops take at most
+    ``|p| / |c| + 1`` blocks, and blocks that start in the core with an
+    empty stack at most ``n_states``.  So the walk reads
+    ``O(|p| + |q| + |c| (|p| + |q| + n_states))`` letters and builds no
+    word.
     """
     if c.is_identity():
         raise ValueError("power block must be nonempty")
     if c.first_letter() == -c.last_letter() and len(c) > 1:
         raise ValueError("power block must be cyclically reduced")
-    # p cancels fewer than depth_p periods, q fewer than depth_q
-    depth_p = len(p) // len(c) + 1
-    depth_q = len(q) // len(c) + 1
-    for j in range(depth_p + depth_q):
-        for k in ((j,) if j == 0 else (j, -j)):
-            if contains(graph, p * c**k * q):
-                return k
-    # |k| = depth + m: [p c^k q] = head . block^m . tail, block = c or c^-1
-    depth = depth_p + depth_q
-    blocks = (c, c.inverse())
-    tails = [block**depth_q * q for block in blocks]
-    states = [graph.read(p * block**depth_p) for block in blocks]
-    for m in range(graph.n_states):
-        if states == [None, None]:
-            break
-        for sign, state, tail in zip((1, -1), states, tails):
-            if state is not None and graph.read(tail, state) == 0:
-                return sign * (depth + m)
-        states = [
-            None if state is None else graph.read(block, state)
-            for block, state in zip(blocks, states)
-        ]
+    alphabet = graph.alphabet
+    if p.alphabet != alphabet or c.alphabet != alphabet or q.alphabet != alphabet:
+        raise AlphabetMismatchError("word over a different alphabet")
+    rows = graph.rows
+    goal: list[Letter] = []
+    goal_state = _walk(rows, 0, goal, q.inverse().letters())
+    start: list[Letter] = []
+    start_state = _walk(rows, 0, start, p.letters())
+    if start_state == goal_state and start == goal:
+        return 0
+
+    def hits(block: list[Letter]):
+        # whether each block read reaches the goal, until a rule stops it
+        state, stack, seen = start_state, start[:], set()
+        while True:
+            if stack:
+                if stack[-1] != -block[0] and len(stack) > len(goal):
+                    return
+            elif state in seen:
+                return
+            else:
+                seen.add(state)
+            state = _walk(rows, state, stack, block)
+            yield state == goal_state and stack == goal
+
+    block = list(c.letters())
+    both = zip_longest(hits(block), hits([-x for x in reversed(block)]), fillvalue=False)
+    for k, (forward, backward) in enumerate(both, 1):
+        if forward:
+            return k
+        if backward:
+            return -k
     return None
+
+
+def _walk(
+    rows: list[dict[Letter, int]], state: int, stack: list[Letter], letters: Iterable[Letter]
+) -> int:
+    """Read ``letters`` in the Schreier graph from the position ``(state,
+    stack)``; ``stack`` is updated in place and the core state returned."""
+    for x in letters:
+        if stack:
+            if stack[-1] == -x:
+                stack.pop()
+            else:
+                stack.append(x)
+        else:
+            t = rows[state].get(x)
+            if t is None:
+                stack.append(x)
+            else:
+                state = t
+    return state
 
 
 def core_graph_dot(graph: StallingsGraph) -> str:

@@ -547,6 +547,12 @@ def common_prefix_length(u: Word, v: Word) -> int:
     return total
 
 
+def _spelling(runs: Runs) -> str:
+    """The letters of ``runs`` one character each (2g for g, 2g + 1 for
+    g^-1), so that str search and compare read words."""
+    return "".join([chr(2 * gen + (exp < 0)) * abs(exp) for gen, exp in runs])
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse whitespace-separated tokens ``name`` or ``name^int``.
 

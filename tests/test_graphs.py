@@ -31,7 +31,7 @@ from fgdyn.graphs import (
     isogloss,
     verify_fixed_generators,
 )
-from fgdyn.subgroups import build_core_graph, enumerate_elements
+from fgdyn.subgroups import build_core_graph, coset_power_membership, enumerate_elements
 from fgdyn.words import Word, common_prefix_length, identity, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
@@ -99,6 +99,31 @@ class TestIsogloss:
         x = rational_point(identity(F4), w4("a b"))
         y = rational_point(identity(F4), w4("a b^-1"))
         assert not isogloss(fix_graph(), x, y)
+
+    def test_long_periods_match_the_rotation_loop(self):
+        # g = h y-period[i:] head_y^-1 (times a power of y's stabilizer
+        # head_y y-period head_y^-1) translates y to a point whose period is
+        # a rotation of y's: a hit where g is in H, a miss where H holds g
+        # only times another word, and a miss for an unrelated period
+        rng = random.Random(26)
+        found = {"hit": 0, "rotated_miss": 0, "unrelated": 0}
+        for n in [100, 200, 400, 800] * 3 + [3000]:
+            y = rational_point(random_reduced(rng, rng.randint(0, 4)), random_cyclic(rng, n))
+            h = random_reduced(rng, rng.randint(0, 4))
+            g = h * y.period.drop(rng.randrange(1, n)) * y.head.inverse()
+            g = g * (y.head * y.period ** rng.randint(-2, 2) * y.head.inverse())
+            x = translate(g, y)
+            other = random_reduced(rng, rng.randint(2, 6))
+            for H, z in (
+                (build_core_graph(F3, [g, other]), x),
+                (build_core_graph(F3, [g * other, other * other]), x),
+                (build_core_graph(F3, [g, other]), rational_point(x.head, random_cyclic(rng, n))),
+            ):
+                expected = isogloss_by_rotation_loop(H, z, y)
+                assert isogloss(H, z, y) == expected, (z, y)
+                if z.period != y.period:
+                    found["unrelated" if z is not x else "hit" if expected else "rotated_miss"] += 1
+        assert min(found.values()) >= 10, found
 
     def test_equivalence_on_figure_vertices(self):
         H = fix_graph()
@@ -176,6 +201,24 @@ def random_reduced(rng, n):
         if not letters or x != -letters[-1]:
             letters.append(x)
     return Word.from_letters(F3, letters)
+
+
+def random_cyclic(rng, n):
+    while True:
+        w = random_reduced(rng, n)
+        if len(w) == 1 or w.first_letter() != -w.last_letter():
+            return w
+
+
+def isogloss_by_rotation_loop(H, x, y):
+    """Reference for rational points: build every rotation of y's period."""
+    if len(x.period) != len(y.period):
+        return False
+    for i in range(len(y.period)):
+        tail = y.period.drop(i)
+        if tail * y.period.prefix(i) == x.period:
+            return coset_power_membership(H, x.head * tail, y.period, y.head.inverse()) is not None
+    return False
 
 
 def isogloss_by_enumeration(elements, x, y, search_bound):

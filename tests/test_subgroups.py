@@ -16,7 +16,7 @@ from fgdyn.subgroups import (
     enumerate_elements,
     product_oracle,
 )
-from fgdyn.words import Word, identity, invert, parse_word, standard_alphabet
+from fgdyn.words import AlphabetMismatchError, Word, identity, invert, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
 F3 = standard_alphabet(3)
@@ -547,6 +547,56 @@ class TestCosetPowerMembership:
         a = parse_word(F4, "a")
         assert coset_power_membership(graph, x, a, parse_word(F4, "d")) == 750
         assert coset_power_membership(graph, x, a, parse_word(F4, "d^-1")) is None
+
+    def test_deep_cancellation_matches_word_building_reference(self):
+        # p = x c^±d r and q = c^±e z cancel up to 15 periods into the power
+        # block; without the loop x c^m x^-1 the c-path of x c^j z is open,
+        # so the walk from p leaves the core and reads its way back
+        rng = random.Random(2026)
+        found = {"hit": 0, "miss": 0, "back_to_core": 0}
+        for _ in range(200):
+            c = random_cyclic(rng, rng.randint(1, 3))
+            x = random_reduced(rng, rng.randint(0, 3))
+            z = random_reduced(rng, rng.randint(1, 2))
+            m, j = rng.randint(2, 9), rng.randint(0, 9)
+            gens = [x * c**j * z]
+            gens += [random_reduced(rng, rng.randint(2, 6)) for _ in range(rng.randint(0, 1))]
+            if rng.random() < 0.5:
+                gens.append(x * c**m * x.inverse())
+            graph = build_core_graph(F3, gens)
+            for _ in range(3):
+                r = random_reduced(rng, rng.choice((0, 0, 1)))
+                p = x * c ** (rng.choice((1, -1)) * rng.randint(0, 15)) * r
+                z_or_other = z if rng.random() < 0.7 else random_reduced(rng, 2)
+                q = c ** (rng.choice((1, -1)) * rng.randint(0, 15)) * z_or_other
+                k = coset_power_membership(graph, p, c, q)
+                assert k == coset_power_by_words(graph, p, c, q), (gens, p, c, q)
+                found["miss" if k is None else "hit"] += 1
+                if k is not None and graph.read(p) is None:
+                    found["back_to_core"] += graph.read(p * c**k) is not None
+        assert min(found.values()) >= 20, found
+
+    def test_deep_miss_reads_each_letter_a_bounded_number_of_times(self):
+        # x a^k d is in <x a^40 x^-1, x a^7 d> iff k = 7 mod 40; p and q
+        # cancel 50 periods of the 40-letter loop into the block
+        x = parse_word(F4, "c b")
+        graph = build_core_graph(
+            F4, [x * parse_word(F4, "a^40") * x.inverse(), x * parse_word(F4, "a^7 d")]
+        )
+        p, a, q = x * parse_word(F4, "a^2000"), parse_word(F4, "a"), parse_word(F4, "a^2000 d")
+        assert coset_power_membership(graph, p, a, q) == 7
+        # a miss that built [p a^k q] for every |k| below the cancellation
+        # depth read about 16 million letters; the walk reads about 4,100
+        assert coset_power_membership(graph, p, a, q.inverse()) is None
+
+    @pytest.mark.parametrize("other", ["p", "c", "q"])
+    def test_word_over_another_alphabet_rejected(self, other):
+        graph = fix_phi_graph()
+        words4 = {"p": parse_word(F4, "b"), "c": parse_word(F4, "a"), "q": parse_word(F4, "b^-1")}
+        assert coset_power_membership(graph, **words4) == 0
+        words4[other] = parse_word(F3, "a")
+        with pytest.raises(AlphabetMismatchError):
+            coset_power_membership(graph, **words4)
 
     def test_unreduced_power_block_rejected(self):
         graph = fix_phi_graph()
