@@ -73,10 +73,10 @@ class Endomorphism:
         return cls(alphabet, [generator(alphabet, g) for g in range(1, alphabet.rank + 1)])
 
     def apply(self, w: Word) -> Word:
-        """The reduced image ``[e(w)]``: the product of the image blocks
-        over the runs of ``w`` (:func:`words._block_product`, whose
-        ``limit`` reads a prefix of the runs for the held prefixes of
-        :mod:`dynamics`)."""
+        """The reduced image ``[e(w)]``, whole: the product of the image
+        blocks over the runs of ``w`` by :func:`words._block_product`.
+        The held prefixes of :mod:`dynamics` call that kernel on these
+        blocks directly, with a ``limit``, to build a prefix only."""
         if w.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
         out, length = _block_product(w.runs, self._image_blocks)

@@ -37,7 +37,7 @@ from .families import (
     twist_reduce,
 )
 from .graphs import build_graph, emit_dot, graph_to_json
-from .words import format_word, parse_word
+from .words import format_word, parse_word, standard_alphabet
 
 CONFIG_ENV_VAR = "FGDYN_CONFIG"
 
@@ -184,8 +184,7 @@ def cmd_twist_classify(args) -> int:
 
 
 def cmd_twist_reduce(args) -> int:
-    alphabet = parse_family_spec("delta:n=1").pair.alphabet
-    u = parse_word(alphabet, args.word)
+    u = parse_word(standard_alphabet(2), args.word)
     found = twist_reduce(u, args.n, args.bound)
     if found is None:
         _print_json({"result": "unresolved", "bound": args.bound})

@@ -9,9 +9,10 @@ The ``phi_k`` family over F_4 (a fixed, b -> ba, c -> ca^(k+1), d -> dc)
 carries a parabolic orbit seeded at ``b d^-1`` for k >= 1; at k = 0 the
 word ``b a c^-1`` is itself fixed, so the forward limit of ``b d^-1`` is
 ``b a c^-1 (a^-1)^∞`` and the backward limit is ``b (a^-1)^∞``.  The
-``alpha_k`` family is the same with a fifth fixed generator, and ``beta``
-glues the k = 1 member to a hyperbolic automorphism of a rank-2 free
-factor, leaving any remaining generators fixed.
+``alpha_k`` and ``beta`` families are free-product assemblies of the
+``phi_k`` block on a-d: ``alpha_k`` beside a fixed letter e, and ``beta``
+(the k = 1 block) beside a hyperbolic automorphism theta of the rank-2
+free factor on e-f, with any remaining generators fixed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .automorphisms import (
     Endomorphism,
     identity_pair,
     inner,
-    power,
     verify_pair,
 )
 from .dynamics import PrefixApprox, rational_from_element, rational_point
@@ -33,6 +33,7 @@ from .graphs import GraphTemplate
 from .words import (
     Alphabet,
     Word,
+    generator,
     identity,
     parse_word,
     primitive_root,
@@ -46,7 +47,6 @@ class UnknownFamilyError(ValueError):
 
 F2 = standard_alphabet(2)
 F4 = standard_alphabet(4)
-F5 = standard_alphabet(5)
 
 
 def _endo(alphabet: Alphabet, *images: str) -> Endomorphism:
@@ -68,11 +68,7 @@ def make_phi_k(k: int) -> AutoPair:
 
 def make_alpha_k(k: int) -> AutoPair:
     """The rank-5 extension of :func:`make_phi_k` fixing the new generator."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    forward = _endo(F5, "a", "b a", f"c a^{k + 1}", "d c", "e")
-    backward = _endo(F5, "a", "b a^-1", f"c a^{-(k + 1)}", f"d a^{k + 1} c^-1", "e")
-    return verify_pair(forward, backward)
+    return _free_product(5, make_phi_k(k))
 
 
 def make_sigma() -> AutoPair:
@@ -83,7 +79,7 @@ def make_sigma() -> AutoPair:
 
 def make_delta() -> AutoPair:
     """The rank-2 twist a -> a, b -> ba."""
-    return verify_pair(_endo(F2, "a", "b a"), _endo(F2, "a", "b a^-1"))
+    return make_twist(1, 0)
 
 
 def make_twist(n: int, k: int) -> AutoPair:
@@ -128,7 +124,7 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
         raise ValueError("n must be nonzero")
     if search_bound < 0:
         raise ValueError(f"search bound must be nonnegative, got {search_bound}")
-    delta_n = power(make_delta(), n)
+    delta_n = make_twist(n, 0)
     frontier = [identity(F2)]
     seen = {frontier[0]}
     for _ in range(search_bound + 1):
@@ -143,7 +139,7 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
             for letter in F2.signed_letters:
                 if not w.is_identity() and letter == -w.last_letter():
                     continue
-                extended = Word.from_letters(F2, list(w.letters()) + [letter])
+                extended = w * generator(F2, letter)
                 if extended not in seen:
                     seen.add(extended)
                     nxt.append(extended)
@@ -173,6 +169,29 @@ def stock_theta_names() -> list[str]:
     return sorted(_STOCK_THETAS)
 
 
+def _free_product(rank: int, *factors: AutoPair) -> AutoPair:
+    """The automorphism of F_rank that acts as each factor on its own
+    consecutive block of generators, in order, and fixes the generators
+    after the last block.
+
+    A factor's images move to its block by renaming the generator of
+    each run; renaming keeps a word reduced, so no letter is expanded.
+    """
+    alphabet = standard_alphabet(rank)
+    forward, backward = [], []
+    offset = 0
+    for factor in factors:
+        for images, endo in ((forward, factor.forward), (backward, factor.backward)):
+            images += [
+                Word(alphabet, tuple((g + offset, e) for g, e in w.runs)) for w in endo.images
+            ]
+        offset += factor.alphabet.rank
+    fixed = [generator(alphabet, g) for g in range(offset + 1, rank + 1)]
+    return verify_pair(
+        Endomorphism(alphabet, forward + fixed), Endomorphism(alphabet, backward + fixed)
+    )
+
+
 def make_beta(rank: int, theta: AutoPair) -> AutoPair:
     """Free-product assembly over F_rank, rank >= 6.
 
@@ -183,27 +202,7 @@ def make_beta(rank: int, theta: AutoPair) -> AutoPair:
         raise ValueError("rank must be at least 6")
     if theta.alphabet.rank != 2:
         raise ValueError("theta must act on a rank-2 free group")
-    alphabet = standard_alphabet(rank)
-    phi = make_phi_k(1)
-
-    def embed(w: Word, offset: int) -> Word:
-        return Word.from_letters(
-            alphabet,
-            [(abs(x) + offset) * (1 if x > 0 else -1) for x in w.letters()],
-        )
-
-    def assemble(four: Endomorphism, two: Endomorphism) -> Endomorphism:
-        images = [embed(img, 0) for img in four.images]
-        images += [embed(img, 4) for img in two.images]
-        images += [
-            Word.from_letters(alphabet, [g]) for g in range(7, rank + 1)
-        ]
-        return Endomorphism(alphabet, images)
-
-    return verify_pair(
-        assemble(phi.forward, theta.forward),
-        assemble(phi.backward, theta.backward),
-    )
+    return _free_product(rank, make_phi_k(1), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +226,20 @@ def _words(alphabet: Alphabet, *texts: str) -> tuple[Word, ...]:
 
 def family(name: str, **params) -> FamilyInstance:
     """Catalog lookup: a verified pair plus its documented metadata."""
-    if name == "phi_k":
-        k = int(params.get("k", 1))
-        return FamilyInstance(
-            name,
-            {"k": k},
-            make_phi_k(k),
-            _words(F4, "a", "b a b^-1", "c a c^-1"),
-            None,
-            parse_word(F4, "b d^-1"),
-        )
-    if name == "alpha_k":
-        k = int(params.get("k", 1))
-        return FamilyInstance(
-            name,
-            {"k": k},
-            make_alpha_k(k),
-            _words(F5, "a", "b a b^-1", "c a c^-1", "e"),
-            None,
-            parse_word(F5, "b d^-1"),
-        )
-    if name == "beta":
-        rank = int(params.get("rank", 6))
-        theta_name = params.get("theta", "trace3")
-        pair = make_beta(rank, stock_theta(theta_name))
+    if name in ("phi_k", "alpha_k", "beta"):
+        if name == "beta":
+            rank, theta = int(params.get("rank", 6)), params.get("theta", "trace3")
+            params = {"rank": rank, "theta": theta}
+            pair = make_beta(rank, stock_theta(theta))
+        else:
+            params = {"k": int(params.get("k", 1))}
+            pair = (make_phi_k if name == "phi_k" else make_alpha_k)(params["k"])
         alphabet = pair.alphabet
-        return FamilyInstance(
-            name,
-            {"rank": rank, "theta": theta_name},
-            pair,
-            _words(alphabet, "a", "b a b^-1", "c a c^-1")
-            + tuple(Word.from_letters(alphabet, [g]) for g in range(7, rank + 1)),
-            None,
-            parse_word(alphabet, "b d^-1"),
-        )
+        # the generators past a-d that the pair fixes: e of alpha_k, g... of beta
+        tail = [generator(alphabet, g) for g in range(5, alphabet.rank + 1)]
+        fixed = _words(alphabet, "a", "b a b^-1", "c a c^-1")
+        fixed += tuple(x for x in tail if pair.apply(x) == x)
+        return FamilyInstance(name, params, pair, fixed, None, parse_word(alphabet, "b d^-1"))
     if name in ("twist", "delta"):
         n = int(params.get("n", 1))
         k = int(params.get("k", 0)) if name == "twist" else 0
@@ -289,9 +268,7 @@ def family(name: str, **params) -> FamilyInstance:
     if name == "identity":
         rank = int(params.get("rank", 2))
         alphabet = standard_alphabet(rank)
-        gens = tuple(
-            Word.from_letters(alphabet, [g]) for g in range(1, rank + 1)
-        )
+        gens = tuple(generator(alphabet, g) for g in range(1, rank + 1))
         return FamilyInstance(name, {"rank": rank}, identity_pair(alphabet), gens, None, None)
     raise UnknownFamilyError(
         f"unknown family {name!r}; available: phi_k, alpha_k, beta, twist, delta, sigma, inner, identity"

@@ -21,6 +21,7 @@ associative, so the result is the run-by-run product exactly.
 
 from __future__ import annotations
 
+import sys
 from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -359,8 +360,11 @@ class Word:
 
     @classmethod
     def _reduced(cls, alphabet: Alphabet, runs: Runs) -> "Word":
-        # the free reduction of in-range runs with nonzero exponents
+        # the free reduction of in-range runs with nonzero exponents; a
+        # word that len() cannot measure is rejected here, where it enters
         out, length = _block_product(runs, alphabet._letter_blocks)
+        if length > sys.maxsize:
+            raise WordSyntaxError(f"word too long: more than {sys.maxsize} letters")
         return cls._make(alphabet, tuple(out), length)
 
     def __len__(self) -> int:
@@ -520,16 +524,11 @@ def primitive_root(u: Word) -> tuple[Word, int]:
     if u.is_identity():
         raise EmptyWordError("identity word has no primitive root")
     conj, core = cyclic_reduce(u)
-    ls = list(core.letters())
-    m = len(ls)
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        if all(ls[i] == ls[i % d] for i in range(m)):
-            root_core = Word.from_letters(u.alphabet, ls[:d])
-            root = concat(concat(conj, root_core), conj.inverse())
-            return root, m // d
-    raise AssertionError("unreachable: every word is a power of itself")
+    # the least d > 0 at which the core equals its rotation by d letters
+    # is the length of its root, and d divides the length of the core
+    spelled = _spelling(core.runs)
+    d = (spelled + spelled).find(spelled, 1)
+    return conj * core.prefix(d) * conj.inverse(), len(spelled) // d
 
 
 def common_prefix_length(u: Word, v: Word) -> int:

@@ -179,6 +179,8 @@ def _bad_config_file(tmp_path, monkeypatch):
         lambda tmp_path, monkeypatch: ["omega", "phi_k:k=1"],
         # iterate reads only the length budget
         lambda tmp_path, monkeypatch: ["iterate", "phi_k:k=1", "b", "2", "--max-iter", "3"],
+        # more letters than len() can count
+        lambda tmp_path, monkeypatch: ["iterate", "phi_k:k=1", "b^99999999999999999999", "1"],
     ],
     ids=[
         "family-spec",
@@ -194,6 +196,7 @@ def _bad_config_file(tmp_path, monkeypatch):
         "usage-bad-int",
         "usage-missing-argument",
         "iterate-max-iter",
+        "word-too-long",
     ],
 )
 def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, capsys):

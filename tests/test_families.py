@@ -19,6 +19,7 @@ from fgdyn.dynamics import detect_parabolic, PARABOLIC
 from fgdyn.families import (
     TwistCase,
     UnknownFamilyError,
+    _free_product,
     classify_twist,
     expected_graph,
     family,
@@ -78,6 +79,14 @@ class TestAlphaFamily:
                 assert str(alpha.forward.images[i]) == str(phi.forward.images[i])
                 assert str(alpha.backward.images[i]) == str(phi.backward.images[i])
 
+    @pytest.mark.parametrize("k", range(6))
+    def test_literal_images(self, k):
+        alpha = make_alpha_k(k)
+        forward = ("a", "b a", f"c a^{k + 1}", "d c", "e")
+        backward = ("a", "b a^-1", f"c a^{-(k + 1)}", f"d a^{k + 1} c^-1", "e")
+        assert alpha.forward.images == tuple(parse_word(F5, t) for t in forward)
+        assert alpha.backward.images == tuple(parse_word(F5, t) for t in backward)
+
     def test_parabolic_seed_still_works(self):
         report = detect_parabolic(make_alpha_k(1), parse_word(F5, "b d^-1"))
         assert report.verdict == PARABOLIC
@@ -119,6 +128,9 @@ class TestBetaFamily:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             make_beta(5, stock_theta("trace3"))
+        # a rank-3 theta would fill a-g at rank 7 if its rank were not checked
+        with pytest.raises(ValueError):
+            make_beta(7, identity_pair(standard_alphabet(3)))
 
     def test_catalog_lists_the_fixed_tail(self):
         six = family("beta", rank=6)
@@ -129,6 +141,28 @@ class TestBetaFamily:
             H = build_core_graph(fam.pair.alphabet, list(fam.fixed_generators))
             for g in range(7, rank + 1):
                 assert contains(H, Word.from_letters(fam.pair.alphabet, [g])), (rank, g)
+
+
+class TestFreeProduct:
+    def test_blocks_then_fixed_tail(self):
+        phi, theta = make_phi_k(1), stock_theta("trace4")
+        pair = _free_product(8, phi, theta)
+        F8 = pair.alphabet
+        assert F8 == standard_alphabet(8)
+
+        def moved(w, offset):
+            return Word.from_runs(F8, [(g + offset, e) for g, e in w.runs])
+
+        for text in ("a", "b", "a b^-1 a^2", "b^-3 a b"):
+            w = parse_word(F2, text)
+            assert pair.apply(moved(w, 4)) == moved(theta.apply(w), 4)
+            assert pair.apply_inverse(moved(w, 4)) == moved(theta.apply_inverse(w), 4)
+        for text in ("b d^-1", "c a^-2 d"):
+            w = parse_word(F4, text)
+            assert pair.apply(moved(w, 0)) == moved(phi.apply(w), 0)
+        for g in "gh":
+            w = parse_word(F8, g)
+            assert pair.apply(w) == w and pair.apply_inverse(w) == w
 
 
 class TestStockThetas:

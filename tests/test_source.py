@@ -1,6 +1,8 @@
-"""The package keeps no private module-level name that nothing uses."""
+"""The package keeps no private module-level name that nothing uses, and
+its code lines are counted as ROADMAP counts them."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -49,3 +51,17 @@ def test_every_private_module_name_is_used():
         f"{module}: {name}" for module, name in defined if len(re.findall(rf"\b{re.escape(name)}\b", code)) < 2
     )
     assert unused == []
+
+
+def test_code_line_count_leaves_out_docstrings_comments_and_blanks(tmp_path):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nX = (\n    1,  # trailing\n)\n\n\n'
+        'def f():\n    """One line."""\n    return """not a\ndocstring"""\n',
+        encoding="utf-8",
+    )
+    assert module.code_lines(sample) == 6

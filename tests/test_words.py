@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import accumulate
 
 import pytest
@@ -191,6 +192,17 @@ class TestCyclicReduce:
         assert c.first_letter() != -c.last_letter() or len(c) == 1
 
 
+def root_by_divisor_scan(u):
+    """Reference for primitive_root: the least divisor d of the core's
+    length such that the core repeats its first d letters."""
+    conj, core = cyclic_reduce(u)
+    ls = list(core.letters())
+    m = len(ls)
+    for d in range(1, m + 1):
+        if m % d == 0 and all(ls[i] == ls[i % d] for i in range(m)):
+            return conj * Word.from_letters(u.alphabet, ls[:d]) * conj.inverse(), m // d
+
+
 class TestPrimitiveRoot:
     def test_pure_power(self):
         root, power = primitive_root(parse_word(F4, "a^6"))
@@ -210,6 +222,23 @@ class TestPrimitiveRoot:
     def test_identity_rejected(self):
         with pytest.raises(EmptyWordError):
             primitive_root(identity(F4))
+
+    def test_agrees_with_divisor_scan(self):
+        rng = random.Random(20261020)
+        F3 = standard_alphabet(3)
+
+        def random_word(n):
+            return reduce(F3, [rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(n)])
+
+        checked = 0
+        for _ in range(3000):
+            w, c = random_word(rng.randint(0, 4)), random_word(rng.randint(1, 6))
+            u = w * c ** rng.randint(1, 5) * w.inverse()
+            if u.is_identity():
+                continue
+            assert primitive_root(u) == root_by_divisor_scan(u), u
+            checked += 1
+        assert checked > 2500
 
     @given(letters_strategy(2, max_size=8), st.integers(1, 6))
     def test_power_compatibility(self, xs, m):
@@ -290,6 +319,18 @@ class TestTextFormat:
             parse_word(F2, "a^")
         with pytest.raises(WordSyntaxError):
             parse_word(F2, "a^x")
+
+    def test_word_too_long_for_len_rejected(self):
+        with pytest.raises(WordSyntaxError):
+            parse_word(F2, "b^99999999999999999999")
+        with pytest.raises(WordSyntaxError):
+            parse_word(F2, f"a^{sys.maxsize} b")
+        with pytest.raises(WordSyntaxError):
+            Word.from_runs(F2, [(1, sys.maxsize), (2, -1)])
+        assert len(parse_word(F2, f"b^-{sys.maxsize}")) == sys.maxsize
+        # the bound reads the reduced word, not the runs given
+        w = Word.from_runs(F2, [(1, sys.maxsize + 2), (2, 1), (2, -1), (1, -3)])
+        assert len(w) == sys.maxsize - 1
 
     @given(letters_strategy(4, max_size=20))
     def test_round_trip(self, xs):
