@@ -339,6 +339,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (AutoFileError, UnknownFamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError:
+        # a word within the length budget can still have an image too
+        # large to build, such as that of b^(10^12) under phi_k
+        print("error: out of memory: the words of this input are too long to build", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 def entry() -> None:

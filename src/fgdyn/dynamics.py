@@ -30,6 +30,7 @@ from .words import (
     Word,
     _block_product,
     _spelling,
+    _WindowTable,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -593,7 +594,11 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     one planner of stepping.  Each step takes one of two moves, each
     giving the same reduced word:
 
-    - apply ``e`` to the previous iterate ``w``, reading every run of it;
+    - apply ``e`` to the previous iterate ``w``, reading every run of it,
+      through the orbit's one window table of ``e``
+      (:func:`words._block_product`): the iterates of a substitution
+      repeat the same few windows at every step, so each is reduced once
+      for the whole orbit;
     - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
       letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
       reachable from ``g``, reading the runs of ``g`` and of their images.
@@ -628,6 +633,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.start, self.anchor = 0, g  # the step of the first word, and the word
         self.period, self.replay = 0, []  # set at the first return
         self.held: Optional[_Held] = None  # the held level, once held
+        self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
 
     def _reach(self) -> set[int]:
         """Find the letters reachable from ``g``, and the runs an assembly
@@ -635,6 +641,12 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.letters = _reachable_letters(self.e, self.g)
         self.reads = len(self.g.runs) + sum(len(self.e._image_blocks[x][0]) for x in self.letters)
         return self.letters
+
+    def _apply(self, w: Word) -> Word:
+        """``[e(w)]``, the word :meth:`Endomorphism.apply` gives, through
+        the orbit's window table."""
+        runs, length = _block_product(w.runs, self.e._image_blocks, table=self.table)
+        return Word._make(w.alphabet, tuple(runs), length)
 
     def jump(self, n: int) -> Word:
         """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
@@ -716,7 +728,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
             # they were last taken; None once they are dropped
             blocks = next(islice(self.letter_orbit, n - self.taken - 1, None), None)
             self.taken = n
-        self.w = w = e.apply(w) if blocks is None else _assembled(g, blocks)
+        self.w = w = self._apply(w) if blocks is None else _assembled(g, blocks)
         if len(w) > budget:
             raise GrowthOverflowError(n, len(w), budget, w)
         if self.period:

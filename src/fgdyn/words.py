@@ -15,8 +15,10 @@ Every reduced product goes through one kernel, :func:`_block_product`.
 Iterates of a substitution repeat few distinct factors, so a long
 product whose leading windows of ``_WINDOW`` runs repeat is taken by
 windows: each distinct window is reduced once, and the reduced window
-images are multiplied by the same kernel.  Free reduction is
-associative, so the result is the run-by-run product exactly.
+images are multiplied by the same kernel.  A window table can outlive
+one product, so that the products of an orbit reduce each window once.
+Free reduction is associative, so the result is the run-by-run product
+exactly.
 """
 
 from __future__ import annotations
@@ -148,35 +150,54 @@ def _block_power(runs: Runs, length: int, k: int) -> tuple[Runs, int]:
 # the window images, not the runs, carry the work of the final product.
 _WINDOW = 32
 # Windows read from the head of a pattern to decide whether it repeats:
-# a bounded look, so a pattern that does not repeat costs no pass over it.
+# at most this many, and at most half of the pattern's windows, so a
+# pattern that does not repeat costs no pass over it ...
 _SAMPLE = 32
-# Only a pattern of at least twice the sampled runs is windowed, so the
-# sample that decides is at most half of the pattern.
-_MIN_WINDOWED = 2 * _WINDOW * _SAMPLE
+# ... and at least 4, so a pattern of fewer than this many runs is read
+# run by run.
+_MIN_RUNS = 2 * _WINDOW * 4
 
 
-def _repeats(pattern: Runs) -> bool:
-    """Whether a pattern of at least ``_MIN_WINDOWED`` runs is worth
-    reducing by windows: at most half of its ``_SAMPLE`` leading windows
-    are distinct."""
-    head = {tuple(pattern[i : i + _WINDOW]) for i in range(0, _WINDOW * _SAMPLE, _WINDOW)}
-    return 2 * len(head) <= _SAMPLE
+class _WindowTable:
+    """The windows of products over one dict of ``blocks``: each distinct
+    window's id and its reduced image, kept for as long as the table is.
+    Filled by :func:`_window_product`."""
+
+    __slots__ = ("blocks", "ids", "images")
+
+    def __init__(self, blocks: dict):
+        self.blocks = blocks
+        self.ids: dict = {}  # window -> the run (id, 1) that stands for it
+        self.images: dict = {}  # id -> the reduced window image as a block
 
 
-def _window_product(pattern: Runs, blocks: dict) -> tuple[list[tuple[int, int]], int]:
+def _repeats(pattern: Runs, known: dict) -> bool:
+    """Whether a pattern of at least ``_MIN_RUNS`` runs is worth reducing
+    by windows: at most half of its leading windows are distinct windows
+    not already ``known``.  The sample is ``_SAMPLE`` windows or half of
+    the pattern's, whichever is fewer."""
+    sample = min(_SAMPLE, len(pattern) // (2 * _WINDOW))
+    head = {tuple(pattern[i : i + _WINDOW]) for i in range(0, _WINDOW * sample, _WINDOW)}
+    return 2 * len(head.difference(known)) <= sample
+
+
+def _window_product(pattern: Runs, blocks: dict, table: _WindowTable) -> tuple[list[tuple[int, int]], int]:
     """:func:`_block_product` without a limit, through the windows of
-    ``pattern``: each distinct window is reduced once, and the window
-    images are then the blocks of a pattern of window ids."""
-    ids: dict = {}  # window -> id, for this call only
-    images: dict = {}  # id -> the reduced window image as a block
+    ``pattern``: each window not yet in ``table`` is reduced once and
+    added to it, and the window images are then the blocks of a pattern
+    of window ids.  Raises ``ValueError`` if the table was filled from
+    other blocks: its images would not be those of these windows."""
+    if table.blocks is not blocks:
+        raise ValueError("window table filled from other blocks")
+    ids, images = table.ids, table.images
     windows = []
     for i in range(0, len(pattern), _WINDOW):
         window = tuple(pattern[i : i + _WINDOW])
-        wid = ids.get(window)
-        if wid is None:
-            wid = ids[window] = len(ids) + 1
-            images[wid] = _block_product(window, blocks)
-        windows.append((wid, 1))
+        run = ids.get(window)
+        if run is None:
+            run = ids[window] = (len(ids) + 1, 1)
+            images[run[0]] = _block_product(window, blocks)
+        windows.append(run)
     return _block_product(windows, images)
 
 
@@ -186,6 +207,7 @@ def _block_product(
     limit: Optional[int] = None,
     out: Optional[list[tuple[int, int]]] = None,
     length: int = 0,
+    table: Optional[_WindowTable] = None,
 ) -> tuple[list[tuple[int, int]], int]:
     """The runs and length of the reduced product ``[prod block(y)^k]``
     over the runs ``(y, k)`` of ``pattern``.
@@ -207,20 +229,27 @@ def _block_product(
     runs merge or cancel.  The length is kept exact from the letters that
     cancel at each junction.
 
-    Without a ``limit``, a pattern of at least ``_MIN_WINDOWED`` runs
-    whose leading windows of ``_WINDOW`` runs repeat (see
-    :func:`_repeats`) goes through :func:`_window_product`: each
-    distinct window is reduced once, and the reduced window images are
-    multiplied by this same loop.  The result is the same runs and
-    length, because free reduction is associative and every window
-    image is a reduced block.  Iterates of a substitution repeat few
-    distinct windows, so the work then scales with those rather than
-    with the runs.  A pattern whose sample does not repeat is read run
-    by run, with no pass over the rest of it.
+    Without a ``limit``, a pattern of at least ``_MIN_RUNS`` runs whose
+    leading windows of ``_WINDOW`` runs repeat (see :func:`_repeats`)
+    goes through :func:`_window_product`: each distinct window is reduced
+    once, and the reduced window images are multiplied by this same
+    loop.  The result is the same runs and length, because free
+    reduction is associative and every window image is a reduced block.
+    Iterates of a substitution repeat few distinct windows, so the work
+    then scales with those rather than with the runs.  A pattern whose
+    sample does not repeat is read run by run, with no pass over the
+    rest of it.  The windows go in ``table``, a :class:`_WindowTable`
+    of ``blocks``, or in a table of this call only: a caller that
+    multiplies many patterns over the same blocks, such as the steps of
+    an orbit, passes one table, so a window is reduced once for all of
+    them, and a window it already holds counts as a repeat.
     """
     if out is None:
-        if limit is None and len(pattern) >= _MIN_WINDOWED and _repeats(pattern):
-            return _window_product(pattern, blocks)
+        if limit is None and len(pattern) >= _MIN_RUNS:
+            if table is None:
+                table = _WindowTable(blocks)
+            if _repeats(pattern, table.ids):
+                return _window_product(pattern, blocks, table)
         out = []
     powers: dict = {}  # the power blocks built so far, by pattern run
     for run in pattern:
@@ -438,6 +467,7 @@ class Word:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
+            and self._length == other._length
             and self.runs == other.runs
             and self.alphabet == other.alphabet
         )

@@ -206,6 +206,19 @@ def test_input_errors_exit_3_with_a_message(make_argv, tmp_path, monkeypatch, ca
     assert "Traceback" not in out + err
 
 
+def test_out_of_memory_exits_3_with_one_error_line(monkeypatch, capsys):
+    # b^(10^12) is one run, but its image (b a)^(10^12) cannot be built;
+    # the failure is raised here, so that no test fills the memory
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "iterate", exhausted)
+    assert main(["iterate", "phi_k:k=1", "b^1000000000000", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iterate", "--help"])

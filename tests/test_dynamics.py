@@ -830,8 +830,8 @@ def held_letters(monkeypatch):
     they grow.  ``made[0]`` is the letters, ``made[1]`` the calls."""
     made = [0, 0]
 
-    def counting(pattern, blocks, limit=None, out=None, length=0):
-        runs, new = words._block_product(pattern, blocks, limit, out, length)
+    def counting(pattern, blocks, limit=None, out=None, length=0, table=None):
+        runs, new = words._block_product(pattern, blocks, limit, out, length, table)
         if limit is not None or out is not None:
             made[0] += new - length
             made[1] += 1
@@ -1476,14 +1476,7 @@ def order_three():
 class TestPeriodicOrbits:
     def test_stops_stepping_at_the_first_return(self, monkeypatch):
         phi = sigma()
-        calls = []
-        original = Endomorphism.apply
-
-        def counting(self, w):
-            calls.append(w)
-            return original(self, w)
-
-        monkeypatch.setattr(Endomorphism, "apply", counting)
+        calls = apply_calls(monkeypatch)
         res = omega_limit(phi, parse_word(F2, "b"))
         assert isinstance(res, NotConverged)
         assert res.diagnostics == {"reason": "max-iterations", "iterations": 300}
@@ -1523,15 +1516,20 @@ def orbit_outcome(orbit, steps):
 
 
 def apply_calls(monkeypatch):
-    """The words ``Endomorphism.apply`` is called on from now on."""
+    """The words a map is applied to from now on: by
+    ``Endomorphism.apply``, or by an orbit step that applies through the
+    orbit's window table."""
     calls = []
-    original = Endomorphism.apply
 
-    def counting(self, w):
-        calls.append(w)
-        return original(self, w)
+    def counting(original):
+        def applying(self, w):
+            calls.append(w)
+            return original(self, w)
 
-    monkeypatch.setattr(Endomorphism, "apply", counting)
+        return applying
+
+    monkeypatch.setattr(Endomorphism, "apply", counting(Endomorphism.apply))
+    monkeypatch.setattr(dynamics._Orbit, "_apply", counting(dynamics._Orbit._apply))
     return calls
 
 
@@ -1593,9 +1591,9 @@ def touched_letters(monkeypatch):
     multiplies, a block read once per letter of its run."""
     touched = [0]
 
-    def counting(pattern, blocks, limit=None, out=None, length=0):
+    def counting(pattern, blocks, limit=None, out=None, length=0, table=None):
         touched[0] += sum((k if k > 0 else -k) * blocks[x if k > 0 else -x][1] for x, k in pattern)
-        return words._block_product(pattern, blocks, limit, out, length)
+        return words._block_product(pattern, blocks, limit, out, length, table)
 
     monkeypatch.setattr(dynamics, "_block_product", counting)
     monkeypatch.setattr(automorphisms, "_block_product", counting)
@@ -1719,6 +1717,78 @@ class TestOrbitMechanism:
         assert growth_classify(delta, b, 300).kind == "polynomial"
         assert outcomes == [True, True]
         assert calls == [parse_word(delta.alphabet, f"b a^{n}") for n in range(150, 300)]
+
+
+class TestOrbitWindowTable:
+    """An orbit reduces the windows of its iterates in one table, kept
+    across its steps; every iterate must be the one that applying the map
+    step by step gives, runs and length."""
+
+    @pytest.fixture
+    def filled(self, monkeypatch):
+        """For each windowed product from now on: its table, and the
+        windows that table held before and after it."""
+        products = []
+        inner = words._window_product
+
+        def spy(pattern, blocks, table):
+            before = len(table.ids)
+            result = inner(pattern, blocks, table)
+            products.append((table, before, len(table.ids)))
+            return result
+
+        monkeypatch.setattr(words, "_window_product", spy)
+        return products
+
+    @staticmethod
+    def check_steps(pair, g, p, filled):
+        """``iterate(pair, g, p)`` and each of the first |p| iterates of
+        the orbit against |p| plain applications; the windowed steps of
+        the orbit share its table."""
+        e = pair.forward if p > 0 else pair.backward
+        plain = [g]
+        for _ in range(abs(p)):
+            plain.append(e.apply(plain[-1]))
+        assert iterate(pair, g, p).runs == plain[-1].runs
+        del filled[:]
+        orbit = dynamics._Orbit(e, g, DEFAULT_CONFIG.max_word_length)
+        for want in plain[1:]:
+            got = next(orbit)
+            assert (got.runs, len(got)) == (want.runs, len(want))
+        steps = [(before, after) for table, before, after in filled if table is orbit.table]
+        assert len(steps) == len(filled)
+        return steps
+
+    @pytest.mark.parametrize("name", ["trace3", "trace4", "beta"])
+    def test_backward_iterates_of_a_substitution(self, filled, name):
+        pair = family("beta", rank=6).pair if name == "beta" else stock_theta(name)
+        # seeds whose last iterate within 120,000 letters has over 100,000
+        seed = parse_word(pair.alphabet, {"trace3": "a b b", "trace4": "a a", "beta": "e f f"}[name])
+        lengths = []
+        w, p = seed, 0
+        while len(w) <= 120_000:
+            if len(w) >= 5000:
+                lengths.append(len(w))
+                steps = self.check_steps(pair, w, -p, filled)
+                # the first windowed step fills the table; each later one
+                # adds at most its last window, cut short by the end
+                assert len(steps) >= 2 and steps[0][1] - steps[0][0] >= 10
+                assert all(after - before <= 1 for before, after in steps[1:])
+            w, p = pair.forward.apply(w), p + 1
+        assert len(lengths) >= 3 and lengths[-1] > 100_000
+
+    def test_conjugate_orbit_whose_window_images_cancel(self, filled):
+        # each window image of inner(u) is u W u^-1, so u^-1 u cancels
+        # wholly at every junction; the orbit of u^-20 a u^20 shrinks for
+        # 20 steps and then grows, u^(n-20) a u^(20-n) at step n
+        pair = family("inner", u="a b").pair
+        F = pair.alphabet
+        u, a = parse_word(F, "a b"), parse_word(F, "a")
+        g = u ** -20 * a * u**20
+        for p in (300, -300):
+            steps = self.check_steps(pair, g, p, filled)
+            assert len(steps) > 100
+            assert iterate(pair, g, p) == u ** (p - 20) * a * u ** (20 - p)
 
 
 class TestJumpBound:

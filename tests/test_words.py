@@ -454,9 +454,9 @@ class TestWindowedProduct:
         calls = []
         inner = words._window_product
 
-        def spy(pattern, blocks):
+        def spy(pattern, blocks, table):
             calls.append(len(pattern))
-            return inner(pattern, blocks)
+            return inner(pattern, blocks, table)
 
         monkeypatch.setattr(words, "_window_product", spy)
         return calls
@@ -496,7 +496,7 @@ class TestWindowedProduct:
         w = parse_word(pair.alphabet, seed)
         while len(w.runs) < 5000:
             w = pair.forward.apply(w)
-        assert words._repeats(w.runs)
+        assert words._repeats(w.runs, {})
         del windowed[:]
         for e in (pair.forward, pair.backward):
             self.check_apply(e, w)
@@ -513,7 +513,7 @@ class TestWindowedProduct:
                 base = random_runs(rng, period, 3)
             w = Word(F3, tuple(base)) ** (3000 // period + 1)
             assert w.runs == tuple(base) * (3000 // period + 1)
-            assert words._repeats(w.runs)
+            assert words._repeats(w.runs, {})
             for _ in range(3):
                 self.check_apply(self.random_map(rng, F3), w)
             self.check_building(F3, list(w.runs))
@@ -524,7 +524,7 @@ class TestWindowedProduct:
         F3 = standard_alphabet(3)
         for count in (300, 2048, 2049, 5000, 20000):
             w = Word(F3, tuple(random_runs(rng, count, 3)))
-            assert count < words._MIN_WINDOWED or not words._repeats(w.runs)
+            assert count < words._MIN_RUNS or not words._repeats(w.runs, {})
             self.check_apply(self.random_map(rng, F3), w)
             self.check_building(F3, list(w.runs))
         assert windowed == []
@@ -538,7 +538,7 @@ class TestWindowedProduct:
             w = Word(F3, runs_of(letters))
             n = len(w.runs)
             distinct = {w.runs[i : i + words._WINDOW] for i in range(0, n, words._WINDOW)}
-            assert words._repeats(w.runs) and 2 * len(distinct) > n // words._WINDOW
+            assert words._repeats(w.runs, {}) and 2 * len(distinct) > n // words._WINDOW
             self.check_apply(self.random_map(rng, F3), w)
             self.check_building(F3, list(w.runs))
         assert len(windowed) == 3 * 3
@@ -551,7 +551,7 @@ class TestWindowedProduct:
         u = Word(F3, tuple(random_runs(rng, 12, 3)))
         inner = Endomorphism(F3, [u * Word(F3, ((g, 1),)) * u.inverse() for g in (1, 2, 3)])
         w = Word(F3, tuple(random_runs(rng, 20, 3, 1))) ** 200
-        assert words._repeats(w.runs)
+        assert words._repeats(w.runs, {})
         self.check_apply(inner, w)
         assert inner.apply(w) == u * w * u.inverse()
         # unreduced patterns: v v^-1 cancels to nothing, and windows of 32
@@ -561,6 +561,41 @@ class TestWindowedProduct:
         for runs in ((v + inverse) * 120, (v + inverse) * 120 + v, v * 3 + (inverse + v) * 150):
             self.check_building(F3, runs)
         assert len(windowed) == 2 + 3 * 2
+
+    def test_mid_size_patterns(self, windowed):
+        # 256 to 2,047 runs: a sample of 4 to 31 windows decides
+        rng = random.Random(9)
+        F3 = standard_alphabet(3)
+        for count in (words._MIN_RUNS - 1, words._MIN_RUNS, 300, 700, 1024, 2047):
+            base = random_runs(rng, 8, 3)  # every window of its power is the same
+            while base[0][0] == base[-1][0]:
+                base = random_runs(rng, 8, 3)
+            for runs, repeats in ((base * (count // 8 + 1), True), (random_runs(rng, count, 3), False)):
+                w = Word(F3, tuple(runs[:count]))
+                del windowed[:]
+                self.check_apply(self.random_map(rng, F3), w)
+                self.check_building(F3, list(w.runs))
+                if count < words._MIN_RUNS:
+                    assert windowed == []
+                else:
+                    assert words._repeats(w.runs, {}) == repeats
+                    assert windowed == [count] * (3 * repeats)  # apply, from_letters, parse_word
+
+    def test_a_table_of_other_blocks_is_refused(self):
+        # a table holds the images of its windows under the blocks it was
+        # filled from; under other blocks they would give a wrong word
+        pair = stock_theta("trace3")
+        w = parse_word(pair.alphabet, "a b a")
+        while len(w.runs) < 5000:
+            w = pair.forward.apply(w)
+        forward, backward = pair.forward._image_blocks, pair.backward._image_blocks
+        table = words._WindowTable(forward)
+        runs, length = words._block_product(w.runs, forward, table=table)
+        assert table.ids and (tuple(runs), length) == (pair.forward.apply(w).runs, len(pair.forward.apply(w)))
+        with pytest.raises(ValueError, match="other blocks"):
+            words._block_product(w.runs, backward, table=table)
+        with pytest.raises(ValueError, match="other blocks"):
+            words._window_product(w.runs, dict(forward), table)
 
 
 RUN_WORDS = st.lists(st.tuples(st.integers(1, 2), st.integers(-4, 4)), max_size=8).map(
