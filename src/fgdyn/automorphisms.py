@@ -48,7 +48,9 @@ class UnboundedCancellationError(ValueError):
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = ("alphabet", "images", "_image_blocks", "_cancellation_bound", "_count_squares")
+    __slots__ = (
+        "alphabet", "images", "_image_blocks", "_cancellation_bound", "_count_squares", "_letter_iterates"
+    )
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -67,6 +69,7 @@ class Endomorphism:
             self._image_blocks[-g] = (img.inverse().runs, len(img))
         self._cancellation_bound = None  # filled in by cancellation_bound()
         self._count_squares = None  # filled in by dynamics._count_squares()
+        self._letter_iterates = None  # filled in by dynamics._letter_iterates()
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":

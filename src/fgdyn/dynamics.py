@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
-from .automorphisms import _compose_blocks, _junction_bounds, _square_and_multiply
+from .automorphisms import _compose_blocks, _junction_bounds
 from .words import (
     AlphabetMismatchError,
     EmptyWordError,
@@ -260,24 +260,82 @@ def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
     return letters
 
 
-def _letter_orbits(
-    e: Endomorphism, letters: set[int], budget: int, blocks: Optional[dict] = None
-) -> Iterator[dict]:
-    """The iterates ``[e^n(x)]`` of the ``letters`` x for n = m + 1, m + 2,
-    ..., as blocks of :func:`_block_product`, from ``blocks`` holding
-    ``[e^m(x)]`` (m = 0 without); every letter of an image of one of the
-    letters must be one of them.
+# A map keeps the levels of its letter-iterate table only while they hold
+# at most this many runs in all; a level past that is built and handed to
+# its orbit, not kept.  Measured with perfbench/run.py (--seconds 6, one
+# run per bound on seeds 9 and 7, a shared 2-vCPU machine): graph_alpha
+# reads 337-343 tasks/s at every bound from 2^12 up (about 290 with no
+# table), as its levels are few; orbit_beta reads 1,675 and 1,813 at
+# 2^12, 1,814 and 1,869 at 2^14 (about 1,600 with no table), no better
+# at 2^15 or with every level kept; iterate_exact reads 318-326 tasks/s
+# and 25.4-25.5 MB peak RSS at 2^12, 335 and 25.6-26.9 MB at 2^14, and
+# 386-390 and 30.6-30.8 MB with every level kept (about 25 MB with no
+# table), past the benchmark's memory bound.
+_KEPT_RUNS = 1 << 14
 
-    ``[e^n(x)] = [e^(n-1)(e(x))]``: the blocks of ``e^(n-1)`` composed
-    with those of ``e``.  Ends at the first step where one of the iterates
-    is longer than ``budget`` letters.
+
+def _letter_iterates(e: Endomorphism, images: dict, n: int, last: Optional[dict] = None) -> dict:
+    """The letter iterates ``[e^n(x)]`` of the letters x of ``images``,
+    which holds their image blocks, as blocks of :func:`_block_product`,
+    from the one table of ``e``; ``last`` holds ``[e^(n-1)(x)]`` for them
+    where the caller has it.  Every letter of an image of one of the
+    letters must be one of them.  The blocks given may hold other letters
+    too.
+
+    The table holds level m as ``{x: [e^m(x)]}`` for the letters asked so
+    far, and is filled lazily.  A level that lacks some of the letters is
+    built for those from level m - 1, as ``[e^(m-1)(e(x))]``, where that
+    level is at hand, and otherwise by halving: ``[e^(m/2)([e^(m/2)(x)])]``
+    for even m, level m - 1 and the images for odd m.  So a cold table
+    builds level n in at most ``2 log2 n`` compositions, and an orbit that
+    steps from its last level composes once a step.  Levels are kept while
+    all the runs kept on ``e`` are at most ``_KEPT_RUNS``; one past that is
+    still built, and handed on.
     """
-    images = {x: e._image_blocks[x] for x in letters}
-    while True:
-        blocks = images if blocks is None else _compose_blocks(blocks, images)
-        if any(length > budget for _, length in blocks.values()):
-            return
-        yield blocks
+    table = e._letter_iterates
+    if table is None:
+        table = e._letter_iterates = [0, {}]  # the runs kept, and the levels
+    levels, letters = table[1], images.keys()
+    level = levels.get(n)
+    if level is not None and level.keys() >= letters:
+        return level
+    if level is None and last is not None:  # an orbit's step: one composition, no chain
+        return _kept(table, n, _compose_blocks(last, images))
+    built = {1: images}  # the levels at hand, kept or not
+    chain = [n]  # each level, then the one it is built from
+    if last is not None:
+        built[n - 1] = last
+        chain.append(n - 1)
+
+    def at_hand(m: int) -> bool:
+        level = levels.get(m)
+        if level is not None and level.keys() >= letters:
+            built.setdefault(m, level)
+        return m in built
+
+    while not at_hand(chain[-1]):
+        m = chain[-1]
+        chain.append(m - 1 if m & 1 or at_hand(m - 1) else m // 2)
+    for i in range(len(chain) - 2, -1, -1):
+        m, below = chain[i], chain[i + 1]
+        source, level = built[below], levels.get(m, {})
+        inner = images if below == m - 1 else source
+        new = _compose_blocks(source, {x: inner[x] for x in letters - level.keys()})
+        built[m] = _kept(table, m, new, level)
+    return built[n]
+
+
+def _kept(table: list, m: int, new: dict, level: Optional[dict] = None) -> dict:
+    """Level m of a letter-iterate table: the blocks ``new`` and those of
+    ``level``, the part of it the table held.  The table keeps it where
+    the runs of ``new`` fit within ``_KEPT_RUNS``."""
+    runs = sum([len(block[0]) for block in new.values()])
+    if level:
+        new = {**level, **new}
+    if table[0] + runs <= _KEPT_RUNS:
+        table[0] += runs
+        table[1][m] = new
+    return new
 
 
 def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
@@ -600,8 +658,9 @@ class _Orbit(Iterator[Union[Word, _Held]]):
       repeat the same few windows at every step, so each is reduced once
       for the whole orbit;
     - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
-      letter iterates ``[e^n(x)]`` (:func:`_letter_orbits`) of the letters
-      reachable from ``g``, reading the runs of ``g`` and of their images.
+      letter iterates ``[e^n(x)]`` of the letters reachable from ``g``,
+      read from the map's table (:func:`_letter_iterates`), reading the
+      runs of ``g`` and of their images.
 
     Assembly cancels letters at the junctions.  At a step where ``w`` has
     more runs than an assembly reads, the letters cancelled so far are the
@@ -626,21 +685,24 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     def __init__(self, e: Endomorphism, g: Word, budget: int):
         self.e, self.g, self.budget = e, g, budget
         self.n, self.w = 0, g  # the step, and the last whole iterate
-        self.letters = None  # the letters reachable from g (and self.reads), once w outgrows g
+        self.images = None  # the images of the letters reachable from g (and self.reads), once w outgrows g
         self.unreduced = None  # the unreduced lengths, while assembly is weighed
-        self.letter_orbit = None  # the letter iterates, once assembly pays
-        self.taken = 0  # the step of the letter iterates (and lengths) last taken
+        self.taken = 0  # the step of the unreduced lengths last taken
+        # once assembly pays, the step of the letter iterates last taken (0
+        # for none), and those iterates; None again once one passes budget
+        self.level, self.blocks = None, None
         self.start, self.anchor = 0, g  # the step of the first word, and the word
         self.period, self.replay = 0, []  # set at the first return
         self.held: Optional[_Held] = None  # the held level, once held
         self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
 
-    def _reach(self) -> set[int]:
-        """Find the letters reachable from ``g``, and the runs an assembly
-        reads: those of ``g`` and of the images of the letters."""
-        self.letters = _reachable_letters(self.e, self.g)
-        self.reads = len(self.g.runs) + sum(len(self.e._image_blocks[x][0]) for x in self.letters)
-        return self.letters
+    def _reach(self) -> dict:
+        """Find the images of the letters reachable from ``g``, and the
+        runs an assembly reads: those of ``g`` and of those images."""
+        blocks = self.e._image_blocks
+        self.images = {x: blocks[x] for x in _reachable_letters(self.e, self.g)}
+        self.reads = len(self.g.runs) + sum(len(runs) for runs, _ in self.images.values())
+        return self.images
 
     def _apply(self, w: Word) -> Word:
         """``[e(w)]``, the word :meth:`Endomorphism.apply` gives, through
@@ -651,21 +713,19 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     def jump(self, n: int) -> Word:
         """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
 
-        The letter iterates ``[e^n(x)]`` are built by square and multiply,
-        and ``[e^n(g)]`` is their product over the runs of ``g``, the same
-        reduced word as n steps.  The caller bounds the unreduced lengths
-        ``U_n`` of ``g`` and of every letter reachable from it by
-        ``budget`` (:func:`_quiet_steps`), so no iterate jumped over and
-        no letter iterate built is longer than ``budget``.  Stepping then
-        goes on from those letter iterates, and assembles at every step
-        where the iterate has more runs than an assembly reads.
+        The letter iterates ``[e^n(x)]`` are read from the map's table
+        (:func:`_letter_iterates`), built in O(log n) compositions where
+        it is cold, and ``[e^n(g)]`` is their product over the runs of
+        ``g``, the same reduced word as n steps.  The caller bounds the
+        unreduced lengths ``U_n`` of ``g`` and of every letter reachable
+        from it by ``budget`` (:func:`_quiet_steps`), so no iterate jumped
+        over and no letter iterate built is longer than ``budget``.
+        Stepping then goes on from those letter iterates, and assembles at
+        every step where the iterate has more runs than an assembly reads.
         """
-        letters = self._reach()
-        images = {x: self.e._image_blocks[x] for x in letters}
-        blocks = _square_and_multiply(images, n - 1, _compose_blocks, images)
-        self.letter_orbit = _letter_orbits(self.e, letters, self.budget, blocks)
-        self.n = self.start = self.taken = n
-        self.w = self.anchor = _assembled(self.g, blocks)
+        self.blocks = _letter_iterates(self.e, self._reach(), n)
+        self.n = self.start = self.level = n
+        self.w = self.anchor = _assembled(self.g, self.blocks)
         return self.w
 
     def hold(self, cap: int, c: int) -> None:
@@ -712,7 +772,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
             return self.w
         e, g, w, budget = self.e, self.g, self.w, self.budget
         blocks = None
-        if self.letters is None and len(w.runs) > len(g.runs):
+        if self.images is None and len(w.runs) > len(g.runs):
             self._reach()
             self.unreduced = _unreduced_lengths(e, 2 * budget + 1)
         if self.unreduced is not None and len(w.runs) > self.reads:
@@ -720,14 +780,15 @@ class _Orbit(Iterator[Union[Word, _Held]]):
             self.taken = n
             cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
             if self.reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
-                self.unreduced, self.letter_orbit, self.taken = None, _letter_orbits(e, self.letters, budget), 0
+                self.unreduced, self.level = None, 0
             elif cancelled + len(w) > 2 * budget:
                 self.unreduced = None
-        if self.letter_orbit is not None and len(w.runs) > self.reads:
-            # step the letter iterates past the steps applied since
-            # they were last taken; None once they are dropped
-            blocks = next(islice(self.letter_orbit, n - self.taken - 1, None), None)
-            self.taken = n
+        if self.level is not None and len(w.runs) > self.reads:
+            blocks = _letter_iterates(e, self.images, n, self.blocks if self.level == n - 1 else None)
+            if any(blocks[x][1] > budget for x in self.images):
+                self.level = self.blocks = blocks = None  # apply from now on
+            else:
+                self.level, self.blocks = n, blocks
         self.w = w = self._apply(w) if blocks is None else _assembled(g, blocks)
         if len(w) > budget:
             raise GrowthOverflowError(n, len(w), budget, w)
@@ -753,6 +814,24 @@ _AFFINE_Z = 2
 _LONG_JUMP = 64
 
 
+def _first_step_keeps(e: Endomorphism, g: Word) -> bool:
+    """Whether ``[e(h)]`` keeps at least half the letters of ``e(h)``
+    before free reduction, for h the first 32 runs of ``g``: a look at
+    the first step that reads a bounded head of ``g``.
+
+    A jump multiplies letter iterates over the runs of ``g``; where those
+    cancel against each other, it builds far more letters than it keeps.
+    The 157-letter ``trace3^-4(a b^-1 a^2)`` keeps 0.16 of its first
+    step's letters under trace3, and its jump to step 9 took 41-50 ms,
+    where stepping takes under 1 ms; the backward iterates of the
+    180,000-letter iterates of ``b d c d`` under ``phi_k`` (k = 1, 2, 3)
+    and ``beta:rank=6`` keep 0.83-0.97 in their first 32 runs, and jump.
+    """
+    head, blocks = g.runs[:32], e._image_blocks
+    unreduced = sum((k if k > 0 else -k) * blocks[x if k > 0 else -x][1] for x, k in head)
+    return 2 * _block_product(head, blocks)[1] >= unreduced
+
+
 def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFIG) -> Word:
     """The exact iterate ``[phi^p(g)]``; negative ``p`` uses the inverse.
 
@@ -762,13 +841,15 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     (:func:`_quiet_steps`): no step up to q overflows, and the letter
     iterates fit the budget.  It lands at |p| itself wherever that bound
     holds there, and short of |p| only where q is at least
-    ``_LONG_JUMP``; the steps after q are stepped, and without a jump
-    every step is.  Past q the unreduced length is past the budget, so
-    an orbit that does not cancel overflows at the next step: ``b``
-    under ``delta`` reaches ``b a^(10^6)`` in O(log q) block products and
-    one application, not in 10^6 steps.  Either way stepping stops at
-    the first return to the word the orbit started from: from step m on,
-    only ``(|p| - m) mod period`` more steps are taken.
+    ``_LONG_JUMP``; and only where the first step keeps at least half its
+    letters (:func:`_first_step_keeps`).  The steps after q are stepped,
+    and without a jump every step is.  Past q the unreduced length is
+    past the budget, so an orbit that does not cancel overflows at the
+    next step: ``b`` under ``delta`` reaches ``b a^(10^6)`` in at most
+    ``2 log2 q`` compositions on a cold table and one application, not in
+    10^6 steps.  Either way stepping stops at the first return to the
+    word the orbit started from: from step m on, only ``(|p| - m) mod
+    period`` more steps are taken.
     """
     e = phi.forward if p >= 0 else phi.backward
     if g.alphabet != e.alphabet:
@@ -778,7 +859,7 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     budget, p = cfg.max_word_length, abs(p)
     orbit = _Orbit(e, g, budget)
     quiet = _quiet_steps(e, g, min(p, _LONG_JUMP), p, budget + 1, budget)
-    w = orbit.jump(quiet[0]) if quiet is not None and quiet[0] > 1 else g
+    w = orbit.jump(quiet[0]) if quiet is not None and quiet[0] > 1 and _first_step_keeps(e, g) else g
     while orbit.n < p:
         w = next(orbit)
         if orbit.period:  # whole periods are skipped

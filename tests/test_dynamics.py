@@ -1791,9 +1791,228 @@ class TestOrbitWindowTable:
             assert iterate(pair, g, p) == u ** (p - 20) * a * u ** (20 - p)
 
 
+def composed_blocks(monkeypatch):
+    """The compositions of letter iterates made from now on: for each
+    call of ``dynamics._compose_blocks``, how many letters it composes."""
+    composed = []
+    original = dynamics._compose_blocks
+
+    def counting(outer, inner):
+        composed.append(len(inner))
+        return original(outer, inner)
+
+    monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+    return composed
+
+
+def images_of(e, letters):
+    """The image blocks of ``letters`` under ``e``, as the letter-iterate
+    table is asked for them."""
+    return {x: e._image_blocks[x] for x in letters}
+
+
+def fresh_map(e):
+    """A copy of ``e`` whose tables are all empty."""
+    return Endomorphism(e.alphabet, e.images)
+
+
+def table_catalog():
+    """The catalog maps of the affine-jump grid, each direction, labelled."""
+    specs = [("beta", {"rank": r, "theta": t}) for r in (6, 7) for t in ("trace3", "trace4")]
+    specs += [("phi_k", {"k": k}) for k in range(6)] + [("alpha_k", {"k": k}) for k in (1, 2, 3)]
+    specs += [("delta", {"n": 1}), ("sigma", {})]
+    specs += [("twist", {"n": n, "k": k}) for n in (1, 2, 3) for k in range(-2, n + 3)]
+    for name, params in specs:
+        pair = family(name, **params).pair
+        yield f"{name}:{params}", pair.forward
+        yield f"{name}:{params}^-1", pair.backward
+
+
+def stepped_levels(e, letters, top, longest):
+    """``[e^n(x)]`` for n = 1..top by the stepped chain of compositions
+    with the images, as ``{n: {x: block}}``; stops before the first level
+    with a letter iterate longer than ``longest`` letters."""
+    images = images_of(e, letters)
+    levels = {1: images}
+    for n in range(2, top + 1):
+        level = automorphisms._compose_blocks(levels[n - 1], images)
+        if max(length for _, length in level.values()) > longest:
+            break
+        levels[n] = level
+    return levels
+
+
+def check_table(e, letters, levels):
+    """The table of ``e`` keeps at most ``_KEPT_RUNS`` runs, counts them
+    right, and every block it keeps is the stepped one."""
+    kept, table = e._letter_iterates
+    assert kept <= dynamics._KEPT_RUNS
+    assert kept == sum(len(runs) for level in table.values() for runs, _ in level.values())
+    for n, level in table.items():
+        for x, block in level.items():
+            if n in levels and x in letters:
+                assert block == levels[n][x], (n, x)
+
+
+class TestLetterTable:
+    """Every level of a map's letter-iterate table is the stepped chain of
+    compositions with the images, whatever order the levels are asked in
+    and whether they are kept or not."""
+
+    @staticmethod
+    def orders(top, rng):
+        ascending = list(range(1, top + 1))
+        far_first = [top] + ascending[:-1]
+        shuffled = ascending[:]
+        rng.shuffle(shuffled)
+        return {"ascending": ascending, "descending": ascending[::-1], "far-first": far_first,
+                "random": shuffled}
+
+    @pytest.mark.parametrize("kept", [None, 64])
+    def test_levels_are_the_stepped_chain(self, monkeypatch, kept):
+        if kept is not None:  # few levels kept: most are built and handed on
+            monkeypatch.setattr(dynamics, "_KEPT_RUNS", kept)
+        rng = random.Random(29)
+        checked = 0
+        for label, e in table_catalog():
+            # every letter, and those reachable from b d (from b in F2): on
+            # beta, the phi_k block up to level 40 and the exponential e-f
+            # iterates only as far as they stay short
+            seed = Word.from_letters(e.alphabet, [2, min(4, e.alphabet.rank)])
+            reachable = frozenset(dynamics._reachable_letters(e, seed))
+            for letters in dict.fromkeys((frozenset(e.alphabet.signed_letters), reachable)):
+                levels = stepped_levels(e, letters, 40, 20_000)
+                for order, ns in self.orders(max(levels), rng).items():
+                    table = fresh_map(e)
+                    last = None
+                    for n in ns:
+                        # ascending, each level is handed the one before as
+                        # an orbit hands its last level
+                        got = dynamics._letter_iterates(table, images_of(e, letters), n, last)
+                        assert {x: got[x] for x in letters} == levels[n], (label, order, n)
+                        last = got if order == "ascending" else None
+                        checked += 1
+                    check_table(table, letters, levels)
+        assert checked > 10_000
+
+    def test_far_levels(self):
+        # delta: a -> a, b -> b a, so [delta^n(b)] = b a^n; sigma inverts
+        # each letter, so its levels have period 2
+        a, b = parse_word(F2, "a"), parse_word(F2, "b")
+        for name in ("delta", "sigma"):
+            pair = family(name).pair
+            for sign, e in ((1, pair.forward), (-1, pair.backward)):
+                letters = set(e.alphabet.signed_letters)
+                table = fresh_map(e)
+                for n in (10**6, 999_999, 2**20 + 1, 10**8, 10**8 + 1, 10**400 + 1, 3):
+                    got = dynamics._letter_iterates(table, images_of(e, letters), n)
+                    if name == "delta":
+                        want = {1: a, -1: ~a, 2: b * a ** (sign * n), -2: ~(b * a ** (sign * n))}
+                    else:
+                        want = {x: Word(F2, ((abs(x), (-1) ** n * (1 if x > 0 else -1)),)) for x in letters}
+                    assert {x: Word._make(F2, *got[x]) for x in letters} == want, (name, sign, n)
+                check_table(table, letters, {})
+
+    def test_growing_letter_set(self, monkeypatch):
+        # a seed over a-d asks for the phi_k block of beta, one over a-f
+        # then adds e and f to the levels already kept
+        beta = family("beta", rank=6).pair
+        for e in (beta.forward, beta.backward):
+            small = dynamics._reachable_letters(e, parse_word(e.alphabet, "b d c d"))
+            large = dynamics._reachable_letters(e, parse_word(e.alphabet, "b d c d e f"))
+            assert small < large
+            levels = stepped_levels(e, large, 40, 20_000)
+            table = fresh_map(e)
+            for n in range(1, 41):
+                dynamics._letter_iterates(table, images_of(e, small), n)
+            for n in (max(levels), *range(1, max(levels))):
+                got = dynamics._letter_iterates(table, images_of(e, large), n)
+                assert {x: got[x] for x in large} == levels[n]
+            check_table(table, large, levels)
+            # an orbit's steps over the larger set, each from its last level,
+            # on levels that hold the smaller set
+            stepped = fresh_map(e)
+            for n in range(1, 41):
+                dynamics._letter_iterates(stepped, images_of(e, small), n)
+            for n in range(2, max(levels) + 1):
+                got = dynamics._letter_iterates(stepped, images_of(e, large), n, levels[n - 1])
+                assert {x: got[x] for x in large} == levels[n]
+            check_table(stepped, large, levels)
+            # the kept levels are read again without composing
+            kept = [n for n, level in table._letter_iterates[1].items() if level.keys() >= large]
+            assert len(kept) >= 5
+            with monkeypatch.context() as m:
+                composed = composed_blocks(m)
+                for n in kept:
+                    dynamics._letter_iterates(table, images_of(e, large), n)
+                assert composed == []
+
+    def test_kept_runs_stay_within_the_bound(self):
+        # beta's e-f iterates outgrow the bound within a few levels; the
+        # levels past it are built, right, and not kept
+        beta = family("beta", rank=6).pair
+        e = fresh_map(beta.forward)
+        letters = set(e.alphabet.signed_letters)
+        levels = stepped_levels(e, letters, 40, 200_000)
+        for n in levels:
+            got = dynamics._letter_iterates(e, images_of(e, letters), n)
+            assert {x: got[x] for x in letters} == levels[n]
+        kept, table = e._letter_iterates
+        assert max(levels) not in table and kept <= dynamics._KEPT_RUNS
+        check_table(e, letters, levels)
+
+
+class TestWarmTable:
+    """Results do not depend on what a map's table already holds."""
+
+    @pytest.mark.parametrize("name, params", [("beta", {"rank": 6}), ("alpha_k", {"k": 1})])
+    def test_warm_and_cold_agree(self, name, params):
+        fam = family(name, **params)
+        pair = fam.pair
+        seeds = fam.default_seeds or default_seeds(pair.alphabet)
+
+        def results(cold):
+            out = []
+            for g in seeds:
+                for call in (
+                    lambda: omega_limit(pair, g).to_json(),
+                    lambda: omega_limit(pair.inverse(), g).to_json(),
+                    lambda: detect_parabolic(pair, g).to_json(),
+                    lambda: iterate_outcome(pair, g, 12, DEFAULT_CONFIG),
+                    lambda: iterate_outcome(pair, g, -12, DEFAULT_CONFIG),
+                ):
+                    if cold:
+                        pair.forward._letter_iterates = pair.backward._letter_iterates = None
+                    out.append(call())
+            return out
+
+        cold = results(True)
+        filling = results(False)
+        assert pair.forward._letter_iterates is not None and pair.backward._letter_iterates is not None
+        assert results(False) == filling == cold
+
+    def test_second_jump_composes_nothing(self, monkeypatch):
+        phi = family("phi_k", k=1).pair
+        w = iterate(phi, parse_word(phi.alphabet, "b d c d"), 300)
+        composed = composed_blocks(monkeypatch)
+        e = fresh_map(phi.backward)
+        landed = [dynamics._Orbit(e, w, DEFAULT_CONFIG.max_word_length).jump(300) for _ in range(2)]
+        assert landed[0] == landed[1] == parse_word(phi.alphabet, "b d c d")
+        assert 0 < len(composed) <= 2 * (300).bit_length()
+        del composed[:]
+        # the delta jump of the overflow test: cold within the bound, then none
+        delta = family("delta", n=1).pair
+        b = parse_word(delta.alphabet, "b")
+        e = fresh_map(delta.forward)
+        for bound in (2 * (10**6).bit_length(), 0):
+            dynamics._Orbit(e, b, DEFAULT_CONFIG.max_word_length).jump(10**6 - 1)
+            assert len(composed) <= bound
+            del composed[:]
+
+
 class TestJumpBound:
-    """The jump is decided by the bound on unreduced lengths alone;
-    counted, not timed."""
+    """The jump is decided by the bound on unreduced lengths and a look
+    at the first step; counted, not timed."""
 
     def test_only_reachable_letters_bound_the_jump(self, monkeypatch):
         # the letter iterates of e and f grow exponentially under beta^-1,
@@ -1847,6 +2066,24 @@ class TestJumpBound:
         assert composed == []
         assert stepped_iterate(monkeypatch, theta, seed, 12, DEFAULT_CONFIG) == got
         assert planned <= 2 * touched[0]
+
+    def test_seed_whose_first_step_cancels_declines(self, monkeypatch):
+        # the same 157 letters: the unreduced lengths of 9 trace3 steps fit
+        # the budget, but the first step keeps about a sixth of its letters
+        # before free reduction, so the jump declines and the planner
+        # applies (the jump built 9th letter iterates that cancelled almost
+        # wholly over the seed)
+        theta = stock_theta("trace3")
+        seed = iterate(theta, parse_word(theta.alphabet, "a b^-1 a^2"), -4)
+        budget = DEFAULT_CONFIG.max_word_length
+        assert dynamics._quiet_steps(theta.forward, seed, 9, 9, budget + 1, budget) is not None
+        composed = composed_blocks(monkeypatch)
+        outcomes = jump_outcomes(monkeypatch)
+        got = iterate(theta, seed, 9)
+        assert outcomes == [False]
+        assert composed == []
+        assert got == stepped_iterate(monkeypatch, theta, seed, 9, DEFAULT_CONFIG)
+        assert len(got) == 343
 
 
 def jump_outcomes(monkeypatch):
@@ -1957,15 +2194,7 @@ class TestIterateJump:
         # for ever, while u^50 is fixed: stepping finds that in one step
         u = parse_word(F2, "a b")
         conj = inner(u)
-        steps = []
-        original = dynamics._letter_orbits
-
-        def counting(*args):
-            for blocks in original(*args):
-                steps.append(len(steps) + 1)
-                yield blocks
-
-        monkeypatch.setattr(dynamics, "_letter_orbits", counting)
+        steps = composed_blocks(monkeypatch)
         outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         assert iterate(conj, u**50, 10**6) == u**50
