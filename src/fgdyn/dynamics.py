@@ -338,37 +338,34 @@ def _kept(table: list, m: int, new: dict, level: Optional[dict] = None) -> dict:
     return new
 
 
-def _unreduced_lengths(e: Endomorphism, cap: int) -> Iterator[list[int]]:
-    """The lengths of ``e^n(x)`` before free reduction, capped at ``cap``,
-    for n = 0, 1, ..., listed by generator: each the last one times the
-    letter-count matrix, the first square of :func:`_count_squares` (its
-    entries capped at a cap of at least ``cap``, so a capped entry gives a
-    capped length).  They bound ``|[e^n(x)]|`` and never decrease."""
-    counts = _count_squares(e, cap, 1)[1][0][0]  # the rows of M
-    lengths = [1] * len(counts)
-    while True:
-        yield lengths
-        lengths = [min(cap, sum(map(mul, row, lengths))) for row in counts]
+# A map keeps at most this many levels of its unreduced lengths; a level
+# past that is computed and used, not kept.  Measured on a shared 2-vCPU
+# machine: 8 rounds of each perfbench workload keep at most 46 levels a
+# map.  _quiet_steps over 2,000 distinct limits up to 10^6 on delta and
+# beta:rank=6 keeps 10,114 levels unbounded (1.8 and 2.4 MB, 10-11 us a
+# warm call), 2^10 (190-270 KB, 20-36 us), 2^8 (50-85 KB, 19-39 us) or
+# 2^6 (18-35 KB, 24-50 us), against 34-86 us keeping U_least alone.
+_KEPT_LEVELS = 1 << 8
 
 
-def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, list]:
+def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, dict]:
     """The squares ``M^(2^i)``, i < ``levels``, of the letter-count matrix
     M of ``e`` (row x - 1 counts each generator in ``e(x)``), with every
     entry capped at a cap of at least ``cap``, as ``(cap, squares,
-    last)``: each square as its rows, its columns and its row sums
-    (capped alike), and in ``last`` the ``[least, U_least(x) by
-    generator]`` that :func:`_quiet_steps` last asked for (capped alike).
+    kept)``: each square as its rows, its columns and its row sums
+    (capped alike), and in ``kept`` the levels of unreduced lengths that
+    :func:`_lifted` has built.
 
     A capped entry stays capped in every product, and an entry below the
     cap is exact.  The table is the one letter-count table of ``e``: it is
     kept on ``e``, filled only as far as a caller asks, and built again
     only for a larger cap.  The planner of :class:`_Orbit`, which weighs
-    assembly with the first square, and :func:`_quiet_steps` both ask for
+    assembly with its levels, and :func:`_quiet_steps` both ask for
     ``2 * max_word_length + 1``, so it is built once per map and budget.
     """
     table = e._count_squares
     if table is None or table[0] < cap:
-        table = e._count_squares = (cap, [], [0, None])
+        table = e._count_squares = (cap, [], {})
     cap, squares, _ = table
     while len(squares) < levels:
         if squares:
@@ -387,6 +384,45 @@ def _capped_product(vector: list[int], rows, cap: int) -> list[int]:
     return [min(cap, sum(map(mul, vector, row))) for row in rows]
 
 
+def _lifted(table: tuple, n: int, lengths: Optional[list[int]], i: int) -> list[int]:
+    """Level ``n + 2^i`` of the unreduced lengths of the count table
+    ``table`` (:func:`_count_squares`, holding square i), from
+    ``lengths``, level n (``None`` for n = 0).
+
+    Level m is ``min(cap, U_m(x))`` by generator, with ``U_m(x)``, the
+    length of ``e^m(x)`` before free reduction, the row sums of ``M^m``.
+    Level ``2^i`` is the row sums of square i.  Any other is one capped
+    product, ``M^(2^i)`` times level n, and is kept under its m while the
+    table keeps fewer than ``_KEPT_LEVELS`` levels.  The entries are
+    non-negative, so a product that meets a capped entry reaches the cap,
+    as the exact one does, and any other is exact: a level is
+    ``min(cap, U_m)`` whatever the order of the products it came from,
+    and one dict keyed by m serves every caller.
+    """
+    if not n:
+        return table[1][i][2]
+    m = n + (1 << i)
+    level = table[2].get(m)
+    if level is None:
+        level = _capped_product(lengths, table[1][i][0], table[0])
+        if len(table[2]) < _KEPT_LEVELS:
+            table[2][m] = level
+    return level
+
+
+def _level(table: tuple, m: int) -> list[int]:
+    """Level ``m >= 1`` of the unreduced lengths of ``table`` (see
+    :func:`_lifted`), lifted from level 0 by the set bits of m, lowest
+    first: the last lift is from level ``m - 2^k``, k the highest bit, so
+    a walk over m = 1, 2, ... builds each level by one product."""
+    n, lengths = 0, None
+    for i in range(m.bit_length()):
+        if m >> i & 1:
+            lengths = _lifted(table, n, lengths, i)
+            n += 1 << i
+    return lengths
+
+
 def _quiet_steps(
     e: Endomorphism, g: Word, least: int, limit: int, bound: int, budget: int
 ) -> Optional[tuple[int, int]]:
@@ -401,33 +437,22 @@ def _quiet_steps(
     |g|_x U_n(x)``.  Each letter of an automorphism has a nonempty image,
     so ``U_n`` never decreases with n: every iterate ``[e^m(g)]`` with
     ``m <= n`` has at most ``U_n(g)`` letters, and ``[e^m(y)]`` at most
-    ``U_n(y)``.  n is found by binary lifting over the capped squares of
-    :func:`_count_squares`, with vector-matrix products only.
-    ``U_least(x)`` comes from the squares picked by the bits of
-    ``least`` (the lowest one is a row sum) and is kept on the table for
-    the next call with the same ``least``; ``U_least(g)`` is summed
-    over the runs of ``g`` only until it reaches ``bound``, so a long
-    seed past the bound costs a few runs.  The letters of ``e^n(g)``
-    before reduction, counted by generator, are ``r_n = r_0 M^n``.  Each
-    square ``M^(2^i)``, from the largest down, is then taken where
-    ``U_(n + 2^i)(g)``, the product of ``r_n`` with the row sums of the
-    square, is still below ``bound``.  The table's cap is at least
-    ``2 * budget + 1``, the one :class:`_Orbit` weighs with, so the map
-    keeps one table; every comparison is against at most ``budget + 1``,
-    below the cap, so it is exact.
+    ``U_n(y)``.  n is found by binary lifting over the levels of
+    unreduced lengths kept on the count table of :func:`_count_squares`
+    (:func:`_lifted`).  ``U_least(g)`` is summed over the runs of ``g``
+    only until it reaches ``bound``, so a long seed past the bound costs a
+    few runs.  From n = least, each power ``2^i``, from the largest down,
+    is then added where ``U_(n + 2^i)(g)``, the counts of ``g`` times
+    level ``n + 2^i``, is still below ``bound``: one dict read and one dot
+    product a probe, on a table that holds the level.  The table's cap is
+    at least ``2 * budget + 1``, the one :class:`_Orbit` weighs with, so
+    the map keeps one table; every comparison is against at most ``budget
+    + 1``, below the cap, so it is exact.
     """
     if least > limit:
         return None
-    cap, squares, last = _count_squares(e, 2 * budget + 1, limit.bit_length())
-    if last[0] == least:
-        lengths = last[1]  # U_least(x) by generator
-    else:
-        low = (least & -least).bit_length() - 1  # U_(2^low) is a row sum
-        lengths = squares[low][2]
-        for i in range(low + 1, least.bit_length()):
-            if least >> i & 1:
-                lengths = _capped_product(lengths, squares[i][0], cap)
-        last[:] = least, lengths
+    table = _count_squares(e, 2 * budget + 1, limit.bit_length())
+    lengths = _level(table, least)  # U_least(x) by generator
     counts = [0] * len(lengths)
     total = 0
     for x, k in g.runs:  # U_least(g), read only until it reaches the bound
@@ -436,18 +461,13 @@ def _quiet_steps(
         total += k * lengths[x - 1]
         if total >= bound:
             return None
-    for i in range(least.bit_length()):
-        if least >> i & 1:
-            counts = _capped_product(counts, squares[i][1], cap)
     n = least
     for i in reversed(range((limit - least).bit_length())):
         if n + (1 << i) <= limit:
-            rows, cols, sums = squares[i]
-            lifted = sum(map(mul, counts, sums))
+            level = _lifted(table, n, lengths, i)
+            lifted = sum(map(mul, counts, level))
             if lifted < bound:
-                n, total = n + (1 << i), lifted
-                counts = _capped_product(counts, cols, cap)
-                lengths = _capped_product(lengths, rows, cap)
+                n, total, lengths = n + (1 << i), lifted, level
     if any(lengths[abs(y) - 1] > budget for y in _reachable_letters(e, g)):
         return None
     return n, total
@@ -664,7 +684,8 @@ class _Orbit(Iterator[Union[Word, _Held]]):
 
     Assembly cancels letters at the junctions.  At a step where ``w`` has
     more runs than an assembly reads, the letters cancelled so far are the
-    unreduced length of ``e^(n-1)(g)`` (:func:`_unreduced_lengths`) less
+    unreduced length of ``e^(n-1)(g)``, read from level n - 1 of the map's
+    count table (:func:`_level`), less
     ``|w|``; at the run density of ``w`` they are the runs an assembly
     would cancel.  Assembly starts once the runs it reads and cancels are
     fewer than those of ``w``, and never where the unreduced length passes
@@ -686,8 +707,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.e, self.g, self.budget = e, g, budget
         self.n, self.w = 0, g  # the step, and the last whole iterate
         self.images = None  # the images of the letters reachable from g (and self.reads), once w outgrows g
-        self.unreduced = None  # the unreduced lengths, while assembly is weighed
-        self.taken = 0  # the step of the unreduced lengths last taken
+        self.weighs = False  # whether assembly is weighed
         # once assembly pays, the step of the letter iterates last taken (0
         # for none), and those iterates; None again once one passes budget
         self.level, self.blocks = None, None
@@ -774,15 +794,14 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         blocks = None
         if self.images is None and len(w.runs) > len(g.runs):
             self._reach()
-            self.unreduced = _unreduced_lengths(e, 2 * budget + 1)
-        if self.unreduced is not None and len(w.runs) > self.reads:
-            lengths = next(islice(self.unreduced, n - 1 - self.taken, None))  # of e^(n-1)(x)
-            self.taken = n
+            self.weighs = True
+        if self.weighs and len(w.runs) > self.reads:
+            lengths = _level(_count_squares(e, 2 * budget + 1, (n - 1).bit_length()), n - 1)  # of e^(n-1)(x)
             cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
             if self.reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
-                self.unreduced, self.level = None, 0
+                self.weighs, self.level = False, 0
             elif cancelled + len(w) > 2 * budget:
-                self.unreduced = None
+                self.weighs = False
         if self.level is not None and len(w.runs) > self.reads:
             blocks = _letter_iterates(e, self.images, n, self.blocks if self.level == n - 1 else None)
             if any(blocks[x][1] > budget for x in self.images):

@@ -12,6 +12,7 @@ full dynamics graph and is flagged as such.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -68,8 +69,8 @@ def isogloss(
     are heuristic; there a rational point is cut to its first
     ``cfg.target_prefix + search_bound + 4`` letters.
     """
-    if search_bound < 0:
-        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
+    if not 0 <= search_bound <= sys.maxsize:  # past that, no prefix can be cut to it
+        raise ValueError(f"search bound must be between 0 and {sys.maxsize}, got {search_bound}")
     x = _as_point(x)
     y = _as_point(y)
     if isinstance(x, RationalPoint) and isinstance(y, RationalPoint):
@@ -233,8 +234,8 @@ def build_graph(
     ``phi`` carry no dynamics and are skipped; seeds whose limits fail to
     certify are reported in the diagnostics.
     """
-    if search_bound < 0:
-        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
+    if not 0 <= search_bound <= sys.maxsize:  # past that, no prefix can be cut to it
+        raise ValueError(f"search bound must be between 0 and {sys.maxsize}, got {search_bound}")
     bad = first_unfixed_generator(phi, fix_generators)
     if bad is not None:
         raise ValueError(f"claimed fixed generator is not fixed: {format_word(bad)}")

@@ -112,6 +112,8 @@ class TestExitCodes:
         assert "search bound" in capsys.readouterr().err
         assert main(["twist-reduce", "b", "1", "--bound", "-3"]) == 3
         assert "search bound" in capsys.readouterr().err
+        assert main(["graph", "alpha_k:k=1", "--bound", "99999999999999999999"]) == 3
+        assert "search bound" in capsys.readouterr().err
 
     def test_parabolic_inconclusive_exits_2(self, capsys):
         assert main(["parabolic", "phi_k:k=1", "b d^-1", "--max-iter", "10"]) == 2
@@ -156,6 +158,8 @@ def _bad_config_file(tmp_path, monkeypatch):
         _bad_definition_file,
         _bad_config_file,
         lambda tmp_path, monkeypatch: ["graph", "phi_k:k=1", "--bound", "-1"],
+        # a search bound past sys.maxsize, which no prefix can be cut to
+        lambda tmp_path, monkeypatch: ["graph", "alpha_k:k=1", "--bound", "99999999999999999999"],
         # each would verify if the last line of a kind won
         _definition_file(
             "alphabet: a b\nmap a -> a\nmap b -> b a\nmap b -> b a^2\ninv a -> a\ninv b -> b a^-2\n"
@@ -188,6 +192,7 @@ def _bad_config_file(tmp_path, monkeypatch):
         "definition-file",
         "config-file",
         "negative-bound",
+        "huge-bound",
         "second-map",
         "second-inv",
         "second-alphabet",

@@ -1,5 +1,6 @@
 import random
 from itertools import count, islice
+from operator import mul
 
 import pytest
 
@@ -1381,9 +1382,10 @@ class TestQuietJump:
 
 
 class TestQuietBoundWork:
-    """``_quiet_steps`` keeps ``U_least(x)`` by generator with the count
-    squares of the map, so a seed that cannot jump pays one dot product
-    over its runs on every call after the first with the same ``least``."""
+    """``_quiet_steps`` and the orbit's planner read the levels of
+    unreduced lengths kept on the count table of the map, so a seed that
+    cannot jump pays one dot product over its runs on every call after
+    the first with the same ``least``."""
 
     def test_repeat_call_makes_no_vector_matrix_product(self, monkeypatch):
         pair = family("beta", rank=7).pair.inverse()
@@ -1400,10 +1402,17 @@ class TestQuietBoundWork:
             g = parse_word(pair.alphabet, text)
             assert dynamics._quiet_steps(e, g, 6, 298, 200, 10**6) is None
             assert len(products) == 1  # U_6 = U_2 M^4: one product, first call only
-        # omega_limit asks for least = stability_window + 1 = 6 on the same map
+        # omega_limit asks for least = stability_window + 1 = 6 on the same
+        # map, and its planner weighs assembly at step 4 with level 3, the
+        # one level it builds: level 1 times square 1
+        squares = e._count_squares[1]
         omega_limit(pair, parse_word(pair.alphabet, "e"))
-        assert len(products) == 1
-        # another least is computed afresh and then kept in its place
+        assert len(products) == 2
+        assert products[1][0] is squares[0][2] and products[1][1] is squares[1][0]
+        omega_limit(pair, parse_word(pair.alphabet, "e"))
+        assert len(products) == 2
+        # another least is computed afresh (level 7, from the kept level 3)
+        # and then kept in its place
         assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
         assert len(products) == 3
         assert dynamics._quiet_steps(e, parse_word(pair.alphabet, "e"), 7, 298, 200, 10**6) is None
@@ -1466,6 +1475,159 @@ class TestQuietBoundWork:
             e._count_squares = None
             dynamics._quiet_steps(e, *first)
             assert dynamics._quiet_steps(e, *then) == fresh
+
+
+def reference_quiet_steps(e, g, least, limit, bound, budget):
+    """``_quiet_steps`` as it was before the count table kept levels of
+    unreduced lengths: binary lifting that carries the letter counts of
+    the iterate along, over capped squares built afresh at each call.
+    The frozen reference of :class:`TestUnreducedLevels`."""
+    if least > limit:
+        return None
+    cap = 2 * budget + 1
+    gens = range(1, len(e.images) + 1)
+    rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in e.images]
+    squares = [(rows, list(zip(*rows)))]
+    while len(squares) < limit.bit_length():
+        rows, cols = squares[-1]
+        rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
+        squares.append((rows, list(zip(*rows))))
+
+    def product(vector, rows):
+        return [min(cap, sum(map(mul, vector, row))) for row in rows]
+
+    low = (least & -least).bit_length() - 1
+    lengths = [min(cap, sum(row)) for row in squares[low][0]]
+    for i in range(low + 1, least.bit_length()):
+        if least >> i & 1:
+            lengths = product(lengths, squares[i][0])
+    counts = [0] * len(lengths)
+    total = 0
+    for x, k in g.runs:
+        counts[x - 1] += abs(k)
+        total += abs(k) * lengths[x - 1]
+        if total >= bound:
+            return None
+    for i in range(least.bit_length()):
+        if least >> i & 1:
+            counts = product(counts, squares[i][1])
+    n = least
+    for i in reversed(range((limit - least).bit_length())):
+        if n + (1 << i) <= limit:
+            rows, cols = squares[i]
+            lifted = sum(map(mul, counts, [min(cap, sum(row)) for row in rows]))
+            if lifted < bound:
+                n, total = n + (1 << i), lifted
+                counts = product(counts, cols)
+                lengths = product(lengths, rows)
+    if any(lengths[abs(y) - 1] > budget for y in dynamics._reachable_letters(e, g)):
+        return None
+    return n, total
+
+
+def stepped_unreduced(e, top):
+    """The exact unreduced lengths ``U_m(x)`` by generator for m = 0, ...,
+    ``top``, each the last one times the letter-count matrix M."""
+    gens = range(1, len(e.images) + 1)
+    counts = [[sum(abs(k) for y, k in image.runs if y == x) for x in gens] for image in e.images]
+    levels = [[1] * len(gens)]
+    for _ in range(top):
+        levels.append([sum(map(mul, row, levels[-1])) for row in counts])
+    return levels
+
+
+def level_maps():
+    """The catalog maps and their inverses, and seeded random maps."""
+    for _, pair, _ in catalog_seeds():
+        yield pair.forward
+        yield pair.backward
+    rng = random.Random(33)
+    for _ in range(8):
+        pair = random_pair(rng, standard_alphabet(rng.randint(2, 4)), rng.randint(2, 8))
+        yield pair.forward
+        yield pair.backward
+
+
+class TestUnreducedLevels:
+    """The levels of unreduced lengths kept on a map's count table give
+    the steps of the frozen reference whatever the table holds, and each
+    kept level m is ``min(cap, U_m)``."""
+
+    def test_levels_give_the_reference_steps(self):
+        rng = random.Random(34)
+        checked = 0
+        for e in level_maps():
+            letters = e.alphabet.signed_letters
+            calls = []
+            for _ in range(50):
+                g = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+                budget = rng.choice((300, 5000, 10**6))
+                least = rng.choice((*range(1, 13), 64, 128))
+                limit = rng.randint(1, rng.choice((12, 300, 5000, 10**6)))
+                calls.append((g, least, limit, rng.randint(1, budget + 1), budget))
+            expected = [reference_quiet_steps(e, *call) for call in calls]
+            order = list(range(len(calls)))
+            rng.shuffle(order)
+            warm, fresh = fresh_map(e), fresh_map(e)
+            exact = stepped_unreduced(e, 300)
+            for i in order:
+                assert dynamics._quiet_steps(warm, *calls[i]) == expected[i], calls[i]
+                fresh._count_squares = None
+                assert dynamics._quiet_steps(fresh, *calls[i]) == expected[i], calls[i]
+                cap, _, kept = warm._count_squares or (0, [], {})  # None until least <= limit
+                assert len(kept) <= dynamics._KEPT_LEVELS
+                for m, level in kept.items():
+                    if m <= 300:
+                        assert level == [min(cap, u) for u in exact[m]], m
+                        checked += 1
+        assert checked >= 50_000  # 63,061
+
+    def test_planner_reads_the_stepped_levels(self, monkeypatch):
+        # the orbit's planner reads level n - 1 at each step n where it
+        # weighs assembly, kept or built
+        rng = random.Random(35)
+        reads = []
+        original = dynamics._level
+
+        def recording(table, m):
+            level = original(table, m)
+            reads.append((table[0], m, level))
+            return level
+
+        monkeypatch.setattr(dynamics, "_level", recording)
+        checked = 0
+        for e in level_maps():
+            letters = e.alphabet.signed_letters
+            e = fresh_map(e)
+            for _ in range(4):
+                g = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 6))])
+                try:
+                    for _ in islice(dynamics._Orbit(e, g, 10**5), 300):
+                        pass
+                except GrowthOverflowError:
+                    pass
+            exact = stepped_unreduced(e, max((m for _, m, _ in reads), default=0))
+            for cap, m, level in reads:
+                assert level == [min(cap, u) for u in exact[m]], m
+            checked += len(reads)
+            del reads[:]
+        assert checked >= 150  # 171
+
+    @pytest.mark.parametrize("name, params", [("delta", {"n": 1}), ("beta", {"rank": 6})])
+    def test_kept_levels_stay_within_the_bound(self, name, params):
+        # b grows by one letter a step under both maps, so each jump to a
+        # new p lifts over levels no other p reads
+        pair = family(name, **params).pair
+        b = parse_word(pair.alphabet, "b")
+        steps = random.Random(36).sample(range(1, 10**6 + 1), 2000)
+        warm, kept = [], []
+        for p in steps:
+            warm.append(iterate_outcome(pair, b, p, DEFAULT_CONFIG))
+            kept.append(len(pair.forward._count_squares[2]))
+        assert max(kept) == dynamics._KEPT_LEVELS  # reached, and never passed
+        for p, got in zip(steps, warm):
+            pair.forward._count_squares = None
+            assert iterate_outcome(pair, b, p, DEFAULT_CONFIG) == got
 
 
 def order_three():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -294,11 +295,14 @@ class TestIsoglossSearch:
         assert isogloss(H, x, y, bound) == expected
 
     def test_negative_bound_rejected(self):
+        # and a bound past sys.maxsize, the most letters a prefix can be cut to
         x = rational_point(identity(F4), w4("a"))
-        with pytest.raises(ValueError):
-            isogloss(fix_graph(), x, x, search_bound=-1)
-        with pytest.raises(ValueError):
-            build_graph(make_phi(1), fix_words(), search_bound=-1)
+        for bound in (-1, sys.maxsize + 1):
+            with pytest.raises(ValueError, match="search bound"):
+                isogloss(fix_graph(), x, x, search_bound=bound)
+            with pytest.raises(ValueError, match="search bound"):
+                build_graph(make_phi(1), fix_words(), search_bound=bound)
+        assert isogloss(fix_graph(), x, x, search_bound=sys.maxsize)  # rational: decided exactly
 
 
 class TestVerifyFixedGenerators:
