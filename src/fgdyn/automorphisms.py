@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
+from typing import Optional, Sequence
 
 from .words import (
     Alphabet,
@@ -48,9 +49,7 @@ class UnboundedCancellationError(ValueError):
 class Endomorphism:
     """Generator-image presentation of an endomorphism of F_N."""
 
-    __slots__ = (
-        "alphabet", "images", "_image_blocks", "_cancellation_bound", "_count_squares", "_letter_iterates"
-    )
+    __slots__ = ("alphabet", "images", "_image_blocks", "_table")
 
     def __init__(self, alphabet: Alphabet, images: Sequence[Word]):
         images = tuple(images)
@@ -67,9 +66,7 @@ class Endomorphism:
         for g, img in enumerate(images, start=1):
             self._image_blocks[g] = (img.runs, len(img))
             self._image_blocks[-g] = (img.inverse().runs, len(img))
-        self._cancellation_bound = None  # filled in by cancellation_bound()
-        self._count_squares = None  # filled in by dynamics._count_squares()
-        self._letter_iterates = None  # filled in by dynamics._letter_iterates()
+        self._table = _MapTable(images)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":
@@ -122,6 +119,203 @@ def _compose_blocks(outer: dict, inner: dict) -> dict:
         out, length = _block_product(runs, outer)
         composed[x] = (tuple(out), length)
     return composed
+
+
+# A map keeps the levels of its letter iterates only while they hold at
+# most this many runs in all; a level past that is built and handed to
+# its orbit, not kept.  Measured with perfbench/run.py (--seconds 6, one
+# run per bound on seeds 9 and 7, a shared 2-vCPU machine): graph_alpha
+# reads 337-343 tasks/s at every bound from 2^12 up (about 290 with no
+# table), as its levels are few; orbit_beta reads 1,675 and 1,813 at
+# 2^12, 1,814 and 1,869 at 2^14 (about 1,600 with no table), no better
+# at 2^15 or with every level kept; iterate_exact reads 318-326 tasks/s
+# and 25.4-25.5 MB peak RSS at 2^12, 335 and 25.6-26.9 MB at 2^14, and
+# 386-390 and 30.6-30.8 MB with every level kept (about 25 MB with no
+# table), past the benchmark's memory bound.
+_KEPT_RUNS = 1 << 14
+
+# A map keeps at most this many levels of its unreduced lengths; a level
+# past that is computed and used, not kept.  Measured on a shared 2-vCPU
+# machine: 8 rounds of each perfbench workload keep at most 46 levels a
+# map.  _quiet_steps over 2,000 distinct limits up to 10^6 on delta and
+# beta:rank=6 keeps 10,114 levels unbounded (1.8 and 2.4 MB, 10-11 us a
+# warm call), 2^10 (190-270 KB, 20-36 us), 2^8 (50-85 KB, 19-39 us) or
+# 2^6 (18-35 KB, 24-50 us), against 34-86 us keeping U_least alone.
+_KEPT_LEVELS = 1 << 8
+
+
+class _MapTable:
+    """What a map keeps of itself for its orbits: one per
+    :class:`Endomorphism`, made with it from its generator images
+    (``images``) and filled lazily, each part only as far as a caller
+    reads it.
+
+    - ``bounds``: C, the junction bounds and the first letters of
+      :func:`_junction_bounds`, or ``None`` until first asked.  Exact, as
+      that function derives them; for rank N, at most ``(2N)^2``
+      junctions and 2N sets of first letters.
+    - ``cap``, ``squares`` and ``repeat``: the letter-count table.  Square
+      i is ``M^(2^i)`` for the letter-count matrix M (row x - 1 counts
+      each generator in ``e(x)``), as its rows and its row sums, every
+      entry capped at ``cap``.  The entries are non-negative, so a capped
+      entry stays capped in every product and one below the cap is exact:
+      square i + 1 is the capped square of square i, a function of square
+      i alone.  So the squares are built, as far as they are read, only
+      until one equals an earlier one, square ``repeat``, which is kept
+      last: from there the squares are periodic, with period
+      ``len(squares) - 1 - repeat``, and square i past the last is read
+      as square ``repeat + (i - repeat) % period``.  The entries lie in
+      0..cap, so the squares do repeat; an entry that grows reaches the
+      cap within about ``log2 cap`` squares, and the others are periodic,
+      so few are kept: at most 22 distinct squares and the repeat for
+      every catalog map and its inverse at the default budget (1 for
+      ``sigma``, 5 for ``inner:u=a b``), where squaring on to a step p
+      builds ``p.bit_length()`` of them (1,329 at p = 10^400).
+    - ``levels``: the capped unreduced lengths ``min(cap, U_m(x))`` by
+      generator, keyed by m (:meth:`lifted`); at most ``_KEPT_LEVELS``.
+      Exact for the same reason, whatever order of products built them.
+      A larger cap empties the squares and the levels.
+    - ``iterates`` and ``runs``: the letter iterates, level m as ``{x:
+      [e^m(x)]}`` for the letters asked so far (:meth:`letter_iterates`),
+      and the runs they hold in all, at most ``_KEPT_RUNS``.  Each is the
+      reduced word that stepping gives.
+
+    The two bounds stay apart because they count different units: a
+    level of unreduced lengths is one integer a generator, while one
+    level of letter iterates can hold thousands of runs.  One shared
+    budget would let the letter iterates of ``iterate_exact``, which fill
+    the 2^14 runs, crowd out the levels.
+    """
+
+    __slots__ = ("images", "bounds", "cap", "squares", "repeat", "levels", "iterates", "runs")
+
+    def __init__(self, images: tuple):
+        self.images, self.bounds, self.iterates, self.runs = images, None, {}, 0
+        self.cap, self.squares, self.repeat, self.levels = 0, [], None, {}
+
+    def letter_iterates(self, images: dict, n: int, last: Optional[dict] = None) -> dict:
+        """The letter iterates ``[e^n(x)]`` of the letters x of ``images``,
+        which holds their image blocks, as blocks of
+        :func:`words._block_product`; ``last`` holds ``[e^(n-1)(x)]`` for
+        them where the caller has it.  Every letter of an image of one of
+        the letters must be one of them.  The blocks given may hold other
+        letters too.
+
+        A level that lacks some of the letters is built for those from
+        level m - 1, as ``[e^(m-1)(e(x))]``, where that level is at hand,
+        and otherwise by halving: ``[e^(m/2)([e^(m/2)(x)])]`` for even m,
+        level m - 1 and the images for odd m.  So a cold table builds
+        level n in at most ``2 log2 n`` compositions, and an orbit that
+        steps from its last level composes once a step.  A level past
+        ``_KEPT_RUNS`` is still built, and handed on.
+        """
+        levels, letters = self.iterates, images.keys()
+        level = levels.get(n)
+        if level is not None and level.keys() >= letters:
+            return level
+        if level is None and last is not None:  # an orbit's step: one composition, no chain
+            return self._kept(n, _compose_blocks(last, images))
+        built = {1: images}  # the levels at hand, kept or not
+        chain = [n]  # each level, then the one it is built from
+        if last is not None:
+            built[n - 1] = last
+            chain.append(n - 1)
+
+        def at_hand(m: int) -> bool:
+            level = levels.get(m)
+            if level is not None and level.keys() >= letters:
+                built.setdefault(m, level)
+            return m in built
+
+        while not at_hand(chain[-1]):
+            m = chain[-1]
+            chain.append(m - 1 if m & 1 or at_hand(m - 1) else m // 2)
+        for i in range(len(chain) - 2, -1, -1):
+            m, below = chain[i], chain[i + 1]
+            source, level = built[below], levels.get(m, {})
+            inner = images if below == m - 1 else source
+            new = _compose_blocks(source, {x: inner[x] for x in letters - level.keys()})
+            built[m] = self._kept(m, new, level)
+        return built[n]
+
+    def _kept(self, m: int, new: dict, level: Optional[dict] = None) -> dict:
+        """Level m of the letter iterates: the blocks ``new`` and those of
+        ``level``, the part of it the table held.  The table keeps it where
+        the runs of ``new`` fit within ``_KEPT_RUNS``."""
+        runs = sum([len(block[0]) for block in new.values()])
+        if level:
+            new = {**level, **new}
+        if self.runs + runs <= _KEPT_RUNS:
+            self.runs += runs
+            self.iterates[m] = new
+        return new
+
+    def _square(self, i: int) -> tuple[list, list]:
+        """Square i of the letter-count table, as its rows and row sums:
+        built as far as i until the squares repeat, and read by their
+        period past that."""
+        squares, cap = self.squares, self.cap
+        while len(squares) <= i and self.repeat is None:
+            if squares:
+                rows, cols = squares[-1][0], list(zip(*squares[-1][0]))
+                rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
+            else:
+                gens = range(1, len(self.images) + 1)
+                rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in self.images]
+            square = (rows, [min(cap, sum(row)) for row in rows])
+            if square in squares:
+                self.repeat = squares.index(square)
+            squares.append(square)
+        if i >= len(squares):
+            i = self.repeat + (i - self.repeat) % (len(squares) - 1 - self.repeat)
+        return squares[i]
+
+    def _capped_product(self, vector: list[int], rows) -> list[int]:
+        """The vector-matrix product of ``vector`` with the matrix whose
+        columns are ``rows``, each entry capped at ``cap``."""
+        return [min(self.cap, sum(map(mul, vector, row))) for row in rows]
+
+    def lifted(self, n: int, lengths: Optional[list[int]], i: int) -> list[int]:
+        """Level ``n + 2^i`` of the unreduced lengths, from ``lengths``,
+        level n (``None`` for n = 0), at the table's cap.
+
+        Level m is ``min(cap, U_m(x))`` by generator, with ``U_m(x)``, the
+        length of ``e^m(x)`` before free reduction, the row sums of
+        ``M^m``.  Level ``2^i`` is the row sums of square i.  Any other is
+        one capped product, ``M^(2^i)`` times level n, and is kept under
+        its m while the table keeps fewer than ``_KEPT_LEVELS`` levels.  A
+        product that meets a capped entry reaches the cap, as the exact
+        one does, and any other is exact: a level is ``min(cap, U_m)``
+        whatever the order of the products it came from, and one dict
+        keyed by m serves every caller.
+        """
+        if not n:
+            return self._square(i)[1]
+        m = n + (1 << i)
+        level = self.levels.get(m)
+        if level is None:
+            level = self._capped_product(lengths, self._square(i)[0])
+            if len(self.levels) < _KEPT_LEVELS:
+                self.levels[m] = level
+        return level
+
+    def level(self, m: int, cap: int) -> list[int]:
+        """Level ``m >= 1`` of the unreduced lengths (see :meth:`lifted`)
+        at a cap of at least ``cap``, lifted from level 0 by the set bits
+        of m, lowest first: the last lift is from level ``m - 2^k``, k the
+        highest bit, so a walk over m = 1, 2, ... builds each level by one
+        product.  The count table is built again only for a larger cap.
+        The planner of ``dynamics._Orbit``, which weighs assembly with its
+        levels, and ``dynamics._quiet_steps`` both ask for ``2 *
+        max_word_length + 1``, so it is built once per map and budget."""
+        if self.cap < cap:
+            self.cap, self.squares, self.repeat, self.levels = cap, [], None, {}
+        n, lengths = 0, None
+        for i in range(m.bit_length()):
+            if m >> i & 1:
+                lengths = self.lifted(n, lengths, i)
+                n += 1 << i
+        return lengths
 
 
 def _square_and_multiply(x, p: int, mul, one):
@@ -194,9 +388,9 @@ def _junction_bounds(e: Endomorphism) -> tuple[int, dict, dict]:
     >>> {y: sorted(f) for y, f in sorted(firsts.items())}  # [e(a b^-1)] = b^-1
     {-2: [-1], -1: [-1], 1: [-2, 1], 2: [2]}
     """
-    if e._cancellation_bound is None:
-        e._cancellation_bound = _longest_common_cone_prefix(e)
-    return e._cancellation_bound
+    if e._table.bounds is None:
+        e._table.bounds = _longest_common_cone_prefix(e)
+    return e._table.bounds
 
 
 def _longest_common_cone_prefix(e: Endomorphism) -> tuple[int, dict, dict]:

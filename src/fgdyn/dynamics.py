@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
-from .automorphisms import _compose_blocks, _junction_bounds
+from .automorphisms import _junction_bounds
 from .words import (
     AlphabetMismatchError,
     EmptyWordError,
@@ -249,6 +249,13 @@ def _assembled(g: Word, blocks: dict) -> Word:
     return Word._make(g.alphabet, tuple(runs), length)
 
 
+def _check_alphabet(e: Endomorphism, g: Word) -> None:
+    """Raise :class:`AlphabetMismatchError` where ``g`` is a word over
+    another alphabet than ``e``: no orbit step checks it."""
+    if g.alphabet != e.alphabet:
+        raise AlphabetMismatchError("word over a different alphabet")
+
+
 def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
     """The signed letters of ``g`` and, in turn, of the images of those."""
     letters: set[int] = set()
@@ -258,169 +265,6 @@ def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
         todo = {gen if exp > 0 else -gen for x in todo for gen, exp in e._image_blocks[x][0]}
         todo -= letters
     return letters
-
-
-# A map keeps the levels of its letter-iterate table only while they hold
-# at most this many runs in all; a level past that is built and handed to
-# its orbit, not kept.  Measured with perfbench/run.py (--seconds 6, one
-# run per bound on seeds 9 and 7, a shared 2-vCPU machine): graph_alpha
-# reads 337-343 tasks/s at every bound from 2^12 up (about 290 with no
-# table), as its levels are few; orbit_beta reads 1,675 and 1,813 at
-# 2^12, 1,814 and 1,869 at 2^14 (about 1,600 with no table), no better
-# at 2^15 or with every level kept; iterate_exact reads 318-326 tasks/s
-# and 25.4-25.5 MB peak RSS at 2^12, 335 and 25.6-26.9 MB at 2^14, and
-# 386-390 and 30.6-30.8 MB with every level kept (about 25 MB with no
-# table), past the benchmark's memory bound.
-_KEPT_RUNS = 1 << 14
-
-
-def _letter_iterates(e: Endomorphism, images: dict, n: int, last: Optional[dict] = None) -> dict:
-    """The letter iterates ``[e^n(x)]`` of the letters x of ``images``,
-    which holds their image blocks, as blocks of :func:`_block_product`,
-    from the one table of ``e``; ``last`` holds ``[e^(n-1)(x)]`` for them
-    where the caller has it.  Every letter of an image of one of the
-    letters must be one of them.  The blocks given may hold other letters
-    too.
-
-    The table holds level m as ``{x: [e^m(x)]}`` for the letters asked so
-    far, and is filled lazily.  A level that lacks some of the letters is
-    built for those from level m - 1, as ``[e^(m-1)(e(x))]``, where that
-    level is at hand, and otherwise by halving: ``[e^(m/2)([e^(m/2)(x)])]``
-    for even m, level m - 1 and the images for odd m.  So a cold table
-    builds level n in at most ``2 log2 n`` compositions, and an orbit that
-    steps from its last level composes once a step.  Levels are kept while
-    all the runs kept on ``e`` are at most ``_KEPT_RUNS``; one past that is
-    still built, and handed on.
-    """
-    table = e._letter_iterates
-    if table is None:
-        table = e._letter_iterates = [0, {}]  # the runs kept, and the levels
-    levels, letters = table[1], images.keys()
-    level = levels.get(n)
-    if level is not None and level.keys() >= letters:
-        return level
-    if level is None and last is not None:  # an orbit's step: one composition, no chain
-        return _kept(table, n, _compose_blocks(last, images))
-    built = {1: images}  # the levels at hand, kept or not
-    chain = [n]  # each level, then the one it is built from
-    if last is not None:
-        built[n - 1] = last
-        chain.append(n - 1)
-
-    def at_hand(m: int) -> bool:
-        level = levels.get(m)
-        if level is not None and level.keys() >= letters:
-            built.setdefault(m, level)
-        return m in built
-
-    while not at_hand(chain[-1]):
-        m = chain[-1]
-        chain.append(m - 1 if m & 1 or at_hand(m - 1) else m // 2)
-    for i in range(len(chain) - 2, -1, -1):
-        m, below = chain[i], chain[i + 1]
-        source, level = built[below], levels.get(m, {})
-        inner = images if below == m - 1 else source
-        new = _compose_blocks(source, {x: inner[x] for x in letters - level.keys()})
-        built[m] = _kept(table, m, new, level)
-    return built[n]
-
-
-def _kept(table: list, m: int, new: dict, level: Optional[dict] = None) -> dict:
-    """Level m of a letter-iterate table: the blocks ``new`` and those of
-    ``level``, the part of it the table held.  The table keeps it where
-    the runs of ``new`` fit within ``_KEPT_RUNS``."""
-    runs = sum([len(block[0]) for block in new.values()])
-    if level:
-        new = {**level, **new}
-    if table[0] + runs <= _KEPT_RUNS:
-        table[0] += runs
-        table[1][m] = new
-    return new
-
-
-# A map keeps at most this many levels of its unreduced lengths; a level
-# past that is computed and used, not kept.  Measured on a shared 2-vCPU
-# machine: 8 rounds of each perfbench workload keep at most 46 levels a
-# map.  _quiet_steps over 2,000 distinct limits up to 10^6 on delta and
-# beta:rank=6 keeps 10,114 levels unbounded (1.8 and 2.4 MB, 10-11 us a
-# warm call), 2^10 (190-270 KB, 20-36 us), 2^8 (50-85 KB, 19-39 us) or
-# 2^6 (18-35 KB, 24-50 us), against 34-86 us keeping U_least alone.
-_KEPT_LEVELS = 1 << 8
-
-
-def _count_squares(e: Endomorphism, cap: int, levels: int) -> tuple[int, list, dict]:
-    """The squares ``M^(2^i)``, i < ``levels``, of the letter-count matrix
-    M of ``e`` (row x - 1 counts each generator in ``e(x)``), with every
-    entry capped at a cap of at least ``cap``, as ``(cap, squares,
-    kept)``: each square as its rows, its columns and its row sums
-    (capped alike), and in ``kept`` the levels of unreduced lengths that
-    :func:`_lifted` has built.
-
-    A capped entry stays capped in every product, and an entry below the
-    cap is exact.  The table is the one letter-count table of ``e``: it is
-    kept on ``e``, filled only as far as a caller asks, and built again
-    only for a larger cap.  The planner of :class:`_Orbit`, which weighs
-    assembly with its levels, and :func:`_quiet_steps` both ask for
-    ``2 * max_word_length + 1``, so it is built once per map and budget.
-    """
-    table = e._count_squares
-    if table is None or table[0] < cap:
-        table = e._count_squares = (cap, [], {})
-    cap, squares, _ = table
-    while len(squares) < levels:
-        if squares:
-            rows, cols, _ = squares[-1]
-            rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
-        else:
-            gens = range(1, len(e.images) + 1)
-            rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in e.images]
-        squares.append((rows, list(zip(*rows)), [min(cap, sum(row)) for row in rows]))
-    return table
-
-
-def _capped_product(vector: list[int], rows, cap: int) -> list[int]:
-    """The vector-matrix product of ``vector`` with the matrix whose
-    columns are ``rows``, each entry capped at ``cap``."""
-    return [min(cap, sum(map(mul, vector, row))) for row in rows]
-
-
-def _lifted(table: tuple, n: int, lengths: Optional[list[int]], i: int) -> list[int]:
-    """Level ``n + 2^i`` of the unreduced lengths of the count table
-    ``table`` (:func:`_count_squares`, holding square i), from
-    ``lengths``, level n (``None`` for n = 0).
-
-    Level m is ``min(cap, U_m(x))`` by generator, with ``U_m(x)``, the
-    length of ``e^m(x)`` before free reduction, the row sums of ``M^m``.
-    Level ``2^i`` is the row sums of square i.  Any other is one capped
-    product, ``M^(2^i)`` times level n, and is kept under its m while the
-    table keeps fewer than ``_KEPT_LEVELS`` levels.  The entries are
-    non-negative, so a product that meets a capped entry reaches the cap,
-    as the exact one does, and any other is exact: a level is
-    ``min(cap, U_m)`` whatever the order of the products it came from,
-    and one dict keyed by m serves every caller.
-    """
-    if not n:
-        return table[1][i][2]
-    m = n + (1 << i)
-    level = table[2].get(m)
-    if level is None:
-        level = _capped_product(lengths, table[1][i][0], table[0])
-        if len(table[2]) < _KEPT_LEVELS:
-            table[2][m] = level
-    return level
-
-
-def _level(table: tuple, m: int) -> list[int]:
-    """Level ``m >= 1`` of the unreduced lengths of ``table`` (see
-    :func:`_lifted`), lifted from level 0 by the set bits of m, lowest
-    first: the last lift is from level ``m - 2^k``, k the highest bit, so
-    a walk over m = 1, 2, ... builds each level by one product."""
-    n, lengths = 0, None
-    for i in range(m.bit_length()):
-        if m >> i & 1:
-            lengths = _lifted(table, n, lengths, i)
-            n += 1 << i
-    return lengths
 
 
 def _quiet_steps(
@@ -438,8 +282,8 @@ def _quiet_steps(
     so ``U_n`` never decreases with n: every iterate ``[e^m(g)]`` with
     ``m <= n`` has at most ``U_n(g)`` letters, and ``[e^m(y)]`` at most
     ``U_n(y)``.  n is found by binary lifting over the levels of
-    unreduced lengths kept on the count table of :func:`_count_squares`
-    (:func:`_lifted`).  ``U_least(g)`` is summed over the runs of ``g``
+    unreduced lengths kept on the map's table
+    (:meth:`~automorphisms._MapTable.lifted`).  ``U_least(g)`` is summed over the runs of ``g``
     only until it reaches ``bound``, so a long seed past the bound costs a
     few runs.  From n = least, each power ``2^i``, from the largest down,
     is then added where ``U_(n + 2^i)(g)``, the counts of ``g`` times
@@ -451,8 +295,8 @@ def _quiet_steps(
     """
     if least > limit:
         return None
-    table = _count_squares(e, 2 * budget + 1, limit.bit_length())
-    lengths = _level(table, least)  # U_least(x) by generator
+    table = e._table
+    lengths = table.level(least, 2 * budget + 1)  # U_least(x) by generator
     counts = [0] * len(lengths)
     total = 0
     for x, k in g.runs:  # U_least(g), read only until it reaches the bound
@@ -464,7 +308,7 @@ def _quiet_steps(
     n = least
     for i in reversed(range((limit - least).bit_length())):
         if n + (1 << i) <= limit:
-            level = _lifted(table, n, lengths, i)
+            level = table.lifted(n, lengths, i)
             lifted = sum(map(mul, counts, level))
             if lifted < bound:
                 n, total, lengths = n + (1 << i), lifted, level
@@ -679,13 +523,14 @@ class _Orbit(Iterator[Union[Word, _Held]]):
       for the whole orbit;
     - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
       letter iterates ``[e^n(x)]`` of the letters reachable from ``g``,
-      read from the map's table (:func:`_letter_iterates`), reading the
+      read from the map's table
+      (:meth:`~automorphisms._MapTable.letter_iterates`), reading the
       runs of ``g`` and of their images.
 
     Assembly cancels letters at the junctions.  At a step where ``w`` has
     more runs than an assembly reads, the letters cancelled so far are the
     unreduced length of ``e^(n-1)(g)``, read from level n - 1 of the map's
-    count table (:func:`_level`), less
+    table (:meth:`~automorphisms._MapTable.level`), less
     ``|w|``; at the run density of ``w`` they are the runs an assembly
     would cancel.  Assembly starts once the runs it reads and cancels are
     fewer than those of ``w``, and never where the unreduced length passes
@@ -734,7 +579,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
 
         The letter iterates ``[e^n(x)]`` are read from the map's table
-        (:func:`_letter_iterates`), built in O(log n) compositions where
+        (:meth:`~automorphisms._MapTable.letter_iterates`), built in O(log n) compositions where
         it is cold, and ``[e^n(g)]`` is their product over the runs of
         ``g``, the same reduced word as n steps.  The caller bounds the
         unreduced lengths ``U_n`` of ``g`` and of every letter reachable
@@ -743,7 +588,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         Stepping then goes on from those letter iterates, and assembles at
         every step where the iterate has more runs than an assembly reads.
         """
-        self.blocks = _letter_iterates(self.e, self._reach(), n)
+        self.blocks = self.e._table.letter_iterates(self._reach(), n)
         self.n = self.start = self.level = n
         self.w = self.anchor = _assembled(self.g, self.blocks)
         return self.w
@@ -796,14 +641,14 @@ class _Orbit(Iterator[Union[Word, _Held]]):
             self._reach()
             self.weighs = True
         if self.weighs and len(w.runs) > self.reads:
-            lengths = _level(_count_squares(e, 2 * budget + 1, (n - 1).bit_length()), n - 1)  # of e^(n-1)(x)
+            lengths = e._table.level(n - 1, 2 * budget + 1)  # of e^(n-1)(x)
             cancelled = sum((k if k > 0 else -k) * lengths[x - 1] for x, k in g.runs) - len(w)
             if self.reads * len(w) + cancelled * len(w.runs) < len(w.runs) * len(w):
                 self.weighs, self.level = False, 0
             elif cancelled + len(w) > 2 * budget:
                 self.weighs = False
         if self.level is not None and len(w.runs) > self.reads:
-            blocks = _letter_iterates(e, self.images, n, self.blocks if self.level == n - 1 else None)
+            blocks = e._table.letter_iterates(self.images, n, self.blocks if self.level == n - 1 else None)
             if any(blocks[x][1] > budget for x in self.images):
                 self.level = self.blocks = blocks = None  # apply from now on
             else:
@@ -871,8 +716,7 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     period`` more steps are taken.
     """
     e = phi.forward if p >= 0 else phi.backward
-    if g.alphabet != e.alphabet:
-        raise AlphabetMismatchError("word over a different alphabet")
+    _check_alphabet(e, g)
     if not p:
         return g
     budget, p = cfg.max_word_length, abs(p)
@@ -1148,6 +992,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     ``(a b^4)^infinity`` may end in ``b^4``.
     """
     forward = phi.forward
+    _check_alphabet(forward, g)
     budget, window = cfg.max_word_length, cfg.stability_window
     bound = min(cfg.target_prefix, budget + 1)
     quiet = None
@@ -1385,6 +1230,7 @@ def growth_classify(
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     e, budget = phi.forward, cfg.max_word_length
+    _check_alphabet(e, g)
     orbit = _Orbit(e, g, budget)
     lengths = []
     quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
@@ -1467,6 +1313,8 @@ def verify_splitting(
         raise ValueError("a splitting needs at least two bricks")
     if any(b.is_identity() for b in bricks):
         raise ValueError("bricks must be nontrivial")
+    for b in bricks:
+        _check_alphabet(phi.forward, b)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
     budget = DEFAULT_CONFIG.max_word_length
@@ -1493,6 +1341,7 @@ def detect_boundary_period(
     """
     if bound < 0:
         raise ValueError(f"bound must be nonnegative, got {bound}")
+    _check_alphabet(phi.forward, seed)
     for q in range(2, bound + 1):
         result = omega_limit(power(phi, q), seed, cfg)
         if isinstance(result, FixedElement):

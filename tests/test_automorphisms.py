@@ -239,9 +239,9 @@ class TestCancellationBound:
 
     def test_computed_once_and_kept(self):
         e = endo(F2, "a", "b a")
-        assert e._cancellation_bound is None  # not at construction
+        assert e._table.bounds is None  # not at construction
         assert cancellation_bound(e) == 1
-        assert e._cancellation_bound[0] == 1
+        assert e._table.bounds[0] == 1
         assert cancellation_bound(Endomorphism.identity(F2)) == 0
         assert cancellation_bound(endo(F2, "a^-1", "b^-1")) == 0
 

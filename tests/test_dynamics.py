@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import count, islice
 from operator import mul
 
@@ -7,6 +8,7 @@ import pytest
 from fgdyn import automorphisms, dynamics, words
 from fgdyn.automorphisms import (
     Endomorphism,
+    _MapTable,
     cancellation_bound,
     compose_pairs,
     identity_pair,
@@ -42,7 +44,7 @@ from fgdyn.dynamics import (
     translate,
     verify_splitting,
 )
-from fgdyn.families import family, stock_theta
+from fgdyn.families import family, parse_family_spec, stock_theta
 from fgdyn.graphs import default_seeds
 from fgdyn.words import (
     Alphabet,
@@ -1390,13 +1392,13 @@ class TestQuietBoundWork:
     def test_repeat_call_makes_no_vector_matrix_product(self, monkeypatch):
         pair = family("beta", rank=7).pair.inverse()
         e, products = pair.forward, []
-        original = dynamics._capped_product
+        original = _MapTable._capped_product
 
-        def counting(*args):
+        def counting(table, *args):
             products.append(args)
-            return original(*args)
+            return original(table, *args)
 
-        monkeypatch.setattr(dynamics, "_capped_product", counting)
+        monkeypatch.setattr(_MapTable, "_capped_product", counting)
         # U_6(e) is past the bound 200: the seed cannot jump
         for text in ("e", "f^-1 e", "e"):
             g = parse_word(pair.alphabet, text)
@@ -1405,10 +1407,10 @@ class TestQuietBoundWork:
         # omega_limit asks for least = stability_window + 1 = 6 on the same
         # map, and its planner weighs assembly at step 4 with level 3, the
         # one level it builds: level 1 times square 1
-        squares = e._count_squares[1]
+        (_, sums), (rows, _) = e._table.squares[:2]  # the row sums of square 0, the rows of square 1
         omega_limit(pair, parse_word(pair.alphabet, "e"))
         assert len(products) == 2
-        assert products[1][0] is squares[0][2] and products[1][1] is squares[1][0]
+        assert products[1][0] is sums and products[1][1] is rows
         omega_limit(pair, parse_word(pair.alphabet, "e"))
         assert len(products) == 2
         # another least is computed afresh (level 7, from the kept level 3)
@@ -1440,16 +1442,17 @@ class TestQuietBoundWork:
         # builds it, and iterate and omega_limit read the same table on
         pair = family("phi_k", k=1).pair
         e, d = pair.forward, parse_word(pair.alphabet, "d")
-        assert e._count_squares is None
+        table = e._table
+        assert table.squares == []
         growth_classify(pair, d, 12)
-        table = e._count_squares
-        assert table is not None and table[0] == 2 * 10**6 + 1
+        squares = table.squares
+        assert squares != [] and table.cap == 2 * 10**6 + 1
         letter_counts = [[1, 0, 0, 0], [1, 1, 0, 0], [2, 0, 1, 0], [0, 0, 1, 1]]  # images a, b a, c a^2, d c
-        assert table[1][0][0] == letter_counts
+        assert squares[0][0] == letter_counts  # the rows of square 0
         iterate(pair, d, 400)
         assert isinstance(omega_limit(pair, d), Boundary)
-        assert e._count_squares is table
-        assert table[1][0][0] == letter_counts
+        assert e._table is table and table.squares is squares
+        assert squares[0][0] == letter_counts
 
     def test_kept_vector_gives_the_same_steps(self):
         # a call after another one on the same map, with the same least or
@@ -1470,11 +1473,39 @@ class TestQuietBoundWork:
             first, then = draw(e.alphabet), draw(e.alphabet)
             if rng.random() < 0.5:
                 then = (then[0], first[1], *then[2:])
-            e._count_squares = None
+            empty_count_table(e)
             fresh = dynamics._quiet_steps(e, *then)
-            e._count_squares = None
+            empty_count_table(e)
             dynamics._quiet_steps(e, *first)
             assert dynamics._quiet_steps(e, *then) == fresh
+
+
+def empty_count_table(e):
+    """Empty the letter-count table of ``e``: its cap, squares and levels
+    of unreduced lengths, and nothing else the map keeps."""
+    table = e._table
+    table.cap, table.squares, table.repeat, table.levels = 0, [], None, {}
+
+
+REFERENCE_SQUARES = {}
+
+
+def reference_squares(images, cap, count):
+    """The first ``count`` squares ``M^(2^i)`` of the letter-count matrix
+    of the map with generator images ``images``, with every entry capped
+    at ``cap``, each as its rows and its columns: each square the capped
+    square of the one before, with no repeat rule.  Kept by images and cap
+    across calls, and built further as a call asks."""
+    squares = REFERENCE_SQUARES.setdefault((images, cap), [])
+    if not squares:
+        gens = range(1, len(images) + 1)
+        rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in images]
+        squares.append((rows, list(zip(*rows))))
+    while len(squares) < count:
+        rows, cols = squares[-1]
+        rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
+        squares.append((rows, list(zip(*rows))))
+    return squares
 
 
 def reference_quiet_steps(e, g, least, limit, bound, budget):
@@ -1485,13 +1516,7 @@ def reference_quiet_steps(e, g, least, limit, bound, budget):
     if least > limit:
         return None
     cap = 2 * budget + 1
-    gens = range(1, len(e.images) + 1)
-    rows = [[min(cap, sum(abs(k) for y, k in image.runs if y == x)) for x in gens] for image in e.images]
-    squares = [(rows, list(zip(*rows)))]
-    while len(squares) < limit.bit_length():
-        rows, cols = squares[-1]
-        rows = [[min(cap, sum(map(mul, row, col))) for col in cols] for row in rows]
-        squares.append((rows, list(zip(*rows))))
+    squares = reference_squares(e.images, cap, limit.bit_length())
 
     def product(vector, rows):
         return [min(cap, sum(map(mul, vector, row))) for row in rows]
@@ -1572,10 +1597,10 @@ class TestUnreducedLevels:
             exact = stepped_unreduced(e, 300)
             for i in order:
                 assert dynamics._quiet_steps(warm, *calls[i]) == expected[i], calls[i]
-                fresh._count_squares = None
+                empty_count_table(fresh)
                 assert dynamics._quiet_steps(fresh, *calls[i]) == expected[i], calls[i]
-                cap, _, kept = warm._count_squares or (0, [], {})  # None until least <= limit
-                assert len(kept) <= dynamics._KEPT_LEVELS
+                cap, kept = warm._table.cap, warm._table.levels  # empty until least <= limit
+                assert len(kept) <= automorphisms._KEPT_LEVELS
                 for m, level in kept.items():
                     if m <= 300:
                         assert level == [min(cap, u) for u in exact[m]], m
@@ -1587,14 +1612,14 @@ class TestUnreducedLevels:
         # weighs assembly, kept or built
         rng = random.Random(35)
         reads = []
-        original = dynamics._level
+        original = _MapTable.level
 
-        def recording(table, m):
-            level = original(table, m)
-            reads.append((table[0], m, level))
+        def recording(table, m, cap):
+            level = original(table, m, cap)
+            reads.append((table.cap, m, level))
             return level
 
-        monkeypatch.setattr(dynamics, "_level", recording)
+        monkeypatch.setattr(_MapTable, "level", recording)
         checked = 0
         for e in level_maps():
             letters = e.alphabet.signed_letters
@@ -1623,11 +1648,76 @@ class TestUnreducedLevels:
         warm, kept = [], []
         for p in steps:
             warm.append(iterate_outcome(pair, b, p, DEFAULT_CONFIG))
-            kept.append(len(pair.forward._count_squares[2]))
-        assert max(kept) == dynamics._KEPT_LEVELS  # reached, and never passed
+            kept.append(len(pair.forward._table.levels))
+        assert max(kept) == automorphisms._KEPT_LEVELS  # reached, and never passed
         for p, got in zip(steps, warm):
-            pair.forward._count_squares = None
+            empty_count_table(pair.forward)
             assert iterate_outcome(pair, b, p, DEFAULT_CONFIG) == got
+
+
+def cycle_maps():
+    """Maps whose count squares repeat with period 2: a -> b -> c -> a on
+    F3 (from square 0), and the same with d -> d a on F4, whose squares
+    repeat only once the counts of d's iterates reach the cap."""
+    F3 = standard_alphabet(3)
+    return {
+        "3-cycle": verify_pair(endo(F3, "b", "c", "a"), endo(F3, "c", "a", "b")),
+        "3-cycle, d -> d a": verify_pair(endo(F4, "b", "c", "a", "d a"), endo(F4, "c", "a", "b", "d c^-1")),
+    }
+
+
+class TestMapTable:
+    """Each part of a map's table stays within its bound, however far an
+    orbit reaches, and the count squares read past their repeat are the
+    squares that squaring on gives."""
+
+    @pytest.mark.parametrize("label", ["beta:rank=26", "sigma", "3-cycle", "delta:n=1"])
+    def test_parts_stay_within_their_bounds(self, label):
+        pair = cycle_maps()[label] if label == "3-cycle" else parse_family_spec(label).pair
+        seeds = [parse_word(pair.alphabet, text) for text in ("a", "b")]
+        for p in (10**400, 10**4000):
+            for g in seeds:
+                iterate_outcome(pair, g, p, DEFAULT_CONFIG)
+                iterate_outcome(pair, g, -p, DEFAULT_CONFIG)
+                for e in (pair.forward, pair.backward):
+                    table = e._table
+                    # at most 22 distinct squares, and the repeat
+                    assert len(table.squares) <= 23
+                    assert len(table.levels) <= automorphisms._KEPT_LEVELS
+                    assert table.runs <= automorphisms._KEPT_RUNS
+
+    def test_squares_past_the_repeat_give_the_reference_steps(self, monkeypatch):
+        rng = random.Random(42)
+        past = []
+        original = _MapTable._square
+
+        def checking(table, i):
+            square = original(table, i)
+            if i >= len(table.squares):  # read past the repeat
+                rows, _ = reference_squares(table.images, table.cap, i + 1)[i]
+                assert square == (rows, [min(table.cap, sum(row)) for row in rows]), i
+                past.append(i)
+            return square
+
+        monkeypatch.setattr(_MapTable, "_square", checking)
+        maps = list(cycle_maps().values()) + [sigma(), order_three(), make_phi(1)]
+        maps += [family(name, **params).pair for name, params in (("delta", {"n": 1}), ("inner", {"u": "a b"}))]
+        calls = 0
+        for pair in maps:
+            for e in (pair.forward, pair.backward):
+                letters = e.alphabet.signed_letters
+                e = fresh_map(e)
+                for _ in range(40):
+                    g = reduce(e.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 8))])
+                    budget = rng.choice((1, 3, 10, 300, 10**6))
+                    least = rng.choice((*range(1, 13), 64, rng.randint(1, 10**400)))
+                    limit = rng.randint(1, rng.choice((300, 10**6, 10**100, 10**400)))
+                    call = (g, least, limit, rng.randint(1, budget + 1), budget)
+                    assert dynamics._quiet_steps(e, *call) == reference_quiet_steps(e, *call), call
+                    calls += 1
+                REFERENCE_SQUARES.clear()  # up to 1,329 squares a cap: keep one map's
+        assert calls == 560
+        assert len(past) >= 50_000  # 75,328
 
 
 def order_three():
@@ -1815,13 +1905,13 @@ class TestPlannerWork:
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
         composed = []
-        original = dynamics._compose_blocks
+        original = automorphisms._compose_blocks
 
         def counting(outer, inner):
             composed.append(len(inner))
             return original(outer, inner)
 
-        monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+        monkeypatch.setattr(automorphisms, "_compose_blocks", counting)
         calls = apply_calls(monkeypatch)
         with pytest.raises(GrowthOverflowError) as exc:
             iterate(delta, b, 10**6)
@@ -1955,15 +2045,15 @@ class TestOrbitWindowTable:
 
 def composed_blocks(monkeypatch):
     """The compositions of letter iterates made from now on: for each
-    call of ``dynamics._compose_blocks``, how many letters it composes."""
+    call of ``automorphisms._compose_blocks``, how many letters it composes."""
     composed = []
-    original = dynamics._compose_blocks
+    original = automorphisms._compose_blocks
 
     def counting(outer, inner):
         composed.append(len(inner))
         return original(outer, inner)
 
-    monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+    monkeypatch.setattr(automorphisms, "_compose_blocks", counting)
     return composed
 
 
@@ -2007,8 +2097,8 @@ def stepped_levels(e, letters, top, longest):
 def check_table(e, letters, levels):
     """The table of ``e`` keeps at most ``_KEPT_RUNS`` runs, counts them
     right, and every block it keeps is the stepped one."""
-    kept, table = e._letter_iterates
-    assert kept <= dynamics._KEPT_RUNS
+    kept, table = e._table.runs, e._table.iterates
+    assert kept <= automorphisms._KEPT_RUNS
     assert kept == sum(len(runs) for level in table.values() for runs, _ in level.values())
     for n, level in table.items():
         for x, block in level.items():
@@ -2033,7 +2123,7 @@ class TestLetterTable:
     @pytest.mark.parametrize("kept", [None, 64])
     def test_levels_are_the_stepped_chain(self, monkeypatch, kept):
         if kept is not None:  # few levels kept: most are built and handed on
-            monkeypatch.setattr(dynamics, "_KEPT_RUNS", kept)
+            monkeypatch.setattr(automorphisms, "_KEPT_RUNS", kept)
         rng = random.Random(29)
         checked = 0
         for label, e in table_catalog():
@@ -2050,7 +2140,7 @@ class TestLetterTable:
                     for n in ns:
                         # ascending, each level is handed the one before as
                         # an orbit hands its last level
-                        got = dynamics._letter_iterates(table, images_of(e, letters), n, last)
+                        got = table._table.letter_iterates(images_of(e, letters), n, last)
                         assert {x: got[x] for x in letters} == levels[n], (label, order, n)
                         last = got if order == "ascending" else None
                         checked += 1
@@ -2067,7 +2157,7 @@ class TestLetterTable:
                 letters = set(e.alphabet.signed_letters)
                 table = fresh_map(e)
                 for n in (10**6, 999_999, 2**20 + 1, 10**8, 10**8 + 1, 10**400 + 1, 3):
-                    got = dynamics._letter_iterates(table, images_of(e, letters), n)
+                    got = table._table.letter_iterates(images_of(e, letters), n)
                     if name == "delta":
                         want = {1: a, -1: ~a, 2: b * a ** (sign * n), -2: ~(b * a ** (sign * n))}
                     else:
@@ -2086,27 +2176,27 @@ class TestLetterTable:
             levels = stepped_levels(e, large, 40, 20_000)
             table = fresh_map(e)
             for n in range(1, 41):
-                dynamics._letter_iterates(table, images_of(e, small), n)
+                table._table.letter_iterates(images_of(e, small), n)
             for n in (max(levels), *range(1, max(levels))):
-                got = dynamics._letter_iterates(table, images_of(e, large), n)
+                got = table._table.letter_iterates(images_of(e, large), n)
                 assert {x: got[x] for x in large} == levels[n]
             check_table(table, large, levels)
             # an orbit's steps over the larger set, each from its last level,
             # on levels that hold the smaller set
             stepped = fresh_map(e)
             for n in range(1, 41):
-                dynamics._letter_iterates(stepped, images_of(e, small), n)
+                stepped._table.letter_iterates(images_of(e, small), n)
             for n in range(2, max(levels) + 1):
-                got = dynamics._letter_iterates(stepped, images_of(e, large), n, levels[n - 1])
+                got = stepped._table.letter_iterates(images_of(e, large), n, levels[n - 1])
                 assert {x: got[x] for x in large} == levels[n]
             check_table(stepped, large, levels)
             # the kept levels are read again without composing
-            kept = [n for n, level in table._letter_iterates[1].items() if level.keys() >= large]
+            kept = [n for n, level in table._table.iterates.items() if level.keys() >= large]
             assert len(kept) >= 5
             with monkeypatch.context() as m:
                 composed = composed_blocks(m)
                 for n in kept:
-                    dynamics._letter_iterates(table, images_of(e, large), n)
+                    table._table.letter_iterates(images_of(e, large), n)
                 assert composed == []
 
     def test_kept_runs_stay_within_the_bound(self):
@@ -2117,11 +2207,16 @@ class TestLetterTable:
         letters = set(e.alphabet.signed_letters)
         levels = stepped_levels(e, letters, 40, 200_000)
         for n in levels:
-            got = dynamics._letter_iterates(e, images_of(e, letters), n)
+            got = e._table.letter_iterates(images_of(e, letters), n)
             assert {x: got[x] for x in letters} == levels[n]
-        kept, table = e._letter_iterates
-        assert max(levels) not in table and kept <= dynamics._KEPT_RUNS
+        kept, table = e._table.runs, e._table.iterates
+        assert max(levels) not in table and kept <= automorphisms._KEPT_RUNS
         check_table(e, letters, levels)
+
+
+def empty_letter_iterates(e):
+    """Empty the letter iterates that ``e`` keeps, and nothing else."""
+    e._table.iterates, e._table.runs = {}, 0
 
 
 class TestWarmTable:
@@ -2144,13 +2239,14 @@ class TestWarmTable:
                     lambda: iterate_outcome(pair, g, -12, DEFAULT_CONFIG),
                 ):
                     if cold:
-                        pair.forward._letter_iterates = pair.backward._letter_iterates = None
+                        empty_letter_iterates(pair.forward)
+                        empty_letter_iterates(pair.backward)
                     out.append(call())
             return out
 
         cold = results(True)
         filling = results(False)
-        assert pair.forward._letter_iterates is not None and pair.backward._letter_iterates is not None
+        assert pair.forward._table.iterates and pair.backward._table.iterates
         assert results(False) == filling == cold
 
     def test_second_jump_composes_nothing(self, monkeypatch):
@@ -2212,13 +2308,13 @@ class TestJumpBound:
         theta = stock_theta("trace3")
         seed = iterate(theta, parse_word(theta.alphabet, "a b^-1 a^2"), -4)
         composed = []
-        original = dynamics._compose_blocks
+        original = automorphisms._compose_blocks
 
         def counting(outer, inner):
             composed.append(len(inner))
             return original(outer, inner)
 
-        monkeypatch.setattr(dynamics, "_compose_blocks", counting)
+        monkeypatch.setattr(automorphisms, "_compose_blocks", counting)
         outcomes = jump_outcomes(monkeypatch)
         touched = touched_letters(monkeypatch)
         got = iterate(theta, seed, 12)
@@ -2411,10 +2507,21 @@ class TestIterateJump:
         assert len(calls) <= 6
 
     def test_foreign_word_rejected_for_every_power(self):
+        # every dynamics entry point checks the word's alphabet, since no
+        # orbit step goes through Endomorphism.apply: a word over another
+        # alphabet of the same rank gave a result, and one over a-f a
+        # KeyError from the image blocks
         phi = family("phi_k", k=1).pair
-        foreign = Alphabet(("w", "x", "y", "z"))
         image = iterate(phi, parse_word(phi.alphabet, "b d c d"), 300)
-        g = Word(foreign, image.runs)
-        for p in (0, 1, -1, 300, -300):
-            with pytest.raises(AlphabetMismatchError):
-                iterate(phi, g, p)
+        F6 = standard_alphabet(6)
+        for g in (Word(Alphabet(("w", "x", "y", "z")), image.runs), Word(F6, image.runs) * parse_word(F6, "e f")):
+            calls = [partial(iterate, phi, g, p) for p in (0, 1, -1, 300, -300)]
+            calls += [
+                partial(omega_limit, phi, g),
+                partial(growth_classify, phi, g, 12),
+                partial(verify_splitting, phi, [g, g], 3),
+                partial(detect_boundary_period, phi, g, 1),
+            ]
+            for call in calls:
+                with pytest.raises(AlphabetMismatchError):
+                    call()
