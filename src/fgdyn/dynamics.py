@@ -16,6 +16,7 @@ Limits of elements and of rational boundary points agree (the orbit of
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
@@ -41,7 +42,10 @@ from .words import (
 class GrowthOverflowError(RuntimeError):
     """Word length exceeded the configured budget during iteration.
 
-    ``word`` is the iterate that broke the budget, when it is known.
+    ``word`` is the iterate that broke the budget, when it is known: it
+    is ``None`` where :func:`growth_classify` read the overflow from
+    letter counts (an orbit whose turns are all legal), which builds no
+    iterate.
     """
 
     def __init__(self, iteration: int, length: int, budget: int, word: Optional[Word] = None):
@@ -1208,6 +1212,101 @@ class GrowthClass:
         }
 
 
+def _turns(runs) -> tuple[list[int], set]:
+    """The signed letters of a word given by its runs, one a run, and its
+    turns: two letters a run at most, as a run ``x^k`` with ``|k| >= 2``
+    has the one turn ``(x, x)`` inside it."""
+    signed = [x if k > 0 else -x for x, k in runs]
+    turns = set(zip(signed, signed[1:]))
+    turns.update((x, x) for x, (_, k) in zip(signed, runs) if k > 1 or k < -1)
+    return signed, turns
+
+
+def _legal(e: Endomorphism, g: Word) -> bool:
+    """Whether every iterate ``e^n(g)``, written out as the images of the
+    letters of ``e^(n-1)(g)`` one after another, is reduced as written.
+
+    A turn is a pair of consecutive letters.  L is the signed letters of
+    ``g``, closed under "the letters of ``e(x)``"; T is the turns of
+    ``g`` and those inside ``e(x)`` for each x in L, closed under ``(x,
+    y) -> (last letter of e(x), first letter of e(y))``.  The result is
+    whether T holds no turn ``(x, x^-1)``: every turn of T is legal in
+    the sense of Bestvina and Handel ("Train tracks and automorphisms of
+    free groups", Ann. of Math. 135, 1992).
+
+    Let ``W_0 = g`` and ``W_n`` be ``e(W_(n-1))`` written out.  It has
+    the turns inside each ``e(x_i)``, for the letters ``x_i`` of
+    ``W_(n-1)``, and one junction turn ``(last letter of e(x_i), first
+    letter of e(x_(i+1)))`` for each turn of ``W_(n-1)``; the images
+    are nonempty, as e is an automorphism.  So by induction the letters
+    of every ``W_n`` lie in L and its turns in T.  Where no turn of T
+    cancels, each ``W_n`` is reduced, so ``W_n = [e(W_(n-1))] =
+    [e^n(g)]``, and ``|[e^n(g)]|`` is the unreduced length ``U_n(g) =
+    sum_x |g|_x U_n(x)``, the row sums of ``M^n`` for the letter-count
+    matrix M.  Each run is read for two letters at most, so
+    ``b^1000000000000`` costs as much as ``b``.
+    """
+    signed, turns = _turns(g.runs)
+    todo, ends = list(set(signed)), {}  # ends: the first and last letter of e(x), for x in L
+    while todo:  # L, and the turns inside the images of its letters
+        x = todo.pop()
+        image, inside = _turns(e._image_blocks[x][0])
+        turns |= inside
+        ends[x] = image[0], image[-1]
+        todo += {y for y in image if y not in ends} - set(todo)
+    todo = list(turns)
+    while todo:  # the junction turns
+        x, y = todo.pop()
+        turn = (ends[x][1], ends[y][0])
+        if turn not in turns:
+            turns.add(turn)
+            todo.append(turn)
+    return not any(x == -y for x, y in turns)
+
+
+def _unreduced_lengths(
+    e: Endomorphism, g: Word, p_max: int, budget: int
+) -> tuple[Optional[list[int]], Optional[GrowthOverflowError]]:
+    """The unreduced lengths ``U_1(g), ..., U_(p_max)(g)`` (see
+    :func:`_quiet_steps`), up to the first step n past ``budget``, with
+    the :class:`GrowthOverflowError` of ``U_n(g)`` at step n where there
+    is one.  Where :func:`_legal` holds, they are the lengths of the
+    iterates.
+
+    They are the sums of the letter counts of ``e^n(g)`` by generator,
+    each step one product with M, read from the runs of the images of the
+    generators counted.  The counts are exact integers, never capped, so
+    the overflow length is exact too.  They are compared with those of
+    the last step that is a power of two (Brent's cycle finding): where
+    those of step p equal those of step j < p, the lengths from j on are
+    periodic, and as they never decrease, constant.  Where j is at most ``p_max // 2 + 1``, the
+    first step of the tail half that :func:`growth_classify` fits, every
+    sample it reads is the same, and ``None`` is given for the lengths:
+    a bounded orbit costs a few steps, whatever ``p_max``.
+    """
+    rows = [[(y - 1, abs(k)) for y, k in image.runs] for image in e.images]
+    counts = [0] * len(rows)
+    for x, k in g.runs:
+        counts[x - 1] += k if k > 0 else -k
+    lengths: list[int] = []
+    seen, j = counts, 0
+    for p in range(1, p_max + 1):
+        step = [0] * len(rows)
+        for c, row in zip(counts, rows):
+            if c:
+                for i, k in row:
+                    step[i] += c * k
+        counts, total = step, sum(step)
+        if total > budget:
+            return lengths, GrowthOverflowError(p, total, budget)
+        if counts == seen and j <= p_max // 2 + 1:
+            return None, None
+        lengths.append(total)
+        if not p & (p - 1):
+            seen, j = counts, p
+    return lengths, None
+
+
 def growth_classify(
     phi: AutoPair, g: Word, p_max: int, cfg: IterationConfig = DEFAULT_CONFIG
 ) -> GrowthClass:
@@ -1219,30 +1318,44 @@ def growth_classify(
     or re-raises the :class:`GrowthOverflowError` when fewer than three
     tail samples are left to fit.  Both lines pass through any two
     points, so two samples cannot tell the growth kinds apart.
+    ``p_max`` is an integer from 8 to ``sys.maxsize``.
 
-    The head is jumped over (:meth:`_Orbit.jump`) to step ``s = q // 2``,
-    where q is the last step up to ``p_max`` that :func:`_quiet_steps`
-    proves free of overflow (asked from step ``2 * _LONG_JUMP``, the least
-    q that gives such an s), wherever s is at least ``_LONG_JUMP``.  An overflow then comes past step q, after at least
-    ``2s`` samples, so the tail half starts past s either way; the
-    lengths jumped over are counted as samples but never read.
+    Where every turn the orbit can produce is legal (:func:`_legal`), no
+    iterate cancels, and the lengths are the unreduced lengths ``U_n(g)``
+    summed from letter counts (:func:`_unreduced_lengths`): no iterate is
+    built, and an overflow carries no ``word``, but the same step, length
+    and budget as stepping.
+
+    Any other orbit is stepped through an :class:`_Orbit`, and its head
+    is jumped over (:meth:`_Orbit.jump`) to step ``s = q // 2``, where q
+    is the last step up to ``p_max`` that :func:`_quiet_steps` proves
+    free of overflow (asked from step ``2 * _LONG_JUMP``, the least q
+    that gives such an s), wherever s is at least ``_LONG_JUMP``.  An
+    overflow then comes past step q, after at least ``2s`` samples, so
+    the tail half starts past s either way; the lengths jumped over are
+    counted as samples but never read.
     """
-    if p_max < 8:
-        raise ValueError("p_max must be at least 8")
+    if isinstance(p_max, bool) or not isinstance(p_max, int) or not 8 <= p_max <= sys.maxsize:
+        raise ValueError(f"p_max must be an integer from 8 to {sys.maxsize}, got {p_max!r}")
     e, budget = phi.forward, cfg.max_word_length
     _check_alphabet(e, g)
-    orbit = _Orbit(e, g, budget)
-    lengths = []
-    quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
-    s = quiet[0] // 2 if quiet is not None else 0
-    if s >= _LONG_JUMP:
-        lengths = [0] * (s - 1) + [len(orbit.jump(s))]
     overflow = None
-    try:
-        for w in islice(orbit, p_max - len(lengths)):
-            lengths.append(len(w))
-    except GrowthOverflowError as exc:
-        overflow = exc
+    if _legal(e, g):
+        lengths, overflow = _unreduced_lengths(e, g, p_max, budget)
+        if lengths is None:
+            return GrowthClass("bounded", samples=p_max)
+    else:
+        orbit = _Orbit(e, g, budget)
+        lengths = []
+        quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
+        s = quiet[0] // 2 if quiet is not None else 0
+        if s >= _LONG_JUMP:
+            lengths = [0] * (s - 1) + [len(orbit.jump(s))]
+        try:
+            for w in islice(orbit, p_max - len(lengths)):
+                lengths.append(len(w))
+        except GrowthOverflowError as exc:
+            overflow = exc
     tail_start = len(lengths) // 2
     ps = range(tail_start + 1, len(lengths) + 1)
     ls = lengths[tail_start:]
@@ -1315,8 +1428,8 @@ def verify_splitting(
         raise ValueError("bricks must be nontrivial")
     for b in bricks:
         _check_alphabet(phi.forward, b)
-    if p_max < 0:
-        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    if isinstance(p_max, bool) or not isinstance(p_max, int) or not 0 <= p_max < sys.maxsize:
+        raise ValueError(f"p_max must be an integer from 0 to {sys.maxsize - 1}, got {p_max!r}")
     budget = DEFAULT_CONFIG.max_word_length
     orbits = [chain([b], _Orbit(phi.forward, b, budget)) for b in bricks]
     for p, images in enumerate(islice(zip(*orbits), p_max + 1)):

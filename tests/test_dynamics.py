@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import partial
 from itertools import count, islice
 from operator import mul
@@ -20,6 +21,7 @@ from fgdyn.dynamics import (
     DEFAULT_CONFIG,
     Boundary,
     FixedElement,
+    GrowthClass,
     GrowthOverflowError,
     INCONCLUSIVE,
     IterationConfig,
@@ -463,19 +465,15 @@ class TestGrowth:
     def test_jump_over_the_head_keeps_every_class(self, monkeypatch):
         # growth_classify jumps to min(p_max, q) // 2 where that is at
         # least _LONG_JUMP; stepping every iterate must give the same class
-        # to the last float, overflows included
+        # to the last float, overflows included.  Every orbit steps: a
+        # legal one would read its lengths from letter counts
+        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
         landed = landings(monkeypatch)
         rng = random.Random(12)
         maps = [family(name, **params).pair for name, params in (
             ("phi_k", {"k": 1}), ("phi_k", {"k": 3}), ("alpha_k", {"k": 1}), ("delta", {"n": 1}),
             ("twist", {"n": 2, "k": 1}), ("beta", {"rank": 6}),
         )]
-
-        def outcome(pair, g, p_max, cfg):
-            try:
-                return growth_classify(pair, g, p_max, cfg).to_json()
-            except GrowthOverflowError as exc:
-                return (exc.iteration, exc.length)
 
         jumped = overflowed = 0
         for _ in range(100):
@@ -486,11 +484,11 @@ class TestGrowth:
             p_max = rng.randint(128, 400) if rng.random() < 0.8 else rng.randint(8, 127)
             cfg = IterationConfig(max_word_length=rng.choice((150, 300, 3000, 10**6)))
             before = len(landed)
-            got = outcome(pair, g, p_max, cfg)
+            got = growth_outcome(pair, g, p_max, cfg)
             jumped += len(landed) > before
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_LONG_JUMP", p_max)  # no jump
-                want = outcome(pair, g, p_max, cfg)
+                want = growth_outcome(pair, g, p_max, cfg)
             assert got == want, (str(pair.forward), str(g), p_max, cfg.max_word_length)
             overflowed += len(landed) > before and isinstance(got, dict) and got["samples"] < p_max
         # seed 12: 41 of the 100 draws jump, 10 of those overflow after it
@@ -524,6 +522,18 @@ class TestGrowth:
     def test_pmax_validated(self):
         with pytest.raises(ValueError):
             growth_classify(make_phi(1), w4("d"), 4)
+        # past sys.maxsize, or not an integer: the message names the range
+        for text, p_max in (("a", 10**30), ("d", 10**30), ("a", 8.0), ("d", 8.0), ("d", True)):
+            with pytest.raises(ValueError, match=f"from 8 to {sys.maxsize}"):
+                growth_classify(make_phi(1), w4(text), p_max)
+
+    def test_bounded_legal_orbit_of_any_length_returns_at_once(self):
+        # the letter counts of a and a^3 under phi_k:k=1 and of a b^-1 under
+        # sigma repeat at the first step, so the lengths are constant from
+        # there, however far p_max is
+        for pair, text in ((make_phi(1), "a"), (make_phi(1), "a^3"), (sigma(), "a b^-1")):
+            g = parse_word(pair.alphabet, text)
+            assert growth_classify(pair, g, sys.maxsize) == GrowthClass("bounded", samples=sys.maxsize)
 
     def test_overflow_ends_sampling(self):
         # |theta^p(a)| = 3, 8, 21, 55, 144, 377, 987, 2584: step 8 breaks 1000
@@ -596,6 +606,108 @@ class TestGrowth:
             growth_classify(theta, parse_word(theta.alphabet, "a b a"), 20, cfg)
 
 
+def growth_outcome(pair, g, p_max, cfg=DEFAULT_CONFIG):
+    """The class of ``growth_classify`` as JSON, or the iteration, length
+    and budget of the overflow it raises."""
+    try:
+        return growth_classify(pair, g, p_max, cfg).to_json()
+    except GrowthOverflowError as exc:
+        return (exc.iteration, exc.length, exc.budget)
+
+
+def unreduced_length(e, g, n):
+    """``U_n(g)``, the length of ``e^n(g)`` before free reduction, from the
+    letter counts of ``g`` and of the images, by generator."""
+    counts = [0] * e.alphabet.rank
+    for x, k in g.runs:
+        counts[x - 1] += abs(k)
+    for _ in range(n):
+        step = [0] * len(counts)
+        for c, image in zip(counts, e.images):
+            for y, k in image.runs:
+                step[y - 1] += c * abs(k)
+        counts = step
+    return sum(counts)
+
+
+class TestLegalRoute:
+    """``growth_classify`` reads the lengths of an orbit whose turns are
+    all legal (``dynamics._legal``) from letter counts, and builds no
+    iterate; every result must be the one of stepping the orbit."""
+
+    def test_agrees_with_stepping(self, monkeypatch):
+        rng = random.Random(32)
+        cases = [(phi, g) for _label, pair, seeds in catalog_seeds() for g in seeds[:12] for phi in (pair, pair.inverse())]
+        for _ in range(150):
+            pair = random_pair(rng, F4, rng.randint(1, 4))
+            g = reduce(F4, [rng.choice(F4.signed_letters) for _ in range(rng.randint(1, 6))])
+            if not g.is_identity():
+                cases.append((pair, g))
+        legal = overflowed = 0
+        for phi, g in cases:
+            p_max = rng.randint(8, 400)
+            cfg = IterationConfig(max_word_length=rng.choice((150, 3000, 10**6)))
+            got = growth_outcome(phi, g, p_max, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_legal", lambda e, g: False)
+                want = growth_outcome(phi, g, p_max, cfg)
+            assert got == want, (str(phi.forward), str(g), p_max, cfg.max_word_length)
+            if dynamics._legal(phi.forward, g):
+                legal += 1
+                overflowed += isinstance(got, tuple) or got["samples"] < p_max
+        # seed 32: 243 of the 301 orbits are legal, and 64 of those overflow
+        assert legal > 220 and overflowed > 50, (legal, overflowed)
+
+    def test_lengths_of_legal_orbits_are_unreduced_lengths(self):
+        rng = random.Random(8)
+        legal = 0
+        for _ in range(300):
+            pair = random_pair(rng, F4, rng.randint(1, 4))
+            for phi in (pair, pair.inverse()):
+                e = phi.forward
+                for _ in range(5):
+                    g = reduce(F4, [rng.choice(F4.signed_letters) for _ in range(rng.randint(1, 6))])
+                    if g.is_identity() or not dynamics._legal(e, g):
+                        continue
+                    legal += 1
+                    w, counted = g, dynamics._unreduced_lengths(e, g, 8, 10**18)[0]
+                    for n in range(1, 9):
+                        w = e.apply(w)
+                        assert len(w) == unreduced_length(e, g, n), (str(e), str(g), n)
+                        assert counted is None or counted[n - 1] == len(w)
+        # seed 8: 2,174 of the 2,909 nontrivial orbits drawn are legal
+        assert legal > 2000, legal
+
+    def test_pinned_verdicts(self):
+        rng = random.Random(3)
+        # the orbits of the iterate_exact benchmark: positive words of 1-6
+        # letters under maps whose images are positive words
+        for pair, gens in (
+            (stock_theta("trace3"), (1, 2)),
+            (stock_theta("trace4"), (1, 2)),
+            (family("beta", rank=6).pair, (5, 6)),
+            (family("phi_k", k=1).pair, (1, 2, 3, 4)),
+            (family("phi_k", k=3).pair, (1, 2, 3, 4)),
+        ):
+            for _ in range(20):
+                g = Word.from_letters(pair.alphabet, [rng.choice(gens) for _ in range(rng.randint(1, 6))])
+                assert dynamics._legal(pair.forward, g), (str(pair.forward), str(g))
+        phi = family("phi_k", k=1).pair
+        # one run is read for two letters, not expanded: the first iterate
+        # has 2 * 10^12 letters, past the budget
+        b = parse_word(phi.alphabet, "b^1000000000000")
+        assert dynamics._legal(phi.forward, b)
+        with pytest.raises(GrowthOverflowError) as exc:
+            growth_classify(phi, b, 8)
+        assert (exc.value.iteration, exc.value.length, exc.value.budget, exc.value.word) == (1, 2 * 10**12, 10**6, None)
+        # [phi(b d^-1)] = b a c^-1 d^-1 ends in a turn a c^-1, whose image
+        # turn a a^-1 cancels at the next step; c a^-1 maps to c a^2 a^-1
+        for text in ("b d^-1", "c a^-1"):
+            assert not dynamics._legal(phi.forward, parse_word(phi.alphabet, text)), text
+        delta = family("delta", n=1).pair
+        assert not dynamics._legal(delta.forward, parse_word(delta.alphabet, "a b^-1"))
+
+
 class TestVerifySplitting:
     def test_image_splitting(self):
         phi = make_phi(1)
@@ -659,6 +771,10 @@ class TestVerifySplitting:
             verify_splitting(make_phi(1), [w4("b"), identity(F4)], 5)
         with pytest.raises(ValueError):
             verify_splitting(make_phi(1), [w4("b"), w4("d")], -1)
+        # past sys.maxsize - 1, or not an integer: the message names the range
+        for p_max in (10**30, sys.maxsize, 3.0, True):
+            with pytest.raises(ValueError, match=f"from 0 to {sys.maxsize - 1}"):
+                verify_splitting(make_phi(1), [w4("b"), w4("d")], p_max)
 
     def test_length_budget(self):
         # |theta^15(a)| = 2,178,309 letters breaks the default budget
@@ -1436,15 +1552,18 @@ class TestQuietBoundWork:
         assert dynamics._quiet_steps(e, seed, 6, 298, 200, 10**6) is None
         assert len(read) == 12
 
-    def test_one_count_table_per_map(self):
+    def test_one_count_table_per_map(self, monkeypatch):
         # the weighing of assembly in the orbit and the jump bound read one
-        # letter-count table, built once for the budget: growth_classify
-        # builds it, and iterate and omega_limit read the same table on
+        # letter-count table, built once for the budget: growth_classify,
+        # made to step the legal orbit of d, builds it, and iterate and
+        # omega_limit read the same table on
         pair = family("phi_k", k=1).pair
         e, d = pair.forward, parse_word(pair.alphabet, "d")
         table = e._table
         assert table.squares == []
-        growth_classify(pair, d, 12)
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_legal", lambda e, g: False)
+            growth_classify(pair, d, 12)
         squares = table.squares
         assert squares != [] and table.cap == 2 * 10**6 + 1
         letter_counts = [[1, 0, 0, 0], [1, 1, 0, 0], [2, 0, 1, 0], [0, 0, 1, 1]]  # images a, b a, c a^2, d c
@@ -1932,6 +2051,8 @@ def orbit_words(monkeypatch):
 
 class TestOrbitMechanism:
     def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
+        # growth_classify steps the legal orbit of d, as it does any other
+        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
         phi = family("phi_k", k=1).pair
         d = parse_word(phi.alphabet, "d")
         stepped = orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0]
@@ -1958,7 +2079,9 @@ class TestOrbitMechanism:
         # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step
         # reads, so growth_classify applies at every step past the head it
         # jumps over (to step 150, where its tail half starts); iterate
-        # jumps to the end
+        # jumps to the end.  growth_classify steps this legal orbit, as it
+        # does any other
+        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
         outcomes = jump_outcomes(monkeypatch)
