@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -549,7 +549,9 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     the orbit starts a replay list with it and adds each word it makes
     after it; once the list holds q words, every step replays them.
     Every iterate of a periodic orbit comes before the return, so the
-    budget raises where stepping every iterate would.
+    budget raises where stepping every iterate would.  A caller that needs
+    no more than the cycle (:func:`growth_classify`,
+    :func:`verify_splitting`) stops at the return.
     """
 
     def __init__(self, e: Endomorphism, g: Word, budget: int):
@@ -1246,14 +1248,11 @@ def _legal(e: Endomorphism, g: Word) -> bool:
     matrix M.  Each run is read for two letters at most, so
     ``b^1000000000000`` costs as much as ``b``.
     """
-    signed, turns = _turns(g.runs)
-    todo, ends = list(set(signed)), {}  # ends: the first and last letter of e(x), for x in L
-    while todo:  # L, and the turns inside the images of its letters
-        x = todo.pop()
+    turns, ends = _turns(g.runs)[1], {}  # ends: the first and last letter of e(x), for x in L
+    for x in _reachable_letters(e, g):  # L, and the turns inside the images of its letters
         image, inside = _turns(e._image_blocks[x][0])
         turns |= inside
         ends[x] = image[0], image[-1]
-        todo += {y for y in image if y not in ends} - set(todo)
     todo = list(turns)
     while todo:  # the junction turns
         x, y = todo.pop()
@@ -1276,20 +1275,19 @@ def _unreduced_lengths(
     They are the sums of the letter counts of ``e^n(g)`` by generator,
     each step one product with M, read from the runs of the images of the
     generators counted.  The counts are exact integers, never capped, so
-    the overflow length is exact too.  They are compared with those of
-    the last step that is a power of two (Brent's cycle finding): where
-    those of step p equal those of step j < p, the lengths from j on are
-    periodic, and as they never decrease, constant.  Where j is at most ``p_max // 2 + 1``, the
-    first step of the tail half that :func:`growth_classify` fits, every
-    sample it reads is the same, and ``None`` is given for the lengths:
-    a bounded orbit costs a few steps, whatever ``p_max``.
+    the overflow length is exact too.  Each step's counts are compared
+    with those of ``g``.  Where :func:`_legal` holds they are the counts
+    of the iterate, and its length never decreases, so a return to the
+    counts of ``g`` makes every length up to it ``|g|``, and the lengths
+    from there repeat them: ``None`` is given for the lengths.  A bounded
+    orbit of an automorphism is periodic, so a bounded legal orbit
+    returns at its period, whatever ``p_max``.
     """
     rows = [[(y - 1, abs(k)) for y, k in image.runs] for image in e.images]
-    counts = [0] * len(rows)
+    first = counts = [0] * len(rows)
     for x, k in g.runs:
         counts[x - 1] += k if k > 0 else -k
     lengths: list[int] = []
-    seen, j = counts, 0
     for p in range(1, p_max + 1):
         step = [0] * len(rows)
         for c, row in zip(counts, rows):
@@ -1299,11 +1297,9 @@ def _unreduced_lengths(
         counts, total = step, sum(step)
         if total > budget:
             return lengths, GrowthOverflowError(p, total, budget)
-        if counts == seen and j <= p_max // 2 + 1:
+        if counts == first:
             return None, None
         lengths.append(total)
-        if not p & (p - 1):
-            seen, j = counts, p
     return lengths, None
 
 
@@ -1326,14 +1322,15 @@ def growth_classify(
     built, and an overflow carries no ``word``, but the same step, length
     and budget as stepping.
 
-    Any other orbit is stepped through an :class:`_Orbit`, and its head
-    is jumped over (:meth:`_Orbit.jump`) to step ``s = q // 2``, where q
-    is the last step up to ``p_max`` that :func:`_quiet_steps` proves
-    free of overflow (asked from step ``2 * _LONG_JUMP``, the least q
-    that gives such an s), wherever s is at least ``_LONG_JUMP``.  An
-    overflow then comes past step q, after at least ``2s`` samples, so
-    the tail half starts past s either way; the lengths jumped over are
-    counted as samples but never read.
+    Any other orbit is stepped through an :class:`_Orbit`, up to its
+    first return to ``g`` (:attr:`_Orbit.period`).  Where every length of
+    that cycle is ``|g|``, every later one is too.
+
+    Either way a bounded orbit ends at its first return, and is
+    ``bounded`` with ``samples = p_max``: there are finitely many words of
+    each length and e is injective, so a bounded orbit is periodic.  A
+    periodic orbit that is not legal and whose cycle lengths differ is
+    stepped to ``p_max``, each step after the return replayed.
     """
     if isinstance(p_max, bool) or not isinstance(p_max, int) or not 8 <= p_max <= sys.maxsize:
         raise ValueError(f"p_max must be an integer from 8 to {sys.maxsize}, got {p_max!r}")
@@ -1342,20 +1339,18 @@ def growth_classify(
     overflow = None
     if _legal(e, g):
         lengths, overflow = _unreduced_lengths(e, g, p_max, budget)
-        if lengths is None:
-            return GrowthClass("bounded", samples=p_max)
     else:
-        orbit = _Orbit(e, g, budget)
-        lengths = []
-        quiet = _quiet_steps(e, g, 2 * _LONG_JUMP, p_max, budget + 1, budget)
-        s = quiet[0] // 2 if quiet is not None else 0
-        if s >= _LONG_JUMP:
-            lengths = [0] * (s - 1) + [len(orbit.jump(s))]
+        orbit, lengths = _Orbit(e, g, budget), []
         try:
-            for w in islice(orbit, p_max - len(lengths)):
+            for w in islice(orbit, p_max):
                 lengths.append(len(w))
+                if orbit.period == len(lengths) and min(lengths) == max(lengths):
+                    lengths = None  # the first return, every length of the cycle |g|
+                    break
         except GrowthOverflowError as exc:
             overflow = exc
+    if lengths is None:
+        return GrowthClass("bounded", samples=p_max)
     tail_start = len(lengths) // 2
     ps = range(tail_start + 1, len(lengths) + 1)
     ls = lengths[tail_start:]
@@ -1420,6 +1415,11 @@ def verify_splitting(
     of the next.  Brick images are held under
     ``DEFAULT_CONFIG.max_word_length``; an image past it raises
     :class:`GrowthOverflowError`.
+
+    Each brick's images are stepped by an :class:`_Orbit`.  Once every
+    orbit has come back to its brick, the tuple of images at p repeats the
+    one at p mod L, for L the lcm of their periods: the check stops once
+    it has passed p = L - 1, whatever ``p_max``.
     """
     bricks = list(bricks)
     if len(bricks) < 2:
@@ -1431,11 +1431,17 @@ def verify_splitting(
     if isinstance(p_max, bool) or not isinstance(p_max, int) or not 0 <= p_max < sys.maxsize:
         raise ValueError(f"p_max must be an integer from 0 to {sys.maxsize - 1}, got {p_max!r}")
     budget = DEFAULT_CONFIG.max_word_length
-    orbits = [chain([b], _Orbit(phi.forward, b, budget)) for b in bricks]
-    for p, images in enumerate(islice(zip(*orbits), p_max + 1)):
+    orbits = [_Orbit(phi.forward, b, budget) for b in bricks]
+    images = bricks
+    for p in range(p_max + 1):
+        if p:
+            images = [next(orbit) for orbit in orbits]
         for i in range(len(images) - 1):
             if images[i].last_letter() == -images[i + 1].first_letter():
                 return SplittingCertificate(False, p_max, (p, i + 1))
+        periods = [orbit.period for orbit in orbits]
+        if all(periods) and p + 1 >= math.lcm(*periods):
+            break
     return SplittingCertificate(True, p_max)
 
 

@@ -147,26 +147,52 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
     return None
 
 
-# stock hyperbolic rank-2 automorphisms, named by abelianized trace
+# stock hyperbolic rank-2 automorphisms, named by abelianized trace: the
+# images of a and b, those of the inverse, and the commutator the map fixes
 _STOCK_THETAS = {
-    "trace3": ("a b a", "a b", "b^-1 a", "a^-1 b^2"),  # [[2,1],[1,1]], field Q(sqrt 5)
-    "trace4": ("a b a b a", "b a", "a b^-2", "b^3 a^-1"),  # [[3,1],[2,1]], field Q(sqrt 3)
+    "trace3": ("a b a", "a b", "b^-1 a", "a^-1 b^2", "a^-1 b^-1 a b"),  # [[2,1],[1,1]], field Q(sqrt 5)
+    "trace4": ("a b a b a", "b a", "a b^-2", "b^3 a^-1", "a b a^-1 b^-1"),  # [[3,1],[2,1]], field Q(sqrt 3)
 }
 
 
-def stock_theta(name: str) -> AutoPair:
-    """A shipped hyperbolic automorphism of F_2 (names: trace3, trace4)."""
+def _stock_entry(name: str) -> tuple[str, ...]:
     try:
-        fwd_x, fwd_y, bwd_x, bwd_y = _STOCK_THETAS[name]
+        return _STOCK_THETAS[name]
     except KeyError:
         raise UnknownFamilyError(
             f"unknown stock theta {name!r}; available: {sorted(_STOCK_THETAS)}"
         ) from None
+
+
+def stock_theta(name: str) -> AutoPair:
+    """A shipped hyperbolic automorphism of F_2 (names: trace3, trace4)."""
+    fwd_x, fwd_y, bwd_x, bwd_y, _ = _stock_entry(name)
     return verify_pair(_endo(F2, fwd_x, fwd_y), _endo(F2, bwd_x, bwd_y))
+
+
+def stock_theta_fixed(name: str) -> Word:
+    """The commutator of a and b that the stock theta ``name`` fixes, which
+    generates its fixed subgroup Fix(theta) as far as is known here.
+
+    Each stock theta maps the commutator to itself letter for letter
+    (trace3: ``a^-1 b^-1 a b``, trace4: ``a b a^-1 b^-1``).  Its
+    abelianization has determinant 1 and trace 3 or 4, so no eigenvalue
+    1: a fixed word has exponent sum 0 in a and in b.  That Fix(theta)
+    holds nothing outside the commutator's powers is not proved here.  It
+    rests on a search: every reduced word of up to 10 letters that theta
+    fixes is a power of the commutator (``tests/test_families.py``).
+    """
+    return parse_word(F2, _stock_entry(name)[4])
 
 
 def stock_theta_names() -> list[str]:
     return sorted(_STOCK_THETAS)
+
+
+def _moved(alphabet: Alphabet, w: Word, offset: int) -> Word:
+    """``w`` over ``alphabet``, each generator renamed ``offset`` places
+    on; renaming keeps a word reduced."""
+    return Word(alphabet, tuple((g + offset, e) for g, e in w.runs))
 
 
 def _free_product(rank: int, *factors: AutoPair) -> AutoPair:
@@ -175,16 +201,14 @@ def _free_product(rank: int, *factors: AutoPair) -> AutoPair:
     after the last block.
 
     A factor's images move to its block by renaming the generator of
-    each run; renaming keeps a word reduced, so no letter is expanded.
+    each run (:func:`_moved`), so no letter is expanded.
     """
     alphabet = standard_alphabet(rank)
     forward, backward = [], []
     offset = 0
     for factor in factors:
         for images, endo in ((forward, factor.forward), (backward, factor.backward)):
-            images += [
-                Word(alphabet, tuple((g + offset, e) for g, e in w.runs)) for w in endo.images
-            ]
+            images += [_moved(alphabet, w, offset) for w in endo.images]
         offset += factor.alphabet.rank
     fixed = [generator(alphabet, g) for g in range(offset + 1, rank + 1)]
     return verify_pair(
@@ -238,6 +262,8 @@ def family(name: str, **params) -> FamilyInstance:
         # the generators past a-d that the pair fixes: e of alpha_k, g... of beta
         tail = [generator(alphabet, g) for g in range(5, alphabet.rank + 1)]
         fixed = _words(alphabet, "a", "b a b^-1", "c a c^-1")
+        if name == "beta":  # theta's commutator, on e-f
+            fixed += (_moved(alphabet, stock_theta_fixed(theta), 4),)
         fixed += tuple(x for x in tail if pair.apply(x) == x)
         return FamilyInstance(name, params, pair, fixed, None, parse_word(alphabet, "b d^-1"))
     if name in ("twist", "delta"):

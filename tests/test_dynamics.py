@@ -462,37 +462,45 @@ class TestLongConjugatorPowers:
 
 
 class TestGrowth:
-    def test_jump_over_the_head_keeps_every_class(self, monkeypatch):
-        # growth_classify jumps to min(p_max, q) // 2 where that is at
-        # least _LONG_JUMP; stepping every iterate must give the same class
-        # to the last float, overflows included.  Every orbit steps: a
-        # legal one would read its lengths from letter counts
-        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
-        landed = landings(monkeypatch)
-        rng = random.Random(12)
-        maps = [family(name, **params).pair for name, params in (
-            ("phi_k", {"k": 1}), ("phi_k", {"k": 3}), ("alpha_k", {"k": 1}), ("delta", {"n": 1}),
-            ("twist", {"n": 2, "k": 1}), ("beta", {"rank": 6}),
+    def test_both_routes_agree_with_stepping_every_sample(self, monkeypatch):
+        # the legal route ends a bounded orbit at the first return of its
+        # letter counts, the stepping route at the orbit's first return;
+        # stepping every sample with apply, no return checked, must give the
+        # same class to the last float, overflows included
+        rng = random.Random(33)
+        pairs = [family(name, **params) for name, params in (
+            ("phi_k", {"k": 1}), ("alpha_k", {"k": 1}), ("beta", {"rank": 6}), ("delta", {"n": 1}),
+            ("twist", {"n": 2, "k": 1}), ("sigma", {}), ("inner", {"u": "a b"}),
         )]
-
-        jumped = overflowed = 0
-        for _ in range(100):
-            pair = random_pair(rng, F4, rng.randint(1, 3)) if rng.random() < 0.2 else rng.choice(maps)
-            g = reduce(pair.alphabet, [rng.choice(pair.alphabet.signed_letters) for _ in range(rng.randint(1, 5))])
+        pairs = [(fam.pair, fam.fixed_generators) for fam in pairs] + [(order_three(), ()), (order_two(), ())]
+        bounded = [0, 0]  # bounded orbits that are not legal, and legal ones
+        for _ in range(400):
+            if rng.random() < 0.2:
+                pair, fixed = random_pair(rng, F4, rng.randint(1, 3), rng.randint(0, 2)), ()
+            else:
+                pair, fixed = rng.choice(pairs)
+            pair = pair if rng.random() < 0.5 else pair.inverse()
+            letters = pair.alphabet.signed_letters
+            if fixed and rng.random() < 0.6:  # a word of the fixed subgroup
+                g = reduce(pair.alphabet, [x for _ in range(rng.randint(1, 3)) for x in (rng.choice(fixed) ** rng.choice((1, -1))).letters()])
+            else:
+                g = reduce(pair.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 6))])
             if g.is_identity():
                 continue
-            p_max = rng.randint(128, 400) if rng.random() < 0.8 else rng.randint(8, 127)
-            cfg = IterationConfig(max_word_length=rng.choice((150, 300, 3000, 10**6)))
-            before = len(landed)
-            got = growth_outcome(pair, g, p_max, cfg)
-            jumped += len(landed) > before
+            p_max = rng.choice((8, 9, 20, 60, 200, 400))
+            cfg = IterationConfig(max_word_length=rng.choice((150, 3000, 10**5)))
             with monkeypatch.context() as m:
-                m.setattr(dynamics, "_LONG_JUMP", p_max)  # no jump
+                m.setattr(dynamics, "_legal", lambda e, g: False)
+                m.setattr(dynamics, "_Orbit", SteppedOrbit)
                 want = growth_outcome(pair, g, p_max, cfg)
-            assert got == want, (str(pair.forward), str(g), p_max, cfg.max_word_length)
-            overflowed += len(landed) > before and isinstance(got, dict) and got["samples"] < p_max
-        # seed 12: 41 of the 100 draws jump, 10 of those overflow after it
-        assert jumped > 30 and overflowed > 5, (jumped, overflowed)
+            assert growth_outcome(pair, g, p_max, cfg) == want, (str(pair.forward), str(g), p_max)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_legal", lambda e, g: False)
+                assert growth_outcome(pair, g, p_max, cfg) == want, (str(pair.forward), str(g), p_max)
+            if isinstance(want, dict) and want["kind"] == "bounded":
+                bounded[dynamics._legal(pair.forward, g)] += 1
+        # seed 33: 201 of the 388 draws are bounded, 81 of them not legal
+        assert bounded[0] > 60 and bounded[1] > 100, bounded
 
     def test_polynomial_degree_two(self):
         phi = make_phi(1)
@@ -529,11 +537,37 @@ class TestGrowth:
 
     def test_bounded_legal_orbit_of_any_length_returns_at_once(self):
         # the letter counts of a and a^3 under phi_k:k=1 and of a b^-1 under
-        # sigma repeat at the first step, so the lengths are constant from
-        # there, however far p_max is
+        # sigma return to those of the seed at the first step, so the
+        # lengths are constant from there, however far p_max is
         for pair, text in ((make_phi(1), "a"), (make_phi(1), "a^3"), (sigma(), "a b^-1")):
             g = parse_word(pair.alphabet, text)
+            assert dynamics._legal(pair.forward, g)
             assert growth_classify(pair, g, sys.maxsize) == GrowthClass("bounded", samples=sys.maxsize)
+
+    def test_bounded_orbit_that_is_not_legal_returns_at_once(self):
+        # b a b^-1 is fixed by phi_k:k=1, but its image b a a a^-1 b^-1
+        # cancels: the orbit is stepped, and ends at its first return; the
+        # commutator keeps its length 4 on its cycle under order_three
+        cases = ((make_phi(1), "b a b^-1"), (make_phi(1), "b a^2 b^-1 c a c^-1"),
+                 (inner(parse_word(F2, "a b")), "a b"), (order_three(), "a b a^-1 b^-1"))
+        for pair, text in cases:
+            g = parse_word(pair.alphabet, text)
+            assert not dynamics._legal(pair.forward, g)
+            assert growth_classify(pair, g, sys.maxsize) == GrowthClass("bounded", samples=sys.maxsize)
+
+    def test_cycle_of_unequal_lengths_is_stepped(self, monkeypatch):
+        # b -> a b -> b under order_two: lengths 2, 1, 2, ...; the return
+        # does not end the orbit, and every p_max gives the class of
+        # stepping every sample
+        pair = order_two()
+        b = parse_word(F2, "b")
+        assert not dynamics._legal(pair.forward, b)
+        for p_max in (8, 9, 20, 61):
+            got = growth_classify(pair, b, p_max)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_Orbit", SteppedOrbit)
+                assert got == growth_classify(pair, b, p_max)
+            assert got.samples == p_max
 
     def test_overflow_ends_sampling(self):
         # |theta^p(a)| = 3, 8, 21, 55, 144, 377, 987, 2584: step 8 breaks 1000
@@ -727,15 +761,6 @@ class TestVerifySplitting:
     def test_junction_test_finds_the_length_test_witness(self):
         # the witness is the first (p, i) at which two adjacent brick
         # images cancel, as the length test |u v| < |u| + |v| finds it
-        def length_witness(phi, bricks, p_max):
-            for p in range(p_max + 1):
-                images = [iterate(phi, b, p) for b in bricks]
-                for i in range(len(images) - 1):
-                    u, v = images[i], images[i + 1]
-                    if len(u * v) != len(u) + len(v):
-                        return p, i + 1
-            return None
-
         rng = random.Random(4)
         found = 0
         for phi in (make_phi(1), make_phi(1).inverse(), fib_theta()):
@@ -764,6 +789,40 @@ class TestVerifySplitting:
         ff = _point_prefix(first, n)
         assert common_prefix_length(wf, ff) == n
 
+    def test_periodic_bricks_end_at_the_lcm_of_their_periods(self):
+        # a and b a b^-1 are fixed by phi_k:k=1, the orbits of a and b a
+        # under order_three have period 3 and those of a and b under sigma
+        # period 2: every later tuple of images repeats one already checked
+        for phi, texts in ((make_phi(1), ("a", "b a b^-1")), (order_three(), ("a", "b a")), (sigma(), ("a", "b"))):
+            bricks = [parse_word(phi.alphabet, text) for text in texts]
+            cert = verify_splitting(phi, bricks, sys.maxsize - 1)
+            assert (cert.holds, cert.p_max, cert.witness) == (True, sys.maxsize - 1, None), texts
+
+    def test_periodic_bricks_agree_with_the_length_test(self):
+        rng = random.Random(9)
+        fixed = [w4(text) for text in ("a", "b a b^-1", "c a c^-1")]
+        found = held = 0
+        for _ in range(300):
+            phi = rng.choice((make_phi(1), sigma(), order_three(), order_two()))
+            letters = phi.alphabet.signed_letters
+            bricks = []
+            for _ in range(rng.randint(2, 4)):
+                if phi.alphabet is F4:  # a word of the fixed subgroup
+                    parts = [rng.choice(fixed) ** rng.choice((1, -1)) for _ in range(rng.randint(1, 2))]
+                    bricks.append(reduce(F4, [x for w in parts for x in w.letters()]))
+                else:
+                    bricks.append(reduce(phi.alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 4))]))
+            if any(b.is_identity() for b in bricks):
+                continue
+            p_max = rng.randint(0, 12)
+            witness = length_witness(phi, bricks, p_max)
+            cert = verify_splitting(phi, bricks, p_max)
+            assert (cert.holds, cert.witness) == (witness is None, witness), [str(b) for b in bricks]
+            found += witness is not None and witness[0] > 0
+            held += cert.holds
+        # seed 9: 14 witnesses past p = 0, and 107 certificates that hold
+        assert found > 8 and held > 60, (found, held)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             verify_splitting(make_phi(1), [w4("b")], 5)
@@ -783,6 +842,19 @@ class TestVerifySplitting:
             verify_splitting(fib_theta(), bricks, 15)
         assert exc.value.iteration == 15
         assert exc.value.length == 2178309
+
+
+def length_witness(phi, bricks, p_max):
+    """The first (p, i) at which the images of bricks i and i + 1 under
+    ``phi^p`` cancel, by the length test ``|u v| < |u| + |v|``, stepping
+    every p up to ``p_max``; ``None`` where no pair cancels."""
+    for p in range(p_max + 1):
+        images = [iterate(phi, b, p) for b in bricks]
+        for i in range(len(images) - 1):
+            u, v = images[i], images[i + 1]
+            if len(u * v) != len(u) + len(v):
+                return p, i + 1
+    return None
 
 
 def _point_prefix(result, n):
@@ -844,6 +916,8 @@ class SteppedOrbit:
     """A stand-in for ``dynamics._Orbit`` that applies the map to the
     whole iterate at every step from n = 1, its jump included, and never
     holds a prefix."""
+
+    period = 0  # no return is checked
 
     def __init__(self, e, g, budget):
         self.n, self.words = 0, stepped_orbit(e, g, budget)
@@ -2051,37 +2125,33 @@ def orbit_words(monkeypatch):
 
 class TestOrbitMechanism:
     def test_long_orbit_applies_only_before_the_switch(self, monkeypatch):
-        # growth_classify steps the legal orbit of d, as it does any other
-        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
         phi = family("phi_k", k=1).pair
         d = parse_word(phi.alphabet, "d")
         stepped = orbit_outcome(stepped_orbit(phi.forward, d, 10**6), 400)[0]
         outcomes = jump_outcomes(monkeypatch)
         calls = apply_calls(monkeypatch)
         # |phi^n(d)| grows quadratically, far below the budget: iterate
-        # jumps, and growth_classify over 100 steps, whose tail half starts
-        # short of _LONG_JUMP, steps.  Steps 1..4 apply, and from step 5
-        # on, where the 7 runs of the 4th iterate outnumber the 1 + 5 an
-        # assembly step reads and nothing cancels, every step assembles
+        # jumps, and an orbit stepped from n = 1 applies at steps 1..4; from
+        # step 5 on, where the 7 runs of the 4th iterate outnumber the 1 + 5
+        # an assembly step reads and nothing cancels, every step assembles
         last = iterate(phi, d, 400)
         assert outcomes == [True]
         assert calls == []
-        assert growth_classify(phi, d, 100).kind == "polynomial"
+        orbit = dynamics._Orbit(phi.forward, d, 10**6)
+        assert list(islice(orbit, 100)) == stepped[:100]
         assert calls == [d] + stepped[:3]
         assert last == stepped[-1]
-        # over 400 steps it jumps to step 200, where its tail half starts,
-        # and assembles from there
-        assert growth_classify(phi, d, 400).kind == "polynomial"
+        # an orbit jumped to step 200 assembles from there
+        orbit = dynamics._Orbit(phi.forward, d, 10**6)
+        assert orbit.jump(200) == stepped[199]
+        assert list(islice(orbit, 200)) == stepped[200:]
         assert outcomes == [True, False, True]
         assert calls == [d] + stepped[:3]
 
     def test_orbit_of_few_runs_keeps_applying(self, monkeypatch):
         # [delta^n(b)] = b a^n has 2 runs, fewer than an assembly step
-        # reads, so growth_classify applies at every step past the head it
-        # jumps over (to step 150, where its tail half starts); iterate
-        # jumps to the end.  growth_classify steps this legal orbit, as it
-        # does any other
-        monkeypatch.setattr(dynamics, "_legal", lambda e, g: False)
+        # reads, so an orbit jumped to step 200 applies at every step after
+        # it; iterate jumps to the end
         delta = family("delta", n=1).pair
         b = parse_word(delta.alphabet, "b")
         outcomes = jump_outcomes(monkeypatch)
@@ -2089,9 +2159,11 @@ class TestOrbitMechanism:
         assert iterate(delta, b, 300) == parse_word(delta.alphabet, "b a^300")
         assert outcomes == [True]
         assert calls == []
-        assert growth_classify(delta, b, 300).kind == "polynomial"
+        orbit = dynamics._Orbit(delta.forward, b, 10**6)
+        assert orbit.jump(200) == parse_word(delta.alphabet, "b a^200")
+        assert list(islice(orbit, 100)) == [parse_word(delta.alphabet, f"b a^{n}") for n in range(201, 301)]
         assert outcomes == [True, True]
-        assert calls == [parse_word(delta.alphabet, f"b a^{n}") for n in range(150, 300)]
+        assert calls == [parse_word(delta.alphabet, f"b a^{n}") for n in range(200, 300)]
 
 
 class TestOrbitWindowTable:

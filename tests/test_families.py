@@ -31,6 +31,7 @@ from fgdyn.families import (
     make_twist,
     parse_family_spec,
     stock_theta,
+    stock_theta_fixed,
     stock_theta_names,
     twist_reduce,
 )
@@ -134,7 +135,7 @@ class TestBetaFamily:
 
     def test_catalog_lists_the_fixed_tail(self):
         six = family("beta", rank=6)
-        assert [str(w) for w in six.fixed_generators] == ["a", "b a b^-1", "c a c^-1"]
+        assert [str(w) for w in six.fixed_generators] == ["a", "b a b^-1", "c a c^-1", "e^-1 f^-1 e f"]
         for rank in (7, 8):
             fam = family("beta", rank=rank)
             assert verify_fixed_generators(fam.pair, fam.fixed_generators)
@@ -187,6 +188,86 @@ class TestStockThetas:
             assert info.squarefree_part == p
         for p, q in itertools.combinations(samples, 2):
             assert infos[p].squarefree_part != infos[q].squarefree_part
+
+
+def fixed_words(pair, gens, length):
+    """Every nontrivial reduced word of at most ``length`` letters over the
+    generators ``gens`` that ``pair`` fixes.  Only the words whose exponent
+    sums by generator equal those of their image are applied: a fixed word
+    has them equal."""
+    e, alphabet = pair.forward, pair.alphabet
+    sums = {}  # the exponent sums of the image of each signed letter
+    for g in range(1, alphabet.rank + 1):
+        row = [0] * alphabet.rank
+        for y, k in e.images[g - 1].runs:
+            row[y - 1] += k
+        sums[g], sums[-g] = row, [-k for k in row]
+    letters = [x for g in gens for x in (g, -g)]
+    zero = (0,) * alphabet.rank
+    found, frontier = [], [((), zero, zero)]  # a word, its sums, and those of its image
+    for _ in range(length):
+        grown = []
+        for w, own, image in frontier:
+            for x in letters:
+                if w and x == -w[-1]:
+                    continue
+                v = tuple(k + (1 if x > 0 else -1) * (i == abs(x) - 1) for i, k in enumerate(own))
+                u = tuple(map(sum, zip(image, sums[x])))
+                grown.append((w + (x,), v, u))
+                if v == u:
+                    word = Word.from_letters(alphabet, w + (x,))
+                    if e.apply(word) == word:
+                        found.append(word)
+        frontier = grown
+    return found
+
+
+class TestFixedSubgroup:
+    """H, the subgroup of the fixed generators a catalog family lists, is
+    read by every graph as Fix: each short word the pair fixes lies in it."""
+
+    @pytest.mark.parametrize(
+        "spec, gens, length",
+        [
+            # the lengths searched: every letter of the family, or those of
+            # theta's factor e-f
+            ("phi_k:k=1", (1, 2, 3, 4), 6),
+            ("alpha_k:k=1", (1, 2, 3, 4, 5), 5),
+            ("beta:rank=6", (5, 6), 10),
+            ("beta:rank=6", (1, 2, 3, 4, 5, 6), 4),
+            ("beta:rank=7,theta=trace4", (5, 6), 10),
+            ("twist:n=2,k=1", (1, 2), 10),
+            ("delta:n=1", (1, 2), 10),
+            ("sigma", (1, 2), 10),
+            ("inner:u=a b", (1, 2), 6),
+            ("identity:rank=2", (1, 2), 4),
+        ],
+    )
+    def test_every_short_fixed_word_lies_in_h(self, spec, gens, length):
+        fam = parse_family_spec(spec)
+        H = build_core_graph(fam.pair.alphabet, list(fam.fixed_generators))
+        found = fixed_words(fam.pair, gens, length)
+        assert [str(w) for w in found if not contains(H, w)] == []
+        if spec.startswith("beta") and len(gens) == 2:
+            # the powers 1, -1, 2 and -2 of theta's commutator
+            c = fam.fixed_generators[3]
+            assert sorted(map(str, found)) == sorted(map(str, (c, c.inverse(), c * c, (c * c).inverse())))
+
+    def test_stock_thetas_fix_their_commutators(self):
+        for name in stock_theta_names():
+            pair, c = stock_theta(name), stock_theta_fixed(name)
+            x, y, x_inv, y_inv = c.letters()  # c = x y x^-1 y^-1, x and y letters of a and b
+            assert (x_inv, y_inv) == (-x, -y) and {abs(x), abs(y)} == {1, 2}
+            assert pair.apply(c) == c
+        with pytest.raises(UnknownFamilyError):
+            stock_theta_fixed("trace9")
+
+    def test_beta_without_the_commutator_misses_a_fixed_word(self):
+        # the fixed generators listed before theta's commutator was added
+        fam = family("beta", rank=6)
+        H = build_core_graph(fam.pair.alphabet, list(fam.fixed_generators[:3]))
+        missing = [str(w) for w in fixed_words(fam.pair, (5, 6), 4) if not contains(H, w)]
+        assert sorted(missing) == ["e^-1 f^-1 e f", "f^-1 e^-1 f e"]
 
 
 class TestTwists:

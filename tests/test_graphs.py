@@ -434,23 +434,28 @@ class TestLoopsAndOutputs:
     @pytest.mark.parametrize(
         "rank, theta, json_sha, dot_sha",
         [
-            (6, "trace3", "e690383d80c8a391c4d69948982132f71ee8fb835c106d9ac7872330d3062e8e",
-             "586cc4bc45d4f421b1be434fac55cf836b455f65b0340d802a336d3d9100758b"),
-            (6, "trace4", "d8e0c3bbf0aee9d68ba2f9f54e7c5fc84da09689aac04c1fe0799b45556e1a2d",
-             "74cde9bd0f8dbd081e3e2c55b0725dec08b1c5192ea9e84ae09808dbdeb2c7fc"),
-            (7, "trace3", "695555a6903707cfc50b9111599241cd32e2567179268696764e3e137ff91614",
-             "447bb97693a90e2c255e99e4facfead60ff7d045cd144f0b0f6f8ea02075c66f"),
-            (7, "trace4", "b124bc7e72d45b7fe456f45a6c2384f9901171e9b16c5861d82821a36a6880df",
-             "58e6aeee694ad7f72f0bfc2d1802df48bd96d3cb2d3299019bac1f8d94d9ddf3"),
+            (6, "trace3", "2032500ff2c64dfec14bed4bd90eb284727b3d280cecad5b60aeb6cce39d3622",
+             "e9dc37a227dac5057f416def1f95b805e5da67442f93420ff631ddbf8399e909"),
+            (6, "trace4", "0da9fcb3e21d9aae2150a5a90071c939ee24ae3e6d0e3f0ec37cc1e2161d6d72",
+             "ccbb8950f597df42605cbc4d2bc73d7a3d81992a79c95cf82f4f5c3b664b1fc6"),
+            (7, "trace3", "4e1729eabea6ca3367cdfcd22dd4401f31992f0e4dc0324130e03455237a6ed4",
+             "aa1836582c37a0fca9b49520c7e165190098028176afa7d9b8540501a5af83eb"),
+            (7, "trace4", "e4621bb4167f10394aedf10d0ba96e44fd34df3a01ac89f1e3abd3f2ac75a5ab",
+             "ad4c366f0e8324a808a9b98765310045e0515eb8475bd26d86a4fc20f84ce67b"),
         ],
         ids=["6-trace3", "6-trace4", "7-trace3", "7-trace4"],
     )
     def test_beta_graph_outputs_are_pinned(self, rank, theta, json_sha, dot_sha):
         # the SHA-256 of what `fgdyn graph beta:rank=...,theta=...` prints as
-        # JSON and of its DOT, with the letter-level rational points
+        # JSON and of its DOT, with the letter-level rational points; H holds
+        # theta's fixed commutator on e-f, so each graph has 12 vertices, 11
+        # edges, 4 components and 6 approximate classes
         fam = family("beta", rank=rank, theta=theta)
         graph = build_graph(fam.pair, fam.fixed_generators)
-        text = json.dumps(graph_to_json(graph), indent=2, ensure_ascii=False) + "\n"
+        js = graph_to_json(graph)
+        counts = (len(js["vertices"]), len(js["edges"]), js["components"], sum(v["approximate"] for v in js["vertices"]))
+        assert counts == (12, 11, 4, 6)
+        text = json.dumps(js, indent=2, ensure_ascii=False) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == json_sha
         assert hashlib.sha256(emit_dot(graph).encode()).hexdigest() == dot_sha
 
