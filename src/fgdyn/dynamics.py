@@ -19,9 +19,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .automorphisms import AutoPair, Endomorphism, cancellation_bound, power
 from .automorphisms import _junction_bounds
@@ -44,8 +44,8 @@ class GrowthOverflowError(RuntimeError):
 
     ``word`` is the iterate that broke the budget, when it is known: it
     is ``None`` where :func:`growth_classify` read the overflow from
-    letter counts (an orbit whose turns are all legal), which builds no
-    iterate.
+    letter counts, as it does from the first legal iterate of an orbit on
+    (:func:`_lengths`): counts build no iterate.
     """
 
     def __init__(self, iteration: int, length: int, budget: int, word: Optional[Word] = None):
@@ -269,6 +269,13 @@ def _reachable_letters(e: Endomorphism, g: Word) -> set[int]:
         todo = {gen if exp > 0 else -gen for x in todo for gen, exp in e._image_blocks[x][0]}
         todo -= letters
     return letters
+
+
+def _renames(e: Endomorphism, letters: Iterable[int]) -> bool:
+    """Whether ``e`` gives each of ``letters`` a one-letter image.  Where
+    those are the letters reachable from a word, ``e`` only renames the
+    letters of each of its iterates, so its orbit is bounded."""
+    return all(e._image_blocks[x][1] == 1 for x in letters)
 
 
 def _quiet_steps(
@@ -550,8 +557,10 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     after it; once the list holds q words, every step replays them.
     Every iterate of a periodic orbit comes before the return, so the
     budget raises where stepping every iterate would.  A caller that needs
-    no more than the cycle (:func:`growth_classify`,
-    :func:`verify_splitting`) stops at the return.
+    no more than the cycle stops at the return: :func:`verify_splitting`,
+    and :func:`growth_classify`, whose lengths (:func:`_lengths`) are
+    stepped only while the iterate is not legal, so that the return ends
+    every bounded orbit whatever the lengths of its cycle.
     """
 
     def __init__(self, e: Endomorphism, g: Word, budget: int):
@@ -1007,8 +1016,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     # letters of g, so the orbit comes back to g within a few steps,
     # which stepping finds
     if len(g) < bound and not (
-        all(forward._image_blocks[x][1] == 1 for x, _ in g.runs)
-        and all(forward._image_blocks[x][1] == 1 for x in _reachable_letters(forward, g))
+        _renames(forward, (x for x, _ in g.runs)) and _renames(forward, _reachable_letters(forward, g))
     ):
         if forward.apply(g) == g:  # the fixed-element check of step 1
             return FixedElement(g)
@@ -1224,15 +1232,17 @@ def _turns(runs) -> tuple[list[int], set]:
     return signed, turns
 
 
-def _legal(e: Endomorphism, g: Word) -> bool:
-    """Whether every iterate ``e^n(g)``, written out as the images of the
-    letters of ``e^(n-1)(g)`` one after another, is reduced as written.
+def _legal(e: Endomorphism, g: Word) -> Optional[set[int]]:
+    """The signed letters reachable from ``g`` (:func:`_reachable_letters`)
+    where every iterate ``e^n(g)``, written out as the images of the
+    letters of ``e^(n-1)(g)`` one after another, is reduced as written;
+    ``None`` where not.
 
     A turn is a pair of consecutive letters.  L is the signed letters of
     ``g``, closed under "the letters of ``e(x)``"; T is the turns of
     ``g`` and those inside ``e(x)`` for each x in L, closed under ``(x,
-    y) -> (last letter of e(x), first letter of e(y))``.  The result is
-    whether T holds no turn ``(x, x^-1)``: every turn of T is legal in
+    y) -> (last letter of e(x), first letter of e(y))``.  The orbit is
+    legal where T holds no turn ``(x, x^-1)``: every turn of T is legal in
     the sense of Bestvina and Handel ("Train tracks and automorphisms of
     free groups", Ann. of Math. 135, 1992).
 
@@ -1245,11 +1255,13 @@ def _legal(e: Endomorphism, g: Word) -> bool:
     cancels, each ``W_n`` is reduced, so ``W_n = [e(W_(n-1))] =
     [e^n(g)]``, and ``|[e^n(g)]|`` is the unreduced length ``U_n(g) =
     sum_x |g|_x U_n(x)``, the row sums of ``M^n`` for the letter-count
-    matrix M.  Each run is read for two letters at most, so
-    ``b^1000000000000`` costs as much as ``b``.
+    matrix M.  The L and T of an iterate lie in those of ``g``, so every
+    iterate of a legal orbit is legal.  Each run is read for two letters
+    at most, so ``b^1000000000000`` costs as much as ``b``.
     """
+    letters = _reachable_letters(e, g)
     turns, ends = _turns(g.runs)[1], {}  # ends: the first and last letter of e(x), for x in L
-    for x in _reachable_letters(e, g):  # L, and the turns inside the images of its letters
+    for x in letters:  # the turns inside the images of the letters of L
         image, inside = _turns(e._image_blocks[x][0])
         turns |= inside
         ends[x] = image[0], image[-1]
@@ -1260,35 +1272,49 @@ def _legal(e: Endomorphism, g: Word) -> bool:
         if turn not in turns:
             turns.add(turn)
             todo.append(turn)
-    return not any(x == -y for x, y in turns)
+    return None if any(x == -y for x, y in turns) else letters
 
 
-def _unreduced_lengths(
-    e: Endomorphism, g: Word, p_max: int, budget: int
-) -> tuple[Optional[list[int]], Optional[GrowthOverflowError]]:
-    """The unreduced lengths ``U_1(g), ..., U_(p_max)(g)`` (see
-    :func:`_quiet_steps`), up to the first step n past ``budget``, with
-    the :class:`GrowthOverflowError` of ``U_n(g)`` at step n where there
-    is one.  Where :func:`_legal` holds, they are the lengths of the
-    iterates.
+def _lengths(e: Endomorphism, g: Word, budget: int) -> Iterator[int]:
+    """The lengths ``|[e^n(g)]|`` for n = 1, 2, ..., ended where the
+    orbit is known to be periodic; raises :class:`GrowthOverflowError` at
+    the first step n past ``budget``.
 
-    They are the sums of the letter counts of ``e^n(g)`` by generator,
-    each step one product with M, read from the runs of the images of the
-    generators counted.  The counts are exact integers, never capped, so
-    the overflow length is exact too.  Each step's counts are compared
-    with those of ``g``.  Where :func:`_legal` holds they are the counts
-    of the iterate, and its length never decreases, so a return to the
-    counts of ``g`` makes every length up to it ``|g|``, and the lengths
-    from there repeat them: ``None`` is given for the lengths.  A bounded
-    orbit of an automorphism is periodic, so a bounded legal orbit
-    returns at its period, whatever ``p_max``.
+    The orbit is stepped (an :class:`_Orbit`) while its iterate is not
+    legal (:func:`_legal` gives no letters), and ends at its first return
+    to ``g``, whatever the lengths of the cycle: there are finitely many
+    words of each length and e is injective, so a bounded orbit is
+    periodic, and comes back to ``g``.
+
+    From the first legal iterate w, at step s, every iterate is reduced
+    as written, so its length is the unreduced length ``U_k(w)`` at step
+    s + k, summed from the letter counts of ``w`` by generator as exact
+    integers: no iterate is built, and an overflow carries no ``word``
+    but the step, length and budget of stepping.  ``U_(k+1)(w) - U_k(w)``
+    is the sum of ``|e(y)| - 1`` over the letters y of the k-th iterate,
+    and each letter reachable from w is a letter of some iterate.  So
+    where every one of them has a one-letter image (:func:`_renames`), the
+    lengths are all ``|w|``, and end once the first step is checked
+    against the budget; and where one has not, the lengths never fall
+    and some step grows them, so the orbit is not periodic.  A periodic
+    orbit that reached a legal w comes back to ``g`` from w, which makes
+    ``g`` legal: so the one-letter test holds only where s = 0.
     """
+    orbit, w, letters = _Orbit(e, g, budget), g, _legal(e, g)
+    while not letters:
+        w = next(orbit)
+        if orbit.period:
+            return
+        yield len(w)
+        # the L and T of a subword lie in those of the word, and an iterate
+        # that is not legal mostly shows it at its first turn
+        letters = _legal(e, w.prefix(2)) and _legal(e, w)
+    bounded = _renames(e, letters)
     rows = [[(y - 1, abs(k)) for y, k in image.runs] for image in e.images]
-    first = counts = [0] * len(rows)
-    for x, k in g.runs:
+    counts = [0] * len(rows)
+    for x, k in w.runs:
         counts[x - 1] += k if k > 0 else -k
-    lengths: list[int] = []
-    for p in range(1, p_max + 1):
+    for n in count(orbit.n + 1):
         step = [0] * len(rows)
         for c, row in zip(counts, rows):
             if c:
@@ -1296,11 +1322,10 @@ def _unreduced_lengths(
                     step[i] += c * k
         counts, total = step, sum(step)
         if total > budget:
-            return lengths, GrowthOverflowError(p, total, budget)
-        if counts == first:
-            return None, None
-        lengths.append(total)
-    return lengths, None
+            raise GrowthOverflowError(n, total, budget)
+        if bounded:
+            return
+        yield total
 
 
 def growth_classify(
@@ -1316,40 +1341,22 @@ def growth_classify(
     points, so two samples cannot tell the growth kinds apart.
     ``p_max`` is an integer from 8 to ``sys.maxsize``.
 
-    Where every turn the orbit can produce is legal (:func:`_legal`), no
-    iterate cancels, and the lengths are the unreduced lengths ``U_n(g)``
-    summed from letter counts (:func:`_unreduced_lengths`): no iterate is
-    built, and an overflow carries no ``word``, but the same step, length
-    and budget as stepping.
-
-    Any other orbit is stepped through an :class:`_Orbit`, up to its
-    first return to ``g`` (:attr:`_Orbit.period`).  Where every length of
-    that cycle is ``|g|``, every later one is too.
-
-    Either way a bounded orbit ends at its first return, and is
-    ``bounded`` with ``samples = p_max``: there are finitely many words of
-    each length and e is injective, so a bounded orbit is periodic.  A
-    periodic orbit that is not legal and whose cycle lengths differ is
-    stepped to ``p_max``, each step after the return replayed.
+    The lengths come from :func:`_lengths`: stepped while the iterate is
+    not legal, summed from letter counts after.  They end at the orbit's
+    first return, or at once where it is legal and bounded; either way
+    the orbit is ``bounded`` with ``samples = p_max``, whatever ``p_max``.
     """
     if isinstance(p_max, bool) or not isinstance(p_max, int) or not 8 <= p_max <= sys.maxsize:
         raise ValueError(f"p_max must be an integer from 8 to {sys.maxsize}, got {p_max!r}")
     e, budget = phi.forward, cfg.max_word_length
     _check_alphabet(e, g)
-    overflow = None
-    if _legal(e, g):
-        lengths, overflow = _unreduced_lengths(e, g, p_max, budget)
-    else:
-        orbit, lengths = _Orbit(e, g, budget), []
-        try:
-            for w in islice(orbit, p_max):
-                lengths.append(len(w))
-                if orbit.period == len(lengths) and min(lengths) == max(lengths):
-                    lengths = None  # the first return, every length of the cycle |g|
-                    break
-        except GrowthOverflowError as exc:
-            overflow = exc
-    if lengths is None:
+    lengths, overflow = [], None
+    try:
+        for length in islice(_lengths(e, g, budget), p_max):
+            lengths.append(length)
+    except GrowthOverflowError as exc:
+        overflow = exc
+    if overflow is None and len(lengths) < p_max:  # a periodic orbit
         return GrowthClass("bounded", samples=p_max)
     tail_start = len(lengths) // 2
     ps = range(tail_start + 1, len(lengths) + 1)
@@ -1357,8 +1364,8 @@ def growth_classify(
     if overflow is not None:
         if len(ls) < 3:
             raise overflow
-    elif not lengths or lengths[-1] == 0 or max(ls) == min(ls):
-        return GrowthClass("bounded", samples=len(lengths))
+    elif max(ls) == min(ls):
+        return GrowthClass("bounded", samples=p_max)
     logl = [math.log(x) for x in ls]
     poly_fit, poly_res = _linear_fit([math.log(p) for p in ps], logl)
     exp_fit, exp_res = _linear_fit(ps, logl)

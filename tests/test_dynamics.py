@@ -463,10 +463,11 @@ class TestLongConjugatorPowers:
 
 class TestGrowth:
     def test_both_routes_agree_with_stepping_every_sample(self, monkeypatch):
-        # the legal route ends a bounded orbit at the first return of its
-        # letter counts, the stepping route at the orbit's first return;
-        # stepping every sample with apply, no return checked, must give the
-        # same class to the last float, overflows included
+        # the lengths end a bounded legal orbit at once and any other at the
+        # orbit's first return; stepping every sample with apply, no return
+        # checked, must give the same class to the last float, overflows
+        # included, except that an orbit that comes back to g within p_max
+        # steps is bounded with samples = p_max
         rng = random.Random(33)
         pairs = [family(name, **params) for name, params in (
             ("phi_k", {"k": 1}), ("alpha_k", {"k": 1}), ("beta", {"rank": 6}), ("delta", {"n": 1}),
@@ -474,6 +475,7 @@ class TestGrowth:
         )]
         pairs = [(fam.pair, fam.fixed_generators) for fam in pairs] + [(order_three(), ()), (order_two(), ())]
         bounded = [0, 0]  # bounded orbits that are not legal, and legal ones
+        returned = 0  # orbits that come back to g, not bounded when stepped every sample
         for _ in range(400):
             if rng.random() < 0.2:
                 pair, fixed = random_pair(rng, F4, rng.randint(1, 3), rng.randint(0, 2)), ()
@@ -493,14 +495,19 @@ class TestGrowth:
                 m.setattr(dynamics, "_legal", lambda e, g: False)
                 m.setattr(dynamics, "_Orbit", SteppedOrbit)
                 want = growth_outcome(pair, g, p_max, cfg)
+            if g in orbit_outcome(stepped_orbit(pair.forward, g, cfg.max_word_length), p_max)[0]:
+                returned += want != GrowthClass("bounded", samples=p_max).to_json()
+                want = GrowthClass("bounded", samples=p_max).to_json()
             assert growth_outcome(pair, g, p_max, cfg) == want, (str(pair.forward), str(g), p_max)
             with monkeypatch.context() as m:
                 m.setattr(dynamics, "_legal", lambda e, g: False)
                 assert growth_outcome(pair, g, p_max, cfg) == want, (str(pair.forward), str(g), p_max)
             if isinstance(want, dict) and want["kind"] == "bounded":
-                bounded[dynamics._legal(pair.forward, g)] += 1
-        # seed 33: 201 of the 388 draws are bounded, 81 of them not legal
-        assert bounded[0] > 60 and bounded[1] > 100, bounded
+                bounded[bool(dynamics._legal(pair.forward, g))] += 1
+        # seed 33: 257 of the 388 draws are bounded, 135 of them not legal;
+        # 59 of those come back to g on a cycle of unequal lengths, which
+        # stepping every sample fits
+        assert bounded[0] > 120 and bounded[1] > 100 and returned > 50, (bounded, returned)
 
     def test_polynomial_degree_two(self):
         phi = make_phi(1)
@@ -555,19 +562,15 @@ class TestGrowth:
             assert not dynamics._legal(pair.forward, g)
             assert growth_classify(pair, g, sys.maxsize) == GrowthClass("bounded", samples=sys.maxsize)
 
-    def test_cycle_of_unequal_lengths_is_stepped(self, monkeypatch):
-        # b -> a b -> b under order_two: lengths 2, 1, 2, ...; the return
-        # does not end the orbit, and every p_max gives the class of
-        # stepping every sample
+    def test_cycle_of_unequal_lengths_is_stepped(self):
+        # b -> a b -> b under order_two: lengths 2, 1, 2, ...; the orbit is
+        # stepped to its first return at step 2, which ends it as bounded
+        # whatever the lengths of its cycle, however far p_max is
         pair = order_two()
         b = parse_word(F2, "b")
         assert not dynamics._legal(pair.forward, b)
-        for p_max in (8, 9, 20, 61):
-            got = growth_classify(pair, b, p_max)
-            with monkeypatch.context() as m:
-                m.setattr(dynamics, "_Orbit", SteppedOrbit)
-                assert got == growth_classify(pair, b, p_max)
-            assert got.samples == p_max
+        for p_max in (8, 9, 20, 61, sys.maxsize):
+            assert growth_classify(pair, b, p_max) == GrowthClass("bounded", samples=p_max)
 
     def test_overflow_ends_sampling(self):
         # |theta^p(a)| = 3, 8, 21, 55, 144, 377, 987, 2584: step 8 breaks 1000
@@ -704,13 +707,58 @@ class TestLegalRoute:
                     if g.is_identity() or not dynamics._legal(e, g):
                         continue
                     legal += 1
-                    w, counted = g, dynamics._unreduced_lengths(e, g, 8, 10**18)[0]
+                    w, counted = g, list(islice(dynamics._lengths(e, g, 10**18), 8))
                     for n in range(1, 9):
                         w = e.apply(w)
                         assert len(w) == unreduced_length(e, g, n), (str(e), str(g), n)
-                        assert counted is None or counted[n - 1] == len(w)
+                        assert not counted or counted[n - 1] == len(w)
         # seed 8: 2,174 of the 2,909 nontrivial orbits drawn are legal
         assert legal > 2000, legal
+
+    def test_orbits_that_turn_legal_agree_with_stepping(self, monkeypatch):
+        # [delta(a b^-1)] = b^-1, whose orbit is legal: an orbit is stepped
+        # to its first legal iterate, at step k >= 1, and counted from
+        # there; every sample, and the step, length and budget of an
+        # overflow, must be those of stepping every sample, and the orbit
+        # must take exactly k steps
+        made = []
+
+        class CountedOrbit(dynamics._Orbit):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        rng = random.Random(34)
+        delta = family("delta", n=1).pair
+        cases = [(delta, parse_word(delta.alphabet, "a b^-1"), 1, p_max, budget)
+                 for p_max, budget in ((8, 10**6), (60, 30), (2000, 1000))]
+        while len(cases) < 150:
+            pair = random_pair(rng, F4, rng.randint(1, 4))
+            pair = pair if rng.random() < 0.5 else pair.inverse()
+            g = reduce(F4, [rng.choice(F4.signed_letters) for _ in range(rng.randint(1, 6))])
+            budget = rng.choice((150, 3000, 10**5))
+            w, k = g, 0
+            while not dynamics._legal(pair.forward, w) and k < 6 and len(w) <= budget:
+                w, k = pair.forward.apply(w), k + 1
+            if 0 < k < 6 and len(w) <= budget and dynamics._legal(pair.forward, w):
+                cases.append((pair, g, k, rng.choice((8, 9, 20, 60, 400)), budget))
+        overflowed = 0
+        for phi, g, k, p_max, budget in cases:
+            cfg = IterationConfig(max_word_length=budget)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_legal", lambda e, g: False)
+                m.setattr(dynamics, "_Orbit", SteppedOrbit)
+                want = growth_outcome(phi, g, p_max, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "_Orbit", CountedOrbit)
+                got = growth_outcome(phi, g, p_max, cfg)
+            assert got == want, (str(phi.forward), str(g), p_max, budget)
+            assert made[-1].n == k, (str(phi.forward), str(g), made[-1].n, k)
+            overflowed += isinstance(got, tuple) or got["samples"] < p_max
+        # seed 34: 54 of the 150 orbits overflow, and 18 turn legal only
+        # after two steps or more
+        later = sum(k > 1 for _, _, k, _, _ in cases)
+        assert overflowed > 40 and later > 10, (overflowed, later)
 
     def test_pinned_verdicts(self):
         rng = random.Random(3)

@@ -286,6 +286,10 @@ class TestTwists:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             make_twist(0, 1)
+        with pytest.raises(ValueError):
+            classify_twist(0, 1)
+        with pytest.raises(ValueError):
+            twist_reduce(parse_word(F2, "a"), 0)
 
     def test_classification(self):
         assert classify_twist(3, 0) is TwistCase.TWO_COMPONENT
@@ -317,6 +321,9 @@ class TestTwistReduce:
     def test_power_of_a(self):
         w, k = twist_reduce(parse_word(F2, "a^4"), 2)
         assert w.is_identity() and k == 4
+        # the identity is a^0, witnessed by the identity
+        w, k = twist_reduce(Word.from_letters(F2, []), 2)
+        assert w.is_identity() and k == 0
 
     def test_conjugated_power(self):
         w, k = twist_reduce(parse_word(F2, "b a^2 b^-1"), 1)

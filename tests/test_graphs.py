@@ -71,6 +71,8 @@ class TestIsogloss:
         a_plus = rational_point(identity(F4), w4("a"))
         b_plus = rational_point(w4("b"), w4("a"))
         assert not isogloss(fix_graph(), a_plus, b_plus)
+        # periods of different lengths are never rotations of each other
+        assert not isogloss(fix_graph(), a_plus, rational_point(identity(F4), w4("a b")))
 
     def test_translated_point(self):
         a_plus = rational_point(identity(F4), w4("a"))
