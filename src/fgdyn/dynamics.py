@@ -30,6 +30,7 @@ from .words import (
     EmptyWordError,
     Word,
     _block_product,
+    _runs_prefix,
     _spelling,
     _WindowTable,
     common_prefix_length,
@@ -343,7 +344,9 @@ _FEW_RUNS = 8
 
 class _Held:
     """A held prefix ``H_j`` of an orbit past :meth:`_Orbit.hold`, read
-    lazily from its source ``H_(j-1)``, or a whole word.
+    lazily from its source ``H_(j-1)``.  A whole word reads as a level
+    that has ended (its ``known`` and ``end`` are its length), so ``H_0``
+    is a word.
 
     ``runs`` and ``length`` are the partial product ``P_t``; its first
     ``known`` letters are letters of ``H_j``; ``end`` is ``|H_j|`` once
@@ -359,19 +362,11 @@ class _Held:
 
     __slots__ = ("source", "step", "alphabet", "runs", "length", "known", "end", "k", "r", "pos")
 
-    def __init__(self, source: "_Held", step: tuple):
+    def __init__(self, source: Union[Word, "_Held"], step: tuple):
         self.source, self.step, self.alphabet = source, step, source.alphabet
         self.runs: list = []
         self.length = self.known = self.k = self.r = self.pos = 0
         self.end: Optional[int] = None
-
-    @classmethod
-    def whole(cls, w: Word) -> "_Held":
-        """The word ``w`` as a level that has ended."""
-        held = object.__new__(cls)
-        held.source, held.alphabet, held.runs = None, w.alphabet, w.runs
-        held.length = held.known = held.end = len(w)
-        return held
 
     def prefix(self, n: int) -> Word:
         """The first ``n <= known`` letters."""
@@ -433,7 +428,7 @@ class _Held:
         self.length, self.known, self.end, self.source = length, end, end, None
 
 
-def _pull(held: _Held, n: int) -> None:
+def _pull(held: Union[Word, _Held], n: int) -> None:
     """Read levels until ``held`` knows ``n`` letters or has ended.
 
     A level reads whenever its source knows letters past its place.  A
@@ -462,10 +457,9 @@ def _pull(held: _Held, n: int) -> None:
     margin = n
     while todo:
         held, n = todo[-1]
-        source = held.source
-        if held.end is not None or held.known >= n:
+        if held.end is not None or held.known >= n:  # a whole word has ended
             todo.pop()
-        elif source.end is not None or source.known > held.pos:
+        elif (source := held.source).end is not None or source.known > held.pos:
             held._read(n)
         else:
             c = held.step[2]
@@ -473,10 +467,10 @@ def _pull(held: _Held, n: int) -> None:
             todo.append((source, max(need, source.known + max(margin, c * len(todo)))))
 
 
-def _held_prefix(u: _Held, v: _Held, ask: int) -> int:
+def _held_prefix(u: Union[Word, _Held], v: Union[Word, _Held], ask: int) -> int:
     """:func:`common_prefix_length` of the levels ``u`` and ``v``, each
     read only as far as the comparison needs; a whole word is a level
-    that has ended (:meth:`_Held.whole`), so it is never read.
+    that has ended, so it is never read.
 
     The runs read so far give a common prefix; it is final where it ends
     below both known bounds, since a run that reaches a bound may still
@@ -487,26 +481,12 @@ def _held_prefix(u: _Held, v: _Held, ask: int) -> int:
     differ, which lies past the common prefix and so past what they know:
     :func:`omega_limit` asks for the previous step's common prefix and
     two letters more, so a fresh level is read once, for about what the
-    comparison takes.  Each round compares the runs from the first one.
+    comparison takes.  Each round compares the runs from the first one
+    (:func:`words._runs_prefix`, the kernel of
+    :func:`common_prefix_length`).
     """
     while True:
-        a, b = u.runs, v.runs
-        cp = 0
-        for x, y in zip(a, b):
-            if x != y:  # the first run that differs
-                (g1, e1), (g2, e2) = x, y
-                reach = cp + 1
-                if g1 == g2 and (e1 > 0) == (e2 > 0):
-                    s1, s2 = abs(e1), abs(e2)
-                    reach += s1 if s1 > s2 else s2
-                    cp += s2 if s1 > s2 else s1
-                break
-            e = x[1]
-            cp += e if e > 0 else -e
-        else:  # the runs of one are the first runs of the other
-            n = len(a) if len(a) < len(b) else len(b)
-            rest = a if n < len(a) else b
-            reach = cp + 1 + (abs(rest[n][1]) if n < len(rest) else 0)
+        cp, reach = _runs_prefix(u.runs, v.runs)
         known = u.known if u.known < v.known else v.known
         if cp < known:
             return cp
@@ -573,7 +553,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.level, self.blocks = None, None
         self.start, self.anchor = 0, g  # the step of the first word, and the word
         self.period, self.replay = 0, []  # set at the first return
-        self.held: Optional[_Held] = None  # the held level, once held
+        self.held: Union[Word, _Held, None] = None  # the held level, once held
         self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
 
     def _reach(self) -> dict:
@@ -615,12 +595,13 @@ class _Orbit(Iterator[Union[Word, _Held]]):
 
         :func:`omega_limit` holds from the first whole iterate W longer
         than ``cap = target_prefix + C * max_iterations`` letters.
-        ``H_0`` is the first ``cap`` letters of W.  ``H_j`` is the first
-        ``min(cap, |P| - C)`` letters of ``P = [e(u)]``, where ``u`` is
-        the runs of ``H_(j-1)`` read until ``|P| >= cap + C`` or
-        ``H_(j-1)`` ends: the first ``|[e(p)]| - C`` letters of the image
-        of a prefix p are a prefix of the image of the word, so ``H_j`` is
-        a prefix of ``[e^j(W)]``.  A prefix that gains one letter a step
+        ``H_0`` is the first ``cap`` letters of W, a word, which reads as
+        a level that has ended.  ``H_j`` is the first ``min(cap, |P| -
+        C)`` letters of ``P = [e(u)]``, where ``u`` is the runs of
+        ``H_(j-1)`` read until ``|P| >= cap + C`` or ``H_(j-1)`` ends:
+        the first ``|[e(p)]| - C`` letters of the image of a prefix p are
+        a prefix of the image of the word, so ``H_j`` is a prefix of
+        ``[e^j(W)]``.  A prefix that gains one letter a step
         and loses C keeps at least ``target_prefix`` letters for
         ``max_iterations`` steps.
 
@@ -640,7 +621,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         stepping the whole held word would give, letter for letter.
         """
         self.step = (self.e._image_blocks, cap, c)
-        self.held = _Held.whole(self.w.prefix(cap))
+        self.held = self.w.prefix(cap)
 
     def __next__(self) -> Union[Word, _Held]:
         self.n = n = self.n + 1
@@ -809,15 +790,15 @@ def _fixed_limit(e: Endomorphism, prefix: Word, cfg: IterationConfig) -> Optiona
 
 
 def _affine_jump(
-    e: Endomorphism, w: _Held, cp: int, step: int, streak: int, n: int, cfg: IterationConfig
+    e: Endomorphism, w: Union[Word, _Held], cp: int, step: int, streak: int, n: int, cfg: IterationConfig
 ) -> Optional[tuple[int, int, Word]]:
     """The step N at which stepping the orbit certifies, with the common
     prefix there and the certified prefix, proved from step ``n`` without
     building iterates n + 1..N; ``None`` where the proof below fails.
-    ``w`` is the iterate of step n as a level (a whole iterate is one
-    that has ended), ``cp`` its common prefix with the iterate before it,
-    grown by ``step`` letters at the last step, and ``streak`` the steps
-    it has grown.
+    ``w`` is the iterate of step n, a whole word or a held level (a word
+    reads as a level that has ended), ``cp`` its common prefix with the
+    iterate before it, grown by ``step`` letters at the last step, and
+    ``streak`` the steps it has grown.
 
     1. The first ``cp`` letters are a prefix of ``X = h t^infinity``,
        and ``e(u) = u`` for ``u = h t h^-1``: :func:`_fixed_limit`, as
@@ -933,8 +914,8 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
     iterates are checked against ``max_word_length``.
 
     Every iterate is compared as a level: a whole iterate, and the word
-    the comparisons start from, as a level that has ended
-    (:meth:`_Held.whole`), and a held prefix as a level that is read only
+    the comparisons start from, is a level that has ended (its ``known``
+    and ``end`` are its length), and a held prefix a level that is read only
     as far as the common prefix, the certified prefix and the best prefix
     need: up to the first letter where two consecutive levels differ, or
     to the end of one of them (:func:`_held_prefix`).  Each comparison
@@ -1023,7 +1004,7 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
         quiet = _quiet_steps(forward, g, window + 1, cfg.max_iterations - 2, bound, budget)
     s = 0 if quiet is None else quiet[0] + 1 - window
     orbit = _Orbit(forward, g, budget)
-    prev = _Held.whole(orbit.jump(s) if s else g)
+    prev: Union[Word, _Held] = orbit.jump(s) if s else g
     cap = cfg.target_prefix  # raised by C * max_iterations once C is known
     jumps = False  # whether the affine jump may be tried
     prev_cp: Optional[int] = None
@@ -1049,8 +1030,6 @@ def omega_limit(phi: AutoPair, g: Word, cfg: IterationConfig = DEFAULT_CONFIG) -
             nxt = next(orbit)
             if iterations == 1 and nxt == g:
                 return FixedElement(g)
-            if isinstance(nxt, Word):  # a whole iterate, as a level that has ended
-                nxt = _Held.whole(nxt)
             # the letter after a common prefix one longer than the last
             cp = _held_prefix(prev, nxt, 0 if prev_cp is None else prev_cp + 2)
             streak = streak + 1 if (prev_cp is None or cp > prev_cp) else 0
@@ -1300,7 +1279,8 @@ def _lengths(e: Endomorphism, g: Word, budget: int) -> Iterator[int]:
     orbit that reached a legal w comes back to ``g`` from w, which makes
     ``g`` legal: so the one-letter test holds only where s = 0.
     """
-    orbit, w, letters = _Orbit(e, g, budget), g, _legal(e, g)
+    w, letters = g, _legal(e, g)
+    orbit = None if letters else _Orbit(e, g, budget)  # a legal seed never steps
     while not letters:
         w = next(orbit)
         if orbit.period:
@@ -1314,7 +1294,7 @@ def _lengths(e: Endomorphism, g: Word, budget: int) -> Iterator[int]:
     counts = [0] * len(rows)
     for x, k in w.runs:
         counts[x - 1] += k if k > 0 else -k
-    for n in count(orbit.n + 1):
+    for n in count(1 if orbit is None else orbit.n + 1):
         step = [0] * len(rows)
         for c, row in zip(counts, rows):
             if c:

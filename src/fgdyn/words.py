@@ -399,6 +399,10 @@ class Word:
     def __len__(self) -> int:
         return self._length
 
+    # a whole word read as a held level of :mod:`fgdyn.dynamics` that has
+    # ended: every letter is known, and it reads no further
+    known = end = property(__len__)
+
     def is_identity(self) -> bool:
         return not self.runs
 
@@ -564,16 +568,27 @@ def primitive_root(u: Word) -> tuple[Word, int]:
 def common_prefix_length(u: Word, v: Word) -> int:
     """Length of the longest common prefix (the Gromov product at 1)."""
     _check_same_alphabet(u, v)
-    total = 0
-    for (g1, e1), (g2, e2) in zip(u.runs, v.runs):
-        if g1 != g2 or (e1 > 0) != (e2 > 0):
-            break
-        if e1 == e2:
-            total += abs(e1)
-            continue
-        total += min(abs(e1), abs(e2))
-        break
-    return total
+    return _runs_prefix(u.runs, v.runs)[0]
+
+
+def _runs_prefix(a: Runs, b: Runs) -> tuple[int, int]:
+    """The common prefix of the letters of ``a`` and ``b``, and one letter
+    past the end of the longer of the runs where they differ (of the run
+    past the shorter, where the runs of one are the first runs of the
+    other): a place past the common prefix that a reader of both must
+    reach to settle it."""
+    cp = 0
+    for x, y in zip(a, b):
+        if x != y:  # the first run that differs
+            (g1, e1), (g2, e2) = x, y
+            if g1 != g2 or (e1 > 0) != (e2 > 0):
+                return cp, cp + 1
+            s1, s2 = (e1 if e1 > 0 else -e1), (e2 if e2 > 0 else -e2)
+            return (cp + s2, cp + 1 + s1) if s1 > s2 else (cp + s1, cp + 1 + s2)
+        e = x[1]
+        cp += e if e > 0 else -e
+    n, longer = (len(a), b) if len(a) < len(b) else (len(b), a)
+    return cp, cp + 1 + (abs(longer[n][1]) if n < len(longer) else 0)
 
 
 def _spelling(runs: Runs) -> str:

@@ -28,7 +28,7 @@ from fgdyn.automorphisms import (
 from fgdyn.automorphisms import _junction_bounds
 from fgdyn import words
 from fgdyn.families import family, make_delta, stock_theta
-from fgdyn.words import Word, identity, parse_word, reduce, standard_alphabet
+from fgdyn.words import AlphabetMismatchError, Word, identity, parse_word, reduce, standard_alphabet
 from random_maps import random_pair
 
 F2 = standard_alphabet(2)
@@ -92,6 +92,8 @@ class TestApply:
 
     def test_identity_word(self):
         assert phi1().apply(identity(F4)).is_identity()
+        with pytest.raises(AlphabetMismatchError):
+            phi1().apply(identity(F2))
 
     def test_huge_power_of_conjugated_image(self):
         got = inner(parse_word(F2, "b")).apply(parse_word(F2, "a^1000000000"))
@@ -338,6 +340,14 @@ class TestVerifyPair:
         with pytest.raises(NotInverseError) as exc:
             verify_pair(e, e)
         assert exc.value.generator_name == "b"
+        # nor is a pair of maps over different alphabets, nor a map with
+        # the wrong number of images or an image over another alphabet
+        with pytest.raises(AlphabetMismatchError):
+            verify_pair(e, Endomorphism.identity(F3))
+        with pytest.raises(ValueError, match="one image per generator"):
+            endo(F2, "a")
+        with pytest.raises(AlphabetMismatchError):
+            Endomorphism(F2, [parse_word(F2, "a"), parse_word(F3, "b")])
 
     def test_error_names_first_failing_generator(self):
         fwd = endo(F4, "a", "b a", "c a^2", "d c")
@@ -357,6 +367,8 @@ class TestCompose:
         e = endo(F2, "a b", "b")
         assert compose(Endomorphism.identity(F2), e) == e
         assert compose(e, Endomorphism.identity(F2)) == e
+        with pytest.raises(AlphabetMismatchError):
+            compose(e, Endomorphism.identity(F3))
 
     def test_associative(self):
         e1 = endo(F2, "a", "b a")
@@ -475,6 +487,12 @@ class TestMatrices:
     def test_power_zero(self):
         m = IntMatrix([[2, 1], [1, 1]])
         assert matrix_power(m, 0) == IntMatrix.identity(2)
+        with pytest.raises(ValueError, match="negative"):
+            matrix_power(m, -1)
+        with pytest.raises(ValueError, match="dimension"):
+            matrix_mul(m, IntMatrix.identity(3))
+        with pytest.raises(ValueError, match="square"):
+            IntMatrix([[1, 0], [0]])
 
     def test_closed_form_entries(self):
         for k in range(11):
@@ -517,9 +535,13 @@ class TestDilatation:
     def test_determinant_checked(self):
         with pytest.raises(ValueError):
             dilatation_info(IntMatrix([[3, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="2x2"):
+            dilatation_info(IntMatrix.identity(3))
 
     def test_squarefree_part(self):
         assert squarefree_part(12) == 3
         assert squarefree_part(5) == 5
         assert squarefree_part(36) == 1
         assert squarefree_part(396) == 11
+        with pytest.raises(ValueError):
+            squarefree_part(0)

@@ -55,6 +55,8 @@ class TestAutoFile:
     def test_unknown_directive(self):
         with pytest.raises(AutoFileError):
             parse_autofile("alphabet: a b\nfrob a -> b\n")
+        with pytest.raises(AutoFileError, match="expected '<generator> -> <word>'"):
+            parse_autofile("alphabet: a b\nmap a a\n")
 
     def test_unfixed_fix_word_rejected(self):
         text = (
@@ -68,10 +70,15 @@ class TestAutoFile:
         text = "alphabet: a b\nmap a -> a\nmap b -> b a\nmap b -> b a^2\n"
         with pytest.raises(AutoFileError, match="^line 4: "):
             parse_autofile(text)
+        # so does a malformed word
+        with pytest.raises(AutoFileError, match="^line 2: "):
+            parse_autofile("alphabet: a b\nmap a -> a^x\n")
 
     def test_alphabet_required_first(self):
         with pytest.raises(AutoFileError):
             parse_autofile("map a -> a\n")
+        with pytest.raises(AutoFileError, match="missing alphabet"):
+            parse_autofile("# no directives\n")
 
     def test_word_list(self):
         words = parse_word_list(F4, " a ; b d^-1;; ")

@@ -51,6 +51,7 @@ from fgdyn.graphs import default_seeds
 from fgdyn.words import (
     Alphabet,
     AlphabetMismatchError,
+    EmptyWordError,
     Word,
     common_prefix_length,
     identity,
@@ -130,9 +131,13 @@ class TestRationalPoint:
         x = rational_point(identity(F4), w4("b a b^-1"))
         # (b a b^-1)^inf = b a^inf
         assert x == RationalPoint(w4("b"), w4("a"))
+        with pytest.raises(EmptyWordError):
+            rational_point(w4("b"), identity(F4))
 
     def test_from_element(self):
         assert rational_from_element(w4("b a^4 b^-1")) == RationalPoint(w4("b"), w4("a"))
+        with pytest.raises(EmptyWordError):
+            rational_from_element(identity(F4))
 
     def test_element_roundtrip(self):
         x = rational_point(w4("b"), w4("a^-1"))
@@ -201,7 +206,8 @@ class TestIterate:
 
     def test_config_rejects_non_integers(self):
         # bool is an int subclass; True would silently mean one iteration
-        for bad in ({"min_repeats": 1.5}, {"max_iterations": True}):
+        # and so are integers below 1
+        for bad in ({"min_repeats": 1.5}, {"max_iterations": True}, {"target_prefix": 0}):
             with pytest.raises(ValueError):
                 IterationConfig(**bad)
 
@@ -259,6 +265,8 @@ class TestOmegaLimit:
         res = omega_limit(make_phi(1), w4("d"))
         assert isinstance(res, Boundary)
         assert isinstance(res.point, PrefixApprox)
+        with pytest.raises(ValueError, match="shorter than its certified length"):
+            PrefixApprox(w4("d"), 2)
         expected = w4("d c c a^2 c a^4 c a^6 c a^8")
         got = res.point.prefix.prefix(len(expected))
         assert got == expected
@@ -1183,6 +1191,29 @@ class TestHeldPrefixEngine:
         assert orbit.w is w and w == iterate(pair, g, 8)
         assert orbit.n == 200
 
+    def test_whole_iterates_are_compared_as_words(self, monkeypatch):
+        # a whole iterate is compared as itself, a level that has ended:
+        # every comparison of an orbit that is never held is of two words
+        compared = []
+        original = dynamics._held_prefix
+        monkeypatch.setattr(dynamics, "_held_prefix", lambda u, v, ask: compared.append((u, v)) or original(u, v, ask))
+        holds = []
+        orbit_calls(monkeypatch, "hold", lambda orbit, args, _: holds.append(orbit))
+        whole = held = 0
+        for label, pair, seeds in catalog_seeds():
+            for g in seeds:
+                for phi in (pair, pair.inverse()):
+                    compared.clear()
+                    holds.clear()
+                    omega_limit(phi, g)
+                    if holds:
+                        held += 1
+                    elif compared:
+                        whole += 1
+                        assert all(type(x) is Word for uv in compared for x in uv), (label, str(g))
+        # 628 orbits compare whole iterates only, and 8 are held
+        assert whole > 600 and held > 0
+
     def test_mixed_seed_certifies(self):
         pair = family("beta", rank=6).pair
         res = omega_limit(pair, parse_word(pair.alphabet, "b e"))
@@ -1395,7 +1426,7 @@ class TestAffineJump:
         prev, w = iterate(phi, g, 19), iterate(phi, g, 20)
         cp = common_prefix_length(prev, w)
         assert cp == 18 and w.prefix(21) == w4("b a^-18 c^-1 a^-1")
-        n, certified_cp, certified = dynamics._affine_jump(phi.forward, dynamics._Held.whole(w), cp, 1, 15, 20, DEFAULT_CONFIG)
+        n, certified_cp, certified = dynamics._affine_jump(phi.forward, w, cp, 1, 15, 20, DEFAULT_CONFIG)
         monkeypatch.setattr(dynamics, "_affine_jump", lambda *args: None)
         stepped = omega_limit(phi, g)
         assert (n, certified_cp) == (stepped.iterations_used, stepped.certified_length) == (202, 200)
@@ -1407,7 +1438,7 @@ class TestAffineJump:
         # so t^d Z with d = step does not start psi(Z) for any short Z
         phi, g = make_phi(1), w4("b d^-1")
         w = iterate(phi, g, 20)
-        assert dynamics._affine_jump(phi.forward, dynamics._Held.whole(w), 18, step, 15, 20, DEFAULT_CONFIG) is None
+        assert dynamics._affine_jump(phi.forward, w, 18, step, 15, 20, DEFAULT_CONFIG) is None
 
     # (generator images, word w, its common prefix cp with the iterate
     # before, the growth, and the jump from step 1 with a streak of 3 to a
@@ -1437,7 +1468,7 @@ class TestAffineJump:
     def test_fabricated_words(self, images, text, cp, step, want):
         alphabet = standard_alphabet(len(images))
         got = dynamics._affine_jump(
-            endo(alphabet, *images), dynamics._Held.whole(parse_word(alphabet, text)), cp, step, 3, 1,
+            endo(alphabet, *images), parse_word(alphabet, text), cp, step, 3, 1,
             IterationConfig(target_prefix=50),
         )
         assert got == (want and (*want[:2], parse_word(alphabet, want[2])))
@@ -1451,7 +1482,8 @@ def read_level(e, w, cap, c, reveal):
     source knows letters past its place; after every read the letters it
     exposes must be letters of :func:`eager_held_step`.  The level's word
     once it has ended."""
-    source = dynamics._Held.whole(w)
+    source = object.__new__(dynamics._Held)
+    source.alphabet, source.runs = w.alphabet, w.runs
     level = dynamics._Held(source, (e._image_blocks, cap, c))
     want = eager_held_step(w, e, cap, c)
     for m, end in [*((m, None) for m in reveal), (len(w), len(w))]:

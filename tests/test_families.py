@@ -422,6 +422,8 @@ class TestExpectedGraphs:
     def test_unknown_template(self):
         with pytest.raises(UnknownFamilyError):
             expected_graph("sigma")
+        with pytest.raises(ValueError, match="k >= 1"):
+            expected_graph("phi_k", k=0)
 
 
 def _rational_nullspace(rows):

@@ -535,3 +535,10 @@ class TestTemplates:
         template = GraphTemplate(n_vertices=2, n_edges=1, n_components=1)
         problems = template.mismatches(graph)
         assert problems and any("vertices" in p for p in problems)
+        # the counts match, and the loop, vertex texts and edges do not
+        template = GraphTemplate(
+            n_vertices=8, n_edges=7, n_components=3, loops=(("(a)^∞", "b d^-1"),),
+            vertex_texts=("(a)^∞",), edge_texts=(("(a)^∞", "(a)^∞"),),
+        )
+        problems = template.mismatches(graph)
+        assert [p.split(" ")[0] for p in problems] == ["missing", "vertex", "edge"], problems

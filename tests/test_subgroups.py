@@ -171,6 +171,8 @@ class TestBuildCoreGraph:
 
     def test_identity_generator_skipped(self):
         assert build_core_graph(F4, [identity(F4)]) == build_core_graph(F4, [])
+        with pytest.raises(AlphabetMismatchError):
+            build_core_graph(F4, [identity(F3)])
 
     def test_order_independence(self):
         gens = words(F4, "a", "b a b^-1", "c a c^-1", "d b^2 d^-1")
@@ -404,6 +406,8 @@ class TestContains:
     def test_identity_always_member(self):
         assert contains(fix_phi_graph(), identity(F4))
         assert contains(build_core_graph(F4, []), identity(F4))
+        with pytest.raises(AlphabetMismatchError):
+            contains(fix_phi_graph(), identity(F3))
 
     def test_missing_letter(self):
         assert not contains(fix_phi_graph(), parse_word(F4, "d"))

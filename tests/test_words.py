@@ -5,7 +5,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, strategies as st
 
-from fgdyn import words
+from fgdyn import dynamics, words
 from fgdyn.automorphisms import Endomorphism
 from fgdyn.families import family, stock_theta
 from fgdyn.words import (
@@ -53,6 +53,8 @@ class TestAlphabet:
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
             Alphabet(("a",))
+        with pytest.raises(ValueError, match="rank <= 26"):
+            standard_alphabet(27)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +86,10 @@ class TestReduce:
             reduce(F2, [3])
         with pytest.raises(AlphabetMismatchError):
             reduce(F2, [0])
+        with pytest.raises(AlphabetMismatchError):
+            Word.from_runs(F2, [(3, 1)])
+        with pytest.raises(AlphabetMismatchError):
+            words.generator(F2, 0)
 
     @given(letters_strategy(2))
     def test_matches_naive_oracle(self, letters):
@@ -180,6 +186,10 @@ class TestCyclicReduce:
     def test_identity_rejected(self):
         with pytest.raises(EmptyWordError):
             cyclic_reduce(identity(F4))
+        with pytest.raises(EmptyWordError):
+            identity(F4).first_letter()
+        with pytest.raises(EmptyWordError):
+            identity(F4).last_letter()
 
     @given(letters_strategy(2, max_size=10))
     def test_recomposition(self, xs):
@@ -256,6 +266,22 @@ class TestCommonPrefix:
         u = parse_word(F4, "b a^-1 c^-1")
         v = parse_word(F4, "b a^-2 c^-1")
         assert common_prefix_length(u, v) == 2
+        # the held-prefix comparison of omega_limit reads whole words as
+        # levels that have ended, through the same run kernel: seeded
+        # pairs, a word and its prefix, and runs that differ only in
+        # exponent
+        rng = random.Random(35)
+        pairs = [(u, v), (v, u)]
+        for _ in range(200):
+            x = reduce(F2, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 12))])
+            pairs.append((x, x.prefix(rng.randint(0, len(x)))))
+            pairs.append((x, x * reduce(F2, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 4))])))
+            pairs.append((x, reduce(F2, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 12))])))
+        pairs += [(parse_word(F4, "b a^3 c"), parse_word(F4, "b a^3")), (parse_word(F4, "a^3"), parse_word(F4, "a^5")),
+                  (parse_word(F4, "b a^-7"), parse_word(F4, "b a^-2 d"))]
+        for x, y in pairs:
+            assert dynamics._held_prefix(x, y, 0) == common_prefix_length(x, y), (str(x), str(y))
+        assert [common_prefix_length(x, y) for x, y in pairs[-3:]] == [4, 3, 3]
 
     @given(letters_strategy(2))
     def test_self(self, xs):
