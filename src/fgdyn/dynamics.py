@@ -544,8 +544,18 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     """
 
     def __init__(self, e: Endomorphism, g: Word, budget: int):
-        self.e, self.g, self.budget = e, g, budget
+        self.e, self.budget = e, budget
         self.n, self.w = 0, g  # the step, and the last whole iterate
+        self.before = 0  # the steps taken before g, for overflows
+        self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
+        self.restart()
+
+    def restart(self) -> None:
+        """Make the last whole iterate ``w`` step 0 of the orbit, as a fresh
+        orbit of it would have it, keeping the window table; an overflow
+        still names its step in the orbit of the first seed."""
+        self.before, self.n = self.before + self.n, 0
+        g = self.g = self.w
         self.images = None  # the images of the letters reachable from g (and self.reads), once w outgrows g
         self.weighs = False  # whether assembly is weighed
         # once assembly pays, the step of the letter iterates last taken (0
@@ -554,7 +564,6 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.start, self.anchor = 0, g  # the step of the first word, and the word
         self.period, self.replay = 0, []  # set at the first return
         self.held: Union[Word, _Held, None] = None  # the held level, once held
-        self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
 
     def _reach(self) -> dict:
         """Find the images of the letters reachable from ``g``, and the
@@ -651,7 +660,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
                 self.level, self.blocks = n, blocks
         self.w = w = self._apply(w) if blocks is None else _assembled(g, blocks)
         if len(w) > budget:
-            raise GrowthOverflowError(n, len(w), budget, w)
+            raise GrowthOverflowError(self.before + n, len(w), budget, w)
         if self.period:
             self.replay.append(w)
         elif w == self.anchor:  # the first return: the orbit has period n - start
@@ -702,7 +711,10 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
     iterates fit the budget.  It lands at |p| itself wherever that bound
     holds there, and short of |p| only where q is at least
     ``_LONG_JUMP``; and only where the first step keeps at least half its
-    letters (:func:`_first_step_keeps`).  The steps after q are stepped,
+    letters (:func:`_first_step_keeps`).  Where it does not, one step is
+    taken and the look is made once more from ``[e(g)]``, with |p| - 1
+    steps left: ``a b^-1`` under ``delta`` keeps 1 of its 3 letters at the
+    first step, and ``b^-1`` jumps.  The steps after q are stepped,
     and without a jump every step is.  Past q the unreduced length is
     past the budget, so an orbit that does not cancel overflows at the
     next step: ``b`` under ``delta`` reaches ``b a^(10^6)`` in at most
@@ -717,8 +729,17 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
         return g
     budget, p = cfg.max_word_length, abs(p)
     orbit = _Orbit(e, g, budget)
-    quiet = _quiet_steps(e, g, min(p, _LONG_JUMP), p, budget + 1, budget)
-    w = orbit.jump(quiet[0]) if quiet is not None and quiet[0] > 1 and _first_step_keeps(e, g) else g
+    w = g
+    for look in range(2):
+        quiet = _quiet_steps(e, w, min(p, _LONG_JUMP), p, budget + 1, budget)
+        if quiet is None or quiet[0] <= 1:
+            break
+        if _first_step_keeps(e, w):
+            w = orbit.jump(quiet[0])
+            break
+        if not look:  # the first step alone may cancel: look again from [e(g)]
+            w, p = next(orbit), p - 1
+            orbit.restart()
     while orbit.n < p:
         w = next(orbit)
         if orbit.period:  # whole periods are skipped

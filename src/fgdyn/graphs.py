@@ -35,7 +35,7 @@ from .subgroups import (
     build_core_graph,
     coset_power_membership,
 )
-from .words import Alphabet, Word, _spelling, common_prefix_length, format_word
+from .words import Alphabet, Word, _spelling, format_word
 
 COMPLETENESS_FLAG = "sample-based under-approximation"
 
@@ -67,45 +67,75 @@ def isogloss(
     involve a prefix approximation fall back to a search over the elements
     of H of length at most ``search_bound``, read off H's automaton, and
     are heuristic; there a rational point is cut to its first
-    ``cfg.target_prefix + search_bound + 4`` letters.
+    ``cfg.target_prefix + search_bound + 4`` letters.  ``x`` and ``y`` may
+    also be reads (:class:`_Read`) of points at this H, bound and config,
+    which :func:`build_graph` makes once a point.
     """
     if not 0 <= search_bound <= sys.maxsize:  # past that, no prefix can be cut to it
         raise ValueError(f"search bound must be between 0 and {sys.maxsize}, got {search_bound}")
-    x = _as_point(x)
-    y = _as_point(y)
-    if isinstance(x, RationalPoint) and isinstance(y, RationalPoint):
+    x = x if isinstance(x, _Read) else _Read(x, H, search_bound, cfg)
+    y = y if isinstance(y, _Read) else _Read(y, H, search_bound, cfg)
+    if x.period is not None and y.period is not None:
         if len(x.period) != len(y.period):
             return False
         # the first i with x-period = y-period[i:] y-period[:i], by one search
-        spelled = _spelling(y.period.runs)
-        i = (spelled + spelled).find(_spelling(x.period.runs))
+        i = (y.period + y.period).find(x.period)
         if i < 0:
             return False
         # X = head_x . (y-period[i:] y-period[:i])^inf = (head_x . y-period[i:]) . y-period^inf
-        k = coset_power_membership(H, x.head * y.period.drop(i), y.period, y.head.inverse())
+        px, py = x.point, y.point
+        k = coset_power_membership(H, px.head * py.period.drop(i), py.period, py.head.inverse())
         return k is not None
-    wx, nx = _point_prefix(x, search_bound, cfg)
-    wy, ny = _point_prefix(y, search_bound, cfg)
-    floor = max(1, min(nx, ny) - search_bound)
-    return _prefix_translate(H, wx, wy, floor, search_bound)
+    x, y = x.prefix(), y.prefix()
+    floor = max(1, min(x.length, y.length) - search_bound)
+    return _prefix_translate(H, x, y, floor, search_bound)
 
 
-def _prefix_translate(H: StallingsGraph, wx: Word, wy: Word, floor: int, bound: int) -> bool:
+class _Read:
+    """A limit point read once for :func:`isogloss` at one H, search bound
+    and config.  A rational point keeps its period spelled one character a
+    letter (:func:`words._spelling`).  The prefix parts are built when a
+    prefix comparison first needs them (:meth:`prefix`): the spelled
+    prefix ``text`` (the first ``target_prefix + bound + 4`` letters of a
+    rational point, the prefix of a :class:`PrefixApprox`), the ``length``
+    its matches are floored by (that count, or the certified length), its
+    first ``bound + 1`` ``letters`` and the H ``states`` along its first
+    ``bound`` letters."""
+
+    def __init__(self, point, H: StallingsGraph, bound: int, cfg: IterationConfig):
+        self.point, self.H, self.bound, self.cfg = _as_point(point), H, bound, cfg
+        self.period = _spelling(self.point.period.runs) if isinstance(self.point, RationalPoint) else None
+        self.text = None
+
+    def prefix(self) -> "_Read":
+        if self.text is None:
+            p = self.point
+            if isinstance(p, RationalPoint):
+                self.length = self.cfg.target_prefix + self.bound + 4
+                word = prefix_of(p, self.length)
+            else:
+                word, self.length = p.prefix, p.certified_length
+            self.text = _spelling(word.runs)
+            self.letters = list(word.prefix(self.bound + 1).letters())
+            self.states = _path_states(self.H, self.letters[: self.bound])
+        return self
+
+
+def _prefix_translate(H: StallingsGraph, x: _Read, y: _Read, floor: int, bound: int) -> bool:
     """Whether some ``h`` in H with ``|h| <= bound`` makes ``[h wy]`` agree
-    with ``wx`` over ``min(|wx|, |[h wy]|) >= floor`` letters.
+    with ``wx`` over ``min(|wx|, |[h wy]|) >= floor`` letters, for ``wx``
+    and ``wy`` the prefixes that ``x`` and ``y`` read.
 
     Split ``h = wx[:i] . wy[:j]^-1`` where ``j`` letters of ``wy`` cancel.
     Then ``h`` is in H iff ``wx[:i]`` and ``wy[:j]`` read to the same state
     from the base, and ``[h wy] = wx[:i] wy[j:]``, so only the split points
-    with ``i + j <= bound`` need checking.  An ``h`` that runs past the end
-    of a short ``wx`` is ``wx s wy[:j]^-1`` for a walk ``s`` in H from the
-    state ``wx`` reaches.
+    with ``i + j <= bound`` need checking, each by one compare of the
+    spelled prefixes over the ``overlap - i`` letters both have past it.
+    An ``h`` that runs past the end of a short ``wx`` is ``wx s
+    wy[:j]^-1`` for a walk ``s`` in H from the state ``wx`` reaches.
     """
-    lx = list(itertools.islice(wx.letters(), bound))
-    ly = list(itertools.islice(wy.letters(), bound + 1))
-    sx = _path_states(H, lx)
-    sy = _path_states(H, ly[:bound])
-    nwx, nwy = len(wx), len(wy)
+    lx, ly, sx, sy, tx, ty = x.letters, y.letters, x.states, y.states, x.text, y.text
+    nwx, nwy = len(tx), len(ty)
     for j, state in enumerate(sy):
         for i in range(min(len(sx), bound - j + 1)):
             if sx[i] != state:
@@ -115,7 +145,7 @@ def _prefix_translate(H: StallingsGraph, wx: Word, wy: Word, floor: int, bound: 
             if i and j < nwy and lx[i - 1] == -ly[j]:
                 continue  # h cancels more than j letters of wy
             overlap = min(nwx, i + nwy - j)
-            if overlap >= floor and common_prefix_length(wx.drop(i), wy.drop(j)) >= overlap - i:
+            if overlap >= floor and tx[i:overlap] == ty[j : j + overlap - i]:
                 return True
     if nwx >= bound or len(sx) <= nwx or nwx < floor:
         return False  # no h runs past wx, or wx itself is too short a match
@@ -124,10 +154,10 @@ def _prefix_translate(H: StallingsGraph, wx: Word, wy: Word, floor: int, bound: 
     frontier = {(sx[nwx], lx[-1] if lx else 0)}
     for length in range(1, bound - nwx + 1):
         frontier = {
-            (t, x)
+            (t, a)
             for state, last in frontier
-            for x in H.alphabet.signed_letters
-            if x != -last and (t := H.step(state, x)) is not None
+            for a in H.alphabet.signed_letters
+            if a != -last and (t := H.step(state, a)) is not None
         }
         for state, last in frontier:
             for j in range(min(len(sy), bound - nwx - length + 1)):
@@ -156,13 +186,6 @@ def _as_point(p):
     if isinstance(p, Rational):
         return p.point
     return p
-
-
-def _point_prefix(p, search_bound: int, cfg: IterationConfig) -> tuple[Word, int]:
-    if isinstance(p, RationalPoint):
-        n = cfg.target_prefix + search_bound + 4
-        return prefix_of(p, n), n
-    return p.prefix, p.certified_length
 
 
 @dataclass
@@ -247,9 +270,12 @@ def build_graph(
     skipped_fixed: list[str] = []
     unresolved: list[dict] = []
 
+    reads: list[_Read] = []  # one per class representative
+
     def classify(point: LimitPoint) -> int:
+        read = _Read(point, H, search_bound, cfg)
         for i, cls in enumerate(classes):
-            if isogloss(H, cls.representative, point, search_bound, cfg):
+            if isogloss(H, reads[i], read, search_bound, cfg):
                 cls.members.append(point)
                 if isinstance(point, PrefixApprox) or isinstance(
                     cls.representative, PrefixApprox
@@ -257,6 +283,7 @@ def build_graph(
                     cls.approximate = True
                 return i
         classes.append(IsoglossyClass(point, [point]))
+        reads.append(read)
         return len(classes) - 1
 
     for seed in seeds:

@@ -428,6 +428,43 @@ class TestDetectParabolic:
         assert report.point == rational_point(w4("b"), w4("a^-1"))
         assert isinstance(report.forward.point, Rational) and isinstance(report.backward.point, PrefixApprox)
 
+    def test_rank_three_parabolic_example(self):
+        """psi3 on F3: a -> c^-1 a, b -> b, c -> b^-1 c b^-1, with inverse
+        a -> b c b a, b -> b, c -> b c b.  psi3^m(c^-1) = b^m c^-1 b^m and
+        psi3^-m(c) = b^m c b^m, so for n >= 1
+
+            psi3^n(a)  = b^(n-1) c^-1 b^(n-1) psi3^(n-1)(a)
+                       = b^(n-1) c^-1 b^(2n-3) c^-1 b^(2n-5) ... b c^-1 a,
+            psi3^-n(a) = b^n c b^n psi3^-(n-1)(a)
+                       = b^n c b^(2n-1) c b^(2n-3) ... b^3 c b a,
+
+        reduced as written: the n-th iterate begins with b^(n-1) forward
+        and b^n backward, and both limits are b^inf, the end of the fixed
+        b.  ``detect_parabolic`` calls a seed parabolic when its forward
+        and backward limits are one point; the paper claims parabolic
+        orbits for N >= 4, and this map has rank 3.
+        """
+        F3 = standard_alphabet(3)
+        w = partial(parse_word, F3)
+        psi = verify_pair(endo(F3, "c^-1 a", "b", "b^-1 c b^-1"), endo(F3, "b c b a", "b", "b c b"))
+        a, b, c = w("a"), w("b"), w("c")
+        report = detect_parabolic(psi, a)
+        assert (report.verdict, report.certification) == (PARABOLIC, "exact")
+        assert report.point == rational_point(identity(F3), b)
+        assert iterate(psi, a, 3) == w("b^2 c^-1 b^3 c^-1 b c^-1 a")
+        for n in range(1, 5):
+            want = b ** (n - 1) * c.inverse()
+            for k in reversed(range(n - 1)):
+                want = want * b ** (2 * k + 1) * c.inverse()
+            assert iterate(psi, a, n) == want * a
+            assert len(want * a) == n * n + 1  # reduced as written
+        for n in range(1, 4):
+            want = b**n * c
+            for k in reversed(range(1, n)):
+                want = want * b ** (2 * k + 1) * c
+            assert iterate(psi, a, -n) == want * b * a
+            assert len(want * b * a) == (n + 1) ** 2
+
     def test_json_round(self):
         report = detect_parabolic(make_phi(1), w4("b d^-1"))
         js = report.to_json()
@@ -2708,6 +2745,26 @@ class TestIterateJump:
         assert (exc.value.iteration, exc.value.length, exc.value.budget) == (1, len(first), len(first) - 1)
         assert exc.value.word == first
         assert stepped_iterate(monkeypatch, pair, w, -300, cfg) == (1, len(first), len(first) - 1, first)
+
+    def test_seed_whose_first_step_alone_cancels_jumps_after_it(self, monkeypatch):
+        # a b^-1 keeps 1 of its 3 letters at its first step under delta, so
+        # the jump declines there; its first iterate b^-1 cancels nothing,
+        # and the orbit, one step on, jumps to [delta^(n-1)(b^-1)] =
+        # a^-(n-1) b^-1: one step and one jump where 10^6 steps were taken
+        delta = family("delta", n=1).pair
+        w = partial(parse_word, delta.alphabet)
+        outcomes = jump_outcomes(monkeypatch)
+        steps = orbit_steps(monkeypatch)
+        assert iterate(delta, w("a b^-1"), 10**6) == w(f"a^-{10**6 - 1} b^-1")
+        assert outcomes == [True] and steps == [(1, w("b^-1"))]
+        # an overflow still names its step counted from the seed
+        with pytest.raises(GrowthOverflowError) as exc:
+            iterate(delta, w("a b^-1"), 10**6 + 1)
+        assert (exc.value.iteration, exc.value.length, exc.value.budget) == (10**6 + 1, 10**6 + 1, 10**6)
+        cfg = IterationConfig(max_word_length=1000)
+        for p in (2, 3, 64, 65, 999, 1000, 1001, 5000):
+            got = iterate_outcome(delta, w("a b^-1"), p, cfg)
+            assert got == stepped_iterate(monkeypatch, delta, w("a b^-1"), p, cfg), p
 
     def test_periodic_letter_iterates_reduce_the_power(self, monkeypatch):
         rng = random.Random(4)

@@ -9,6 +9,8 @@ import pytest
 from fgdyn.automorphisms import Endomorphism, identity_pair, inner, verify_pair
 from fgdyn.dynamics import (
     DEFAULT_CONFIG,
+    Boundary,
+    FixedElement,
     IterationConfig,
     PrefixApprox,
     Rational,
@@ -18,7 +20,7 @@ from fgdyn.dynamics import (
     rational_point,
     translate,
 )
-from fgdyn.families import family
+from fgdyn.families import family, parse_family_spec
 from fgdyn.graphs import (
     DynamicsGraph,
     Edge,
@@ -277,6 +279,38 @@ class TestIsoglossSearch:
                     hits += expected
         assert hits >= 0.2 * cases, (hits, cases)
 
+    def test_matches_ball_enumeration_at_large_bounds(self):
+        # H is cyclic on one generator of 1-3 letters, so its ball has at
+        # most 49 elements at every bound; seeds that begin with a power of
+        # the generator keep the prefixes in H's graph for many letters, so
+        # the states along them and the shifts i - j run long
+        rng = random.Random(36)
+        cases = hits = 0
+        for bound in range(9, 25):
+            for _ in range(4):
+                gen = random_reduced(rng, rng.randint(1, 3))
+                H = build_core_graph(F3, [gen])
+                elements = enumerate_elements(H, bound)
+                assert len(elements) <= 49
+                base = gen ** rng.randint(0, bound) * random_reduced(rng, rng.randint(0, 20))
+                ray = rational_point(base, random_reduced(rng, rng.randint(1, 3)))
+
+                def prefix_point():
+                    start = prefix_of(ray, len(base) + rng.randint(0, 60))
+                    w = rng.choice(elements) * start * random_reduced(rng, rng.choice((0, 0, 4)))
+                    return PrefixApprox(w, rng.randint(max(0, len(w) - 10), len(w)))
+
+                for _ in range(6):
+                    x = prefix_point()
+                    y = rng.choice([prefix_point(), Rational(ray), translate(rng.choice(elements), ray)])
+                    if rng.random() < 0.5:
+                        x, y = y, x
+                    expected = isogloss_by_enumeration(elements, x, y, bound)
+                    assert isogloss(H, x, y, bound) == expected, (gen, bound, x, y)
+                    cases += 1
+                    hits += expected
+        assert hits >= 0.2 * cases, (hits, cases)
+
     @pytest.mark.parametrize(
         "gens, x, y, bound, expected",
         [
@@ -407,6 +441,45 @@ class TestBuildGraph:
                 bwd = omega_limit(phi.inverse(), label)
                 assert isogloss(H, graph.vertices[edge.target].representative, fwd.point)
                 assert isogloss(H, graph.vertices[edge.source].representative, bwd.point)
+
+    @pytest.mark.parametrize("spec", ["alpha_k:k=1", "phi_k:k=1", "beta:rank=6"])
+    def test_classes_are_the_first_match_by_isogloss(self, spec):
+        # build_graph reads each limit point once; its classes must be those
+        # that scanning the classes in creation order with the public
+        # isogloss gives, over both directions of every default seed
+        fam = parse_family_spec(spec)
+        pair, gens = fam.pair, list(fam.fixed_generators)
+        graph = build_graph(pair, gens)
+        H = build_core_graph(pair.alphabet, gens)
+        classes = []  # [representative, members, approximate]
+        for seed in default_seeds(pair.alphabet):
+            forward = omega_limit(pair, seed)
+            if isinstance(forward, FixedElement):
+                continue
+            backward = omega_limit(pair.inverse(), seed)
+            if not (isinstance(forward, Boundary) and isinstance(backward, Boundary)):
+                continue
+            for point in (backward.point, forward.point):
+                cls = next((cls for cls in classes if isogloss(H, cls[0], point)), None)
+                if cls is None:
+                    classes.append([point, [point], False])
+                else:
+                    cls[1].append(point)
+                    cls[2] = cls[2] or PrefixApprox in (type(point), type(cls[0]))
+        got = [[cls.representative, cls.members, cls.approximate] for cls in graph.vertices]
+        assert got == classes
+        assert any(cls[2] for cls in classes) and any(len(cls[1]) > 2 for cls in classes)
+
+    @pytest.mark.parametrize("spec, bounds", [("alpha_k:k=1", (8, 100, 10_000)), ("phi_k:k=1", (8, 10_000))])
+    def test_search_bound_does_not_change_the_graph(self, spec, bounds):
+        # every join the search finds at bound 8 it finds at 10,000, and no
+        # more; bound 10,000 reads prefixes of 10,204 letters
+        fam = parse_family_spec(spec)
+        outputs = []
+        for bound in bounds:
+            graph = build_graph(fam.pair, fam.fixed_generators, search_bound=bound)
+            outputs.append((graph_to_json(graph), emit_dot(graph)))
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestLoopsAndOutputs:
