@@ -22,6 +22,7 @@ from .words import (
     AlphabetMismatchError,
     Word,
     _block_product,
+    _WindowTable,
     format_word,
     generator,
 )
@@ -66,7 +67,7 @@ class Endomorphism:
         for g, img in enumerate(images, start=1):
             self._image_blocks[g] = (img.runs, len(img))
             self._image_blocks[-g] = (img.inverse().runs, len(img))
-        self._table = _MapTable(images)
+        self._table = _MapTable(images, self._image_blocks)
 
     @classmethod
     def identity(cls, alphabet: Alphabet) -> "Endomorphism":
@@ -74,12 +75,15 @@ class Endomorphism:
 
     def apply(self, w: Word) -> Word:
         """The reduced image ``[e(w)]``, whole: the product of the image
-        blocks over the runs of ``w`` by :func:`words._block_product`.
-        The held prefixes of :mod:`dynamics` call that kernel on these
-        blocks directly, with a ``limit``, to build a prefix only."""
-        if w.alphabet != self.alphabet:
+        blocks over the runs of ``w`` by :func:`words._block_product`,
+        through the map's one bounded window table (``windows`` of
+        :class:`_MapTable`), which every call and so every orbit step that
+        applies the map shares.  The held prefixes of :mod:`dynamics` call
+        the kernel on these blocks directly, with a ``limit``, to build a
+        prefix only."""
+        if w.alphabet is not self.alphabet and w.alphabet != self.alphabet:
             raise AlphabetMismatchError("word over a different alphabet")
-        out, length = _block_product(w.runs, self._image_blocks)
+        out, length = _block_product(w.runs, self._image_blocks, table=self._table.windows)
         return Word._make(self.alphabet, tuple(out), length)
 
     def __eq__(self, other) -> bool:
@@ -104,9 +108,7 @@ def compose(e1: Endomorphism, e2: Endomorphism) -> Endomorphism:
     """The endomorphism ``g -> e1(e2(g))``."""
     if e1.alphabet != e2.alphabet:
         raise AlphabetMismatchError("endomorphisms over different alphabets")
-    gens = range(1, e1.alphabet.rank + 1)
-    blocks = _compose_blocks(e1._image_blocks, {g: e2._image_blocks[g] for g in gens})
-    return Endomorphism(e1.alphabet, [Word._make(e1.alphabet, *blocks[g]) for g in gens])
+    return Endomorphism(e1.alphabet, [e1.apply(w) for w in e2.images])
 
 
 def _compose_blocks(outer: dict, inner: dict) -> dict:
@@ -123,7 +125,8 @@ def _compose_blocks(outer: dict, inner: dict) -> dict:
 
 # A map keeps the levels of its letter iterates only while they hold at
 # most this many runs in all; a level past that is built and handed to
-# its orbit, not kept.  Measured with perfbench/run.py (--seconds 6, one
+# its orbit, not kept.  The map's window table has a bound of the same
+# count of its own.  Measured with perfbench/run.py (--seconds 6, one
 # run per bound on seeds 9 and 7, a shared 2-vCPU machine): graph_alpha
 # reads 337-343 tasks/s at every bound from 2^12 up (about 290 with no
 # table), as its levels are few; orbit_beta reads 1,675 and 1,813 at
@@ -179,6 +182,13 @@ class _MapTable:
       [e^m(x)]}`` for the letters asked so far (:meth:`letter_iterates`),
       and the runs they hold in all, at most ``_KEPT_RUNS``.  Each is the
       reduced word that stepping gives.
+    - ``windows``: the one :class:`words._WindowTable` of the image
+      blocks, through which ``Endomorphism.apply`` multiplies, so every
+      application of the map, and every orbit step that applies it,
+      reduces each distinct window once.  It holds at most
+      ``_KEPT_RUNS`` runs of windows and their images, counted apart from
+      the letter iterates: a window whose image is empty, which a map
+      that is not injective may have, still counts.
 
     The two bounds stay apart because they count different units: a
     level of unreduced lengths is one integer a generator, while one
@@ -187,11 +197,12 @@ class _MapTable:
     the 2^14 runs, crowd out the levels.
     """
 
-    __slots__ = ("images", "bounds", "cap", "squares", "repeat", "levels", "iterates", "runs")
+    __slots__ = ("images", "bounds", "cap", "squares", "repeat", "levels", "iterates", "runs", "windows")
 
-    def __init__(self, images: tuple):
+    def __init__(self, images: tuple, blocks: dict):
         self.images, self.bounds, self.iterates, self.runs = images, None, {}, 0
         self.cap, self.squares, self.repeat, self.levels = 0, [], None, {}
+        self.windows = _WindowTable(blocks, _KEPT_RUNS)
 
     def letter_iterates(self, images: dict, n: int, last: Optional[dict] = None) -> dict:
         """The letter iterates ``[e^n(x)]`` of the letters x of ``images``,

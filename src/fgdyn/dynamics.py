@@ -32,7 +32,6 @@ from .words import (
     _block_product,
     _runs_prefix,
     _spelling,
-    _WindowTable,
     common_prefix_length,
     cyclic_reduce,
     format_word,
@@ -254,9 +253,16 @@ def _assembled(g: Word, blocks: dict) -> Word:
     return Word._make(g.alphabet, tuple(runs), length)
 
 
+def _check_bound(value: int, name: str, low: int = 0, high: int = sys.maxsize) -> None:
+    """Reject a bound that is a bool, not an int, or outside low..high."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ValueError(f"{name} must be an integer from {low} to {high}, got {value!r}")
+
+
 def _check_alphabet(e: Endomorphism, g: Word) -> None:
     """Raise :class:`AlphabetMismatchError` where ``g`` is a word over
-    another alphabet than ``e``: no orbit step checks it."""
+    another alphabet than ``e``: a jump or a step that assembles does not
+    check it."""
     if g.alphabet != e.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
 
@@ -507,11 +513,11 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     one planner of stepping.  Each step takes one of two moves, each
     giving the same reduced word:
 
-    - apply ``e`` to the previous iterate ``w``, reading every run of it,
-      through the orbit's one window table of ``e``
-      (:func:`words._block_product`): the iterates of a substitution
-      repeat the same few windows at every step, so each is reduced once
-      for the whole orbit;
+    - apply ``e`` to the previous iterate ``w`` by
+      :meth:`~automorphisms.Endomorphism.apply`, reading every run of it,
+      through the map's one window table (:func:`words._block_product`):
+      the iterates of a substitution repeat the same few windows at every
+      step, so each is reduced once for every orbit of the map;
     - assemble ``[e^n(g)]`` as the product over the runs of ``g`` of the
       letter iterates ``[e^n(x)]`` of the letters reachable from ``g``,
       read from the map's table
@@ -543,19 +549,10 @@ class _Orbit(Iterator[Union[Word, _Held]]):
     every bounded orbit whatever the lengths of its cycle.
     """
 
-    def __init__(self, e: Endomorphism, g: Word, budget: int):
-        self.e, self.budget = e, budget
+    def __init__(self, e: Endomorphism, g: Word, budget: int, before: int = 0):
+        self.e, self.g, self.budget = e, g, budget
         self.n, self.w = 0, g  # the step, and the last whole iterate
-        self.before = 0  # the steps taken before g, for overflows
-        self.table = _WindowTable(e._image_blocks)  # the windows of every e(w) applied
-        self.restart()
-
-    def restart(self) -> None:
-        """Make the last whole iterate ``w`` step 0 of the orbit, as a fresh
-        orbit of it would have it, keeping the window table; an overflow
-        still names its step in the orbit of the first seed."""
-        self.before, self.n = self.before + self.n, 0
-        g = self.g = self.w
+        self.before = before  # the steps taken before g, for overflows
         self.images = None  # the images of the letters reachable from g (and self.reads), once w outgrows g
         self.weighs = False  # whether assembly is weighed
         # once assembly pays, the step of the letter iterates last taken (0
@@ -572,12 +569,6 @@ class _Orbit(Iterator[Union[Word, _Held]]):
         self.images = {x: blocks[x] for x in _reachable_letters(self.e, self.g)}
         self.reads = len(self.g.runs) + sum(len(runs) for runs, _ in self.images.values())
         return self.images
-
-    def _apply(self, w: Word) -> Word:
-        """``[e(w)]``, the word :meth:`Endomorphism.apply` gives, through
-        the orbit's window table."""
-        runs, length = _block_product(w.runs, self.e._image_blocks, table=self.table)
-        return Word._make(w.alphabet, tuple(runs), length)
 
     def jump(self, n: int) -> Word:
         """Land a fresh orbit at step ``n > 1``, and give ``[e^n(g)]``.
@@ -658,7 +649,7 @@ class _Orbit(Iterator[Union[Word, _Held]]):
                 self.level = self.blocks = blocks = None  # apply from now on
             else:
                 self.level, self.blocks = n, blocks
-        self.w = w = self._apply(w) if blocks is None else _assembled(g, blocks)
+        self.w = w = e.apply(w) if blocks is None else _assembled(g, blocks)
         if len(w) > budget:
             raise GrowthOverflowError(self.before + n, len(w), budget, w)
         if self.period:
@@ -739,7 +730,7 @@ def iterate(phi: AutoPair, g: Word, p: int, cfg: IterationConfig = DEFAULT_CONFI
             break
         if not look:  # the first step alone may cancel: look again from [e(g)]
             w, p = next(orbit), p - 1
-            orbit.restart()
+            orbit = _Orbit(e, w, budget, before=1)
     while orbit.n < p:
         w = next(orbit)
         if orbit.period:  # whole periods are skipped
@@ -1347,8 +1338,7 @@ def growth_classify(
     first return, or at once where it is legal and bounded; either way
     the orbit is ``bounded`` with ``samples = p_max``, whatever ``p_max``.
     """
-    if isinstance(p_max, bool) or not isinstance(p_max, int) or not 8 <= p_max <= sys.maxsize:
-        raise ValueError(f"p_max must be an integer from 8 to {sys.maxsize}, got {p_max!r}")
+    _check_bound(p_max, "p_max", 8)
     e, budget = phi.forward, cfg.max_word_length
     _check_alphabet(e, g)
     lengths, overflow = [], None
@@ -1436,8 +1426,7 @@ def verify_splitting(
         raise ValueError("bricks must be nontrivial")
     for b in bricks:
         _check_alphabet(phi.forward, b)
-    if isinstance(p_max, bool) or not isinstance(p_max, int) or not 0 <= p_max < sys.maxsize:
-        raise ValueError(f"p_max must be an integer from 0 to {sys.maxsize - 1}, got {p_max!r}")
+    _check_bound(p_max, "p_max", 0, sys.maxsize - 1)
     budget = DEFAULT_CONFIG.max_word_length
     orbits = [_Orbit(phi.forward, b, budget) for b in bricks]
     images = bricks
@@ -1464,10 +1453,10 @@ def detect_boundary_period(
     Looks for the smallest q <= bound such that the orbit of ``seed``
     under ``phi^q`` converges while the limit itself moves on a
     ``phi``-orbit of period q > 1.  Absence of a finding is not a proof
-    of rotationlessness.  A negative ``bound`` is rejected.
+    of rotationlessness.  A ``bound`` that is negative or not an integer
+    is rejected.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be nonnegative, got {bound}")
+    _check_bound(bound, "bound")
     _check_alphabet(phi.forward, seed)
     for q in range(2, bound + 1):
         result = omega_limit(power(phi, q), seed, cfg)

@@ -28,7 +28,7 @@ from .automorphisms import (
     inner,
     verify_pair,
 )
-from .dynamics import PrefixApprox, rational_from_element, rational_point
+from .dynamics import PrefixApprox, _check_bound, rational_from_element, rational_point
 from .graphs import GraphTemplate
 from .words import (
     Alphabet,
@@ -122,8 +122,7 @@ def twist_reduce(u: Word, n: int, search_bound: int = 4) -> Optional[tuple[Word,
     """
     if n == 0:
         raise ValueError("n must be nonzero")
-    if search_bound < 0:
-        raise ValueError(f"search bound must be nonnegative, got {search_bound}")
+    _check_bound(search_bound, "search bound")
     delta_n = make_twist(n, 0)
     frontier = [identity(F2)]
     seen = {frontier[0]}

@@ -12,7 +12,6 @@ full dynamics graph and is flagged as such.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -27,8 +26,8 @@ from .dynamics import (
     PrefixApprox,
     Rational,
     RationalPoint,
+    _check_bound,
     omega_limit,
-    prefix_of,
 )
 from .subgroups import (
     StallingsGraph,
@@ -71,8 +70,7 @@ def isogloss(
     also be reads (:class:`_Read`) of points at this H, bound and config,
     which :func:`build_graph` makes once a point.
     """
-    if not 0 <= search_bound <= sys.maxsize:  # past that, no prefix can be cut to it
-        raise ValueError(f"search bound must be between 0 and {sys.maxsize}, got {search_bound}")
+    _check_bound(search_bound, "search bound")  # past sys.maxsize, no prefix can be cut to it
     x = x if isinstance(x, _Read) else _Read(x, H, search_bound, cfg)
     y = y if isinstance(y, _Read) else _Read(y, H, search_bound, cfg)
     if x.period is not None and y.period is not None:
@@ -110,13 +108,14 @@ class _Read:
     def prefix(self) -> "_Read":
         if self.text is None:
             p = self.point
-            if isinstance(p, RationalPoint):
-                self.length = self.cfg.target_prefix + self.bound + 4
-                word = prefix_of(p, self.length)
+            if isinstance(p, RationalPoint):  # head . period^inf spelled, cut to length
+                n = self.length = self.cfg.target_prefix + self.bound + 4
+                head = _spelling(p.head.runs)
+                self.text = (head + self.period * -(-(n - len(head)) // len(self.period)))[:n]
             else:
-                word, self.length = p.prefix, p.certified_length
-            self.text = _spelling(word.runs)
-            self.letters = list(word.prefix(self.bound + 1).letters())
+                self.text, self.length = _spelling(p.prefix.runs), p.certified_length
+            # letter g spells as chr(2g), g^-1 as chr(2g + 1)
+            self.letters = [-(c >> 1) if c & 1 else c >> 1 for c in map(ord, self.text[: self.bound + 1])]
             self.states = _path_states(self.H, self.letters[: self.bound])
         return self
 
@@ -257,8 +256,7 @@ def build_graph(
     ``phi`` carry no dynamics and are skipped; seeds whose limits fail to
     certify are reported in the diagnostics.
     """
-    if not 0 <= search_bound <= sys.maxsize:  # past that, no prefix can be cut to it
-        raise ValueError(f"search bound must be between 0 and {sys.maxsize}, got {search_bound}")
+    _check_bound(search_bound, "search bound")  # past sys.maxsize, no prefix can be cut to it
     bad = first_unfixed_generator(phi, fix_generators)
     if bad is not None:
         raise ValueError(f"claimed fixed generator is not fixed: {format_word(bad)}")

@@ -16,7 +16,8 @@ Iterates of a substitution repeat few distinct factors, so a long
 product whose leading windows of ``_WINDOW`` runs repeat is taken by
 windows: each distinct window is reduced once, and the reduced window
 images are multiplied by the same kernel.  A window table can outlive
-one product, so that the products of an orbit reduce each window once.
+one product: each map keeps one for its images, so that the products of
+all its orbits reduce each window once.
 Free reduction is associative, so the result is the run-by-run product
 exactly.
 """
@@ -160,15 +161,18 @@ _MIN_RUNS = 2 * _WINDOW * 4
 
 class _WindowTable:
     """The windows of products over one dict of ``blocks``: each distinct
-    window's id and its reduced image, kept for as long as the table is.
-    Filled by :func:`_window_product`."""
+    window's id and its reduced image, kept for as long as the table is,
+    and the runs of the windows and their images in all, at most
+    ``room``.  Filled by :func:`_window_product`, in the order the windows
+    were met."""
 
-    __slots__ = ("blocks", "ids", "images")
+    __slots__ = ("blocks", "room", "ids", "images", "runs")
 
-    def __init__(self, blocks: dict):
-        self.blocks = blocks
+    def __init__(self, blocks: dict, room: int = sys.maxsize):
+        self.blocks, self.room = blocks, room
         self.ids: dict = {}  # window -> the run (id, 1) that stands for it
         self.images: dict = {}  # id -> the reduced window image as a block
+        self.runs = 0
 
 
 def _repeats(pattern: Runs, known: dict) -> bool:
@@ -185,8 +189,12 @@ def _window_product(pattern: Runs, blocks: dict, table: _WindowTable) -> tuple[l
     """:func:`_block_product` without a limit, through the windows of
     ``pattern``: each window not yet in ``table`` is reduced once and
     added to it, and the window images are then the blocks of a pattern
-    of window ids.  Raises ``ValueError`` if the table was filled from
-    other blocks: its images would not be those of these windows."""
+    of window ids.  The windows added are met last, so where the table
+    then holds more than its ``room`` they are forgotten, last first,
+    until it fits: past the bound, a product reduces its new windows for
+    itself alone, and the table stops growing.  Raises ``ValueError`` if
+    the table was filled from other blocks: its images would not be
+    those of these windows."""
     if table.blocks is not blocks:
         raise ValueError("window table filled from other blocks")
     ids, images = table.ids, table.images
@@ -196,9 +204,14 @@ def _window_product(pattern: Runs, blocks: dict, table: _WindowTable) -> tuple[l
         run = ids.get(window)
         if run is None:
             run = ids[window] = (len(ids) + 1, 1)
-            images[run[0]] = _block_product(window, blocks)
+            image = images[run[0]] = _block_product(window, blocks)
+            table.runs += len(window) + len(image[0])
         windows.append(run)
-    return _block_product(windows, images)
+    product = _block_product(windows, images)
+    while table.runs > table.room:
+        window, (i, _) = ids.popitem()
+        table.runs -= len(window) + len(images.pop(i)[0])
+    return product
 
 
 def _block_product(
@@ -240,9 +253,10 @@ def _block_product(
     sample does not repeat is read run by run, with no pass over the
     rest of it.  The windows go in ``table``, a :class:`_WindowTable`
     of ``blocks``, or in a table of this call only: a caller that
-    multiplies many patterns over the same blocks, such as the steps of
-    an orbit, passes one table, so a window is reduced once for all of
-    them, and a window it already holds counts as a repeat.
+    multiplies many patterns over the same blocks, such as
+    ``Endomorphism.apply`` over the map's image blocks, passes one table,
+    so a window is reduced once for all of them, and a window it already
+    holds counts as a repeat.
     """
     if out is None:
         if limit is None and len(pattern) >= _MIN_RUNS:

@@ -358,7 +358,7 @@ class TestCommands:
         assert len(payload["vertices"]) == 8
         assert len(payload["edges"]) == 7
         assert payload["components"] == 3
-        dot = open(dot_path, encoding="utf-8").read()
+        dot = (tmp_path / "out.dot").read_text(encoding="utf-8")
         assert '"b (a^-1)^∞" -> "b (a^-1)^∞"' in dot
 
     def test_graph_requires_fix(self, tmp_path, capsys):

@@ -46,8 +46,9 @@ from fgdyn.dynamics import (
     translate,
     verify_splitting,
 )
-from fgdyn.families import family, parse_family_spec, stock_theta
-from fgdyn.graphs import default_seeds
+from fgdyn.families import family, parse_family_spec, stock_theta, twist_reduce
+from fgdyn.graphs import build_graph, default_seeds, isogloss
+from fgdyn.subgroups import build_core_graph
 from fgdyn.words import (
     Alphabet,
     AlphabetMismatchError,
@@ -1085,8 +1086,8 @@ def orbit_calls(monkeypatch, name, seen):
     returns."""
     original = getattr(dynamics._Orbit, name)
 
-    def recording(self, *args):
-        result = original(self, *args)
+    def recording(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
         seen(self, args, result)
         return result
 
@@ -2078,20 +2079,16 @@ def orbit_outcome(orbit, steps):
 
 
 def apply_calls(monkeypatch):
-    """The words a map is applied to from now on: by
-    ``Endomorphism.apply``, or by an orbit step that applies through the
-    orbit's window table."""
+    """The words a map is applied to from now on by ``Endomorphism.apply``,
+    which every orbit step that applies the map goes through."""
     calls = []
+    original = Endomorphism.apply
 
-    def counting(original):
-        def applying(self, w):
-            calls.append(w)
-            return original(self, w)
+    def applying(self, w):
+        calls.append(w)
+        return original(self, w)
 
-        return applying
-
-    monkeypatch.setattr(Endomorphism, "apply", counting(Endomorphism.apply))
-    monkeypatch.setattr(dynamics._Orbit, "_apply", counting(dynamics._Orbit._apply))
+    monkeypatch.setattr(Endomorphism, "apply", applying)
     return calls
 
 
@@ -2284,9 +2281,10 @@ class TestOrbitMechanism:
 
 
 class TestOrbitWindowTable:
-    """An orbit reduces the windows of its iterates in one table, kept
-    across its steps; every iterate must be the one that applying the map
-    step by step gives, runs and length."""
+    """The orbits of a map reduce the windows of their iterates in the
+    map's one table, kept across their steps and shared with
+    ``Endomorphism.apply``; every iterate must be the one that applying
+    the map step by step gives, runs and length."""
 
     @pytest.fixture
     def filled(self, monkeypatch):
@@ -2306,40 +2304,50 @@ class TestOrbitWindowTable:
 
     @staticmethod
     def check_steps(pair, g, p, filled):
-        """``iterate(pair, g, p)`` and each of the first |p| iterates of
-        the orbit against |p| plain applications; the windowed steps of
-        the orbit share its table."""
+        """``iterate(pair, g, p)`` on the pair's maps and on fresh ones, and
+        each of the first |p| iterates of an orbit on a fresh map, against
+        |p| plain applications; the windowed steps of the orbit share that
+        map's table."""
         e = pair.forward if p > 0 else pair.backward
         plain = [g]
         for _ in range(abs(p)):
             plain.append(e.apply(plain[-1]))
-        assert iterate(pair, g, p).runs == plain[-1].runs
+        fresh = verify_pair(fresh_map(pair.forward), fresh_map(pair.backward))
+        assert iterate(pair, g, p).runs == iterate(fresh, g, p).runs == plain[-1].runs
+        e = fresh_map(e)
         del filled[:]
         orbit = dynamics._Orbit(e, g, DEFAULT_CONFIG.max_word_length)
         for want in plain[1:]:
             got = next(orbit)
             assert (got.runs, len(got)) == (want.runs, len(want))
-        steps = [(before, after) for table, before, after in filled if table is orbit.table]
+        steps = [(before, after) for table, before, after in filled if table is e._table.windows]
         assert len(steps) == len(filled)
         return steps
 
-    @pytest.mark.parametrize("name", ["trace3", "trace4", "beta"])
-    def test_backward_iterates_of_a_substitution(self, filled, name):
+    @staticmethod
+    def long_iterates(name):
+        """The pair, and the forward iterates of its seed of 5,000 to
+        120,000 letters, each with its step."""
         pair = family("beta", rank=6).pair if name == "beta" else stock_theta(name)
-        # seeds whose last iterate within 120,000 letters has over 100,000
-        seed = parse_word(pair.alphabet, {"trace3": "a b b", "trace4": "a a", "beta": "e f f"}[name])
-        lengths = []
-        w, p = seed, 0
+        w = parse_word(pair.alphabet, {"trace3": "a b b", "trace4": "a a", "beta": "e f f"}[name])
+        iterates, p = [], 0
         while len(w) <= 120_000:
             if len(w) >= 5000:
-                lengths.append(len(w))
-                steps = self.check_steps(pair, w, -p, filled)
-                # the first windowed step fills the table; each later one
-                # adds at most its last window, cut short by the end
-                assert len(steps) >= 2 and steps[0][1] - steps[0][0] >= 10
-                assert all(after - before <= 1 for before, after in steps[1:])
+                iterates.append((w, p))
             w, p = pair.forward.apply(w), p + 1
-        assert len(lengths) >= 3 and lengths[-1] > 100_000
+        return pair, iterates
+
+    @pytest.mark.parametrize("name", ["trace3", "trace4", "beta"])
+    def test_backward_iterates_of_a_substitution(self, filled, name):
+        # seeds whose last iterate within 120,000 letters has over 100,000
+        pair, iterates = self.long_iterates(name)
+        for w, p in iterates:
+            steps = self.check_steps(pair, w, -p, filled)
+            # the first windowed step fills the table; each later one
+            # adds at most its last window, cut short by the end
+            assert len(steps) >= 2 and steps[0][1] - steps[0][0] >= 10
+            assert all(after - before <= 1 for before, after in steps[1:])
+        assert len(iterates) >= 3 and len(iterates[-1][0]) > 100_000
 
     def test_conjugate_orbit_whose_window_images_cancel(self, filled):
         # each window image of inner(u) is u W u^-1, so u^-1 u cancels
@@ -2353,6 +2361,69 @@ class TestOrbitWindowTable:
             steps = self.check_steps(pair, g, p, filled)
             assert len(steps) > 100
             assert iterate(pair, g, p) == u ** (p - 20) * a * u ** (20 - p)
+
+    @pytest.mark.parametrize("name", ["trace3", "beta"])
+    def test_second_backward_orbit_reduces_no_new_window(self, filled, name):
+        pair, iterates = self.long_iterates(name)
+        w, p = iterates[-1]
+        e = fresh_map(pair.backward)
+        first = orbit_outcome(dynamics._Orbit(e, w, DEFAULT_CONFIG.max_word_length), p)
+        assert first[0][-1] == iterate(pair, w, -p)
+        held = len(e._table.windows.ids), e._table.windows.runs
+        del filled[:]
+        assert orbit_outcome(dynamics._Orbit(e, w, DEFAULT_CONFIG.max_word_length), p) == first
+        assert len(filled) >= 2 and all(t is e._table.windows and before == after for t, before, after in filled)
+        assert (len(e._table.windows.ids), e._table.windows.runs) == held
+
+    def test_each_step_that_does_not_assemble_is_one_apply_call(self, monkeypatch):
+        # d under phi_k:k=1 applies at steps 1..4 and assembles after; the
+        # backward orbit of a long trace3 iterate applies at every step
+        calls = apply_calls(monkeypatch)
+        assembled = []
+        original = dynamics._assembled
+
+        def assembling(g, blocks):
+            assembled.append(g)
+            return original(g, blocks)
+
+        monkeypatch.setattr(dynamics, "_assembled", assembling)
+        phi, theta = family("phi_k", k=1).pair, stock_theta("trace3")
+        long = iterate(theta, parse_word(theta.alphabet, "a b b"), 10)
+        kinds = []
+        for e, g in ((phi.forward, parse_word(phi.alphabet, "d")), (theta.backward, long)):
+            orbit, w = dynamics._Orbit(e, g, DEFAULT_CONFIG.max_word_length), g
+            for _ in range(10):
+                applied, built = len(calls), len(assembled)
+                following = next(orbit)
+                if len(assembled) > built:
+                    kinds.append("assembled")
+                    assert len(calls) == applied
+                else:
+                    kinds.append("applied")
+                    assert len(calls) == applied + 1 and calls[-1] is w
+                w = following
+        assert kinds == ["applied"] * 4 + ["assembled"] * 6 + ["applied"] * 10
+
+    def test_window_runs_stop_at_the_bound(self, monkeypatch):
+        # with room for a few windows, a map keeps those that fit, forgets
+        # the rest of each product, and still gives the same products
+        pair, iterates = self.long_iterates("trace3")
+        unbounded = fresh_map(pair.backward)
+        monkeypatch.setattr(automorphisms, "_KEPT_RUNS", 400)
+        e = fresh_map(pair.backward)
+        table = e._table.windows
+        held = []
+        for w, _ in iterates:
+            for _ in range(3):
+                got, fresh, want = e.apply(w), fresh_map(e).apply(w), unbounded.apply(w)
+                assert (got.runs, len(got)) == (fresh.runs, len(fresh)) == (want.runs, len(want))
+                assert table.runs == sum(len(x) + len(table.images[i][0]) for x, (i, _) in table.ids.items())
+                assert len(table.images) == len(table.ids)
+                held.append(table.runs)
+                w = got
+        assert 300 < max(held) <= 400 and held[-1] == max(held)
+        # the map without the bound kept more windows than fit
+        assert unbounded._table.windows.runs > 400 and len(unbounded._table.windows.ids) > len(table.ids)
 
 
 def composed_blocks(monkeypatch):
@@ -2650,7 +2721,8 @@ class TestJumpBound:
         composed = composed_blocks(monkeypatch)
         outcomes = jump_outcomes(monkeypatch)
         got = iterate(theta, seed, 9)
-        assert outcomes == [False]
+        # one orbit of the seed, and one of its first iterate for the second look
+        assert outcomes == [False, False]
         assert composed == []
         assert got == stepped_iterate(monkeypatch, theta, seed, 9, DEFAULT_CONFIG)
         assert len(got) == 343
@@ -2756,7 +2828,8 @@ class TestIterateJump:
         outcomes = jump_outcomes(monkeypatch)
         steps = orbit_steps(monkeypatch)
         assert iterate(delta, w("a b^-1"), 10**6) == w(f"a^-{10**6 - 1} b^-1")
-        assert outcomes == [True] and steps == [(1, w("b^-1"))]
+        # the seed's orbit takes the step, and a fresh orbit of b^-1 jumps
+        assert outcomes == [False, True] and steps == [(1, w("b^-1"))]
         # an overflow still names its step counted from the seed
         with pytest.raises(GrowthOverflowError) as exc:
             iterate(delta, w("a b^-1"), 10**6 + 1)
@@ -2839,10 +2912,10 @@ class TestIterateJump:
         assert len(calls) <= 6
 
     def test_foreign_word_rejected_for_every_power(self):
-        # every dynamics entry point checks the word's alphabet, since no
-        # orbit step goes through Endomorphism.apply: a word over another
-        # alphabet of the same rank gave a result, and one over a-f a
-        # KeyError from the image blocks
+        # every dynamics entry point checks the word's alphabet, since a
+        # jump or an assembled step does not go through Endomorphism.apply:
+        # a word over another alphabet of the same rank gave a result, and
+        # one over a-f a KeyError from the image blocks
         phi = family("phi_k", k=1).pair
         image = iterate(phi, parse_word(phi.alphabet, "b d c d"), 300)
         F6 = standard_alphabet(6)
@@ -2857,3 +2930,25 @@ class TestIterateJump:
             for call in calls:
                 with pytest.raises(AlphabetMismatchError):
                     call()
+
+
+BOUNDED_CALLS = {
+    "build_graph": ("search bound", lambda b: build_graph(make_phi(1), [w4("a")], search_bound=b)),
+    "isogloss": (
+        "search bound",
+        lambda b: isogloss(build_core_graph(F4, [w4("a")]), *[rational_point(w4("b"), w4("a"))] * 2, search_bound=b),
+    ),
+    "twist_reduce": ("search bound", lambda b: twist_reduce(parse_word(F2, "a b"), 1, b)),
+    "detect_boundary_period": ("bound", lambda b: detect_boundary_period(make_phi(1), w4("b"), b)),
+    "growth_classify": ("p_max", lambda b: growth_classify(make_phi(1), w4("b"), b)),
+    "verify_splitting": ("p_max", lambda b: verify_splitting(make_phi(1), [w4("b"), w4("d")], b)),
+}
+
+
+@pytest.mark.parametrize("bound", [2.5, 8.0, True, -1])
+@pytest.mark.parametrize("call", sorted(BOUNDED_CALLS))
+def test_bound_that_is_not_a_count_is_refused(call, bound):
+    # a float gave a TypeError from deep inside, and True was read as 1
+    name, run = BOUNDED_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer from"):
+        run(bound)

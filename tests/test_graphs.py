@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from fgdyn import graphs
 from fgdyn.automorphisms import Endomorphism, identity_pair, inner, verify_pair
 from fgdyn.dynamics import (
     DEFAULT_CONFIG,
@@ -35,7 +36,7 @@ from fgdyn.graphs import (
     verify_fixed_generators,
 )
 from fgdyn.subgroups import build_core_graph, coset_power_membership, enumerate_elements
-from fgdyn.words import Word, common_prefix_length, identity, parse_word, standard_alphabet
+from fgdyn.words import Word, _spelling, common_prefix_length, identity, parse_word, standard_alphabet
 
 F2 = standard_alphabet(2)
 F3 = standard_alphabet(3)
@@ -329,6 +330,20 @@ class TestIsoglossSearch:
         x, y = (PrefixApprox(parse_word(F3, t), len(parse_word(F3, t))) for t in (x, y))
         assert isogloss_by_enumeration(enumerate_elements(H, bound), x, y, bound) == expected
         assert isogloss(H, x, y, bound) == expected
+
+    def test_read_spells_the_prefix_of_a_rational_point(self):
+        # a read spells head . period^inf cut to target_prefix + bound + 4
+        # letters, and reads its first bound + 1 letters back from the text,
+        # heads longer than the cut included
+        rng = random.Random(13)
+        H = build_core_graph(F3, [parse_word(F3, "a b")])
+        for _ in range(300):
+            p = rational_point(random_reduced(rng, rng.randint(0, 12)), random_reduced(rng, rng.randint(1, 4)))
+            target, bound = rng.randint(1, 12), rng.randint(0, 8)
+            read = graphs._Read(p, H, bound, IterationConfig(target_prefix=target)).prefix()
+            want = prefix_of(p, target + bound + 4)
+            assert (read.text, read.length) == (_spelling(want.runs), target + bound + 4)
+            assert read.letters == list(want.prefix(bound + 1).letters())
 
     def test_negative_bound_rejected(self):
         # and a bound past sys.maxsize, the most letters a prefix can be cut to
